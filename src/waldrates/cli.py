@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -325,9 +326,7 @@ def cmd_analyze(args) -> int:
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
     U = spec.to_covariance()
-    import random as _random
-
-    report = rate_report(system, U, trials=args.trials, rng=_random.Random(args.seed))
+    report = rate_report(system, U, trials=args.trials, rng=random.Random(args.seed))
     ech = report.echelon
     q = system.q
     print(f"system: {q} restrictions in {system.p} parameters "
@@ -354,9 +353,7 @@ def cmd_rates(args) -> int:
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
     U = spec.to_covariance()
-    import random as _random
-
-    report = rate_report(system, U, trials=args.trials, rng=_random.Random(args.seed))
+    report = rate_report(system, U, trials=args.trials, rng=random.Random(args.seed))
     q = system.q
     m_text = ", ".join(f"m_{k + 1} = {_degree_json(m)}" for k, m in enumerate(report.char_m))
     print(f"minimal degrees at V: {m_text}")
@@ -399,9 +396,7 @@ def cmd_simulate(args) -> int:
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
     U = spec.to_covariance()
-    import random as _random
-
-    report = rate_report(system, U, trials=args.trials, rng=_random.Random(args.seed))
+    report = rate_report(system, U, trials=args.trials, rng=random.Random(args.seed))
     grid = [int(t) for t in args.grid.split(",")]
     vhat_mode, vhat_scale = _parse_vhat(args.vhat)
     theta_bar = np.array([float(t) for t in spec.theta_bar])

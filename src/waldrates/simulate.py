@@ -5,10 +5,17 @@ T^{-1/2} L z with L the Cholesky factor of V and z standard normal.  Every
 (T, replication) pair derives its own substream from (seed, T, rep), so
 results are bit-identical across runs and independent of scheduling.
 
-Wald statistics are evaluated from the exact symbolic Jacobian converted to
-floats once per system; the q x q inner matrix is solved by Cholesky, never
-inverted explicitly, and a draw whose inner matrix fails factorisation is
-reported, not regularised away.
+All three experiments run one batched kernel per T over every replication:
+draw each replication from its substream; evaluate g and the exact symbolic
+Jacobian, compiled to floats once per system, for the whole stack; solve the
+q x q inner matrices through a batched Cholesky factorisation, never
+inverting them explicitly, and report a draw whose matrix fails
+factorisation rather than regularise it away; take eigenvalues with batched
+LAPACK ``eigvalsh``.  Its absolute error is about eps * ||A||, so a small
+eigenvalue carries a relative error of about eps * lambda_max / lambda_min.
+The cyclic Jacobi solver ``symmetric_eigenvalues``, more accurate for small
+eigenvalues, stays as the independent oracle that ``verify`` and the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -16,15 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .polycore import MultiPoly
 from .rates import Covariance, RateReport, charpoly_coeffs, build_B, min_degree_generic
 from .restriction import RestrictionSystem, jacobian, recenter
-
-CONDITION_BOUND = 1e12
 
 
 class CholeskyFailureError(ValueError):
@@ -113,40 +117,51 @@ class CompiledSystem:
     """Float evaluators for g and its Jacobian, compiled once per system.
 
     The Jacobian is the exact symbolic derivative converted to floats, so
-    simulation carries no finite-difference error.
+    simulation carries no finite-difference error.  g and G share one table
+    of distinct monomials, and each of their q + q*p entries is a row of
+    float coefficients over that table.  Both evaluators accept one point
+    (shape (p,)) or a stack of points (shape (N, p)); the terms are summed
+    in the same order either way, so a point gives the same bits alone as
+    inside a stack.
     """
 
-    __slots__ = ("system", "p", "q", "_g", "_jac")
+    __slots__ = ("system", "p", "q", "_exps", "_coeffs")
 
     def __init__(self, system: RestrictionSystem):
         self.system = system
         self.p = system.p
         self.q = system.q
-        self._g = [_compile_poly(poly) for poly in system.g]
         G = jacobian(system)
-        self._jac = [
-            [_compile_poly(G.entry(i, j)) for j in range(self.p)]
-            for i in range(self.q)
-        ]
+        polys = list(system.g) + [G.entry(i, j)
+                                  for i in range(self.q) for j in range(self.p)]
+        monos = sorted({mono for poly in polys for mono in poly.terms})
+        column = {mono: k for k, mono in enumerate(monos)}
+        self._exps = np.array(monos, dtype=np.int64).reshape(len(monos), self.p)
+        self._coeffs = np.zeros((len(polys), len(monos)))
+        for row, poly in enumerate(polys):
+            for mono, coeff in poly.terms.items():
+                self._coeffs[row, column[mono]] = float(coeff)
+
+    def _evaluate(self, theta, rows: slice) -> np.ndarray:
+        points = np.asarray(theta, dtype=float)
+        stack = points.reshape(-1, self.p)
+        monos = np.ones((stack.shape[0], self._exps.shape[0]))
+        for j in range(self.p):
+            monos *= stack[:, j:j + 1] ** self._exps[:, j]
+        coeffs = self._coeffs[rows]
+        out = np.zeros((stack.shape[0], coeffs.shape[0]))
+        for k in range(coeffs.shape[1]):
+            out += monos[:, k:k + 1] * coeffs[:, k]
+        return out if points.ndim == 2 else out[0]
 
     def g_at(self, theta: np.ndarray) -> np.ndarray:
-        return np.array([f(theta) for f in self._g])
+        """g at one point, shape (q,), or at a stack of points, shape (N, q)."""
+        return self._evaluate(theta, slice(0, self.q))
 
     def jacobian_at(self, theta: np.ndarray) -> np.ndarray:
-        return np.array([[f(theta) for f in row] for row in self._jac])
-
-
-def _compile_poly(poly: MultiPoly):
-    if poly.is_zero():
-        return lambda theta: 0.0
-    items = poly.sorted_terms()
-    exps = np.array([mono for mono, _ in items], dtype=np.int64)
-    coeffs = np.array([float(c) for _, c in items])
-
-    def evaluate(theta: np.ndarray) -> float:
-        return float(coeffs @ np.prod(theta[None, :] ** exps, axis=1))
-
-    return evaluate
+        """G at one point, shape (q, p), or at a stack, shape (N, q, p)."""
+        values = self._evaluate(theta, slice(self.q, None))
+        return values.reshape(values.shape[:-1] + (self.q, self.p))
 
 
 def compile_system(system: RestrictionSystem) -> CompiledSystem:
@@ -159,28 +174,57 @@ def _as_compiled(sys_or_compiled) -> CompiledSystem:
     return CompiledSystem(sys_or_compiled)
 
 
-def wald_statistic(theta_hat: Sequence[float], V_hat: np.ndarray,
-                   sys: RestrictionSystem | CompiledSystem, T: int) -> float:
-    """W = T g' [G V-hat G']^{-1} g evaluated at theta_hat.
+def _cholesky_fails(A: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
-    Precondition: the q x q inner matrix is numerically invertible (condition
-    number within CONDITION_BOUND); divergence experiments deliberately probe
-    matrices near that bound, so the only raised failure is an actual
-    Cholesky breakdown (SingularMetricError) -- never silent regularisation.
-    The SPD system is solved through its Cholesky factor, with no explicit
-    inverse formed.
+
+def _wald_stack(g: np.ndarray, G: np.ndarray, V: np.ndarray,
+                T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve stage: W = T ||L^{-1} g||^2 per draw, with L L' = G V G'.
+
+    ``g`` is (N, q), ``G`` is (N, q, p) and ``V`` is (p, p) or (N, p, p).
+    Returns W, NaN on the draws whose inner matrix fails Cholesky, and the
+    boolean mask of those singular draws.  Nothing is regularised.
+    """
+    A = G @ V @ np.swapaxes(G, -1, -2)
+    singular = np.zeros(A.shape[0], dtype=bool)
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        # the batched factorisation raises for the whole stack
+        singular = np.array([_cholesky_fails(a) for a in A])
+        L = np.linalg.cholesky(A[~singular])
+    v = np.linalg.solve(L, g[~singular][..., None])[..., 0]
+    W = np.full(A.shape[0], np.nan)
+    W[~singular] = T * (v * v).sum(axis=1)
+    return W, singular
+
+
+def wald_statistic(theta_hat: Sequence[float], V_hat: np.ndarray,
+                   sys: RestrictionSystem | CompiledSystem,
+                   T: int) -> float | np.ndarray:
+    """W = T g' [G V-hat G']^{-1} g at theta_hat, one point or an (N, p) stack.
+
+    The one-draw case of the experiments' kernel: the SPD inner matrix is
+    solved through its Cholesky factor, with no explicit inverse formed.  A
+    float for one point, an (N,) array for a stack.  An inner matrix that
+    fails factorisation raises SingularMetricError -- never silent
+    regularisation.
     """
     comp = _as_compiled(sys)
     theta = np.asarray(theta_hat, dtype=float)
-    gv = comp.g_at(theta)
-    G = comp.jacobian_at(theta)
-    A = G @ np.asarray(V_hat, dtype=float) @ G.T
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetricError("inner Wald matrix failed Cholesky") from exc
-    v = np.linalg.solve(L, gv)  # g' A^{-1} g = ||L^{-1} g||^2
-    return float(T) * float(v @ v)
+    stack = theta.reshape(-1, comp.p)
+    W, singular = _wald_stack(comp.g_at(stack), comp.jacobian_at(stack),
+                              np.asarray(V_hat, dtype=float), T)
+    if singular.any():
+        raise SingularMetricError(
+            f"inner Wald matrix failed Cholesky on {int(singular.sum())} of "
+            f"{singular.size} draws")
+    return W if theta.ndim == 2 else float(W[0])
 
 
 def wald_closed_form_product_pairs(theta_hat: Sequence[float], T: int) -> float:
@@ -376,6 +420,59 @@ def _rate_data(sys: RestrictionSystem, model: EstimatorModel,
     return rate_report(sys, Covariance(V_exact))
 
 
+class _Batch(NamedTuple):
+    g: np.ndarray | None          # (reps, q), only when the statistic is asked for
+    wald: np.ndarray | None       # (reps,), NaN on singular draws
+    singular: np.ndarray | None   # (reps,) bool
+    eigs: tuple[np.ndarray, ...]  # per scaling vector: (reps, q), descending
+
+
+def _draw_stack(model: EstimatorModel, T: int, reps: int, seed: int,
+                plugin=None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw stage: theta_hat (reps, p) and V_hat (reps, p, p), one substream each.
+
+    ``plugin(rng, T)``, when given, replaces each V_hat; it draws from the
+    same substream, after the estimate.  Each generator is dropped as soon as
+    its draws are taken.
+    """
+    thetas = np.empty((reps, model.p))
+    covs = np.empty((reps, model.p, model.p))
+    for rep in range(reps):
+        rng = _substream(seed, T, rep)
+        thetas[rep], covs[rep] = draw_estimate(model, T, rng)
+        if plugin is not None:
+            covs[rep] = plugin(rng, T)
+    return thetas, covs
+
+
+def _batch(comp: CompiledSystem, model: EstimatorModel, T: int, reps: int,
+           seed: int, S: np.ndarray, scalings: Sequence[np.ndarray],
+           wald: bool = False, plugin=None) -> _Batch:
+    """The Monte Carlo kernel: one T of an experiment over all reps at once.
+
+    Draw every rep from its substream; evaluate G, and g when ``wald``, for
+    the whole stack; solve for W, counting the draws whose inner matrix fails
+    Cholesky as singular; then, for each vector d in ``scalings``, take the
+    descending eigenvalues of diag(d) S G V_hat G' S' diag(d) by batched
+    LAPACK, NaN on the singular draws.
+    """
+    thetas, covs = _draw_stack(model, T, reps, seed, plugin)
+    G = comp.jacobian_at(thetas)
+    g = W = singular = None
+    if wald:
+        g = comp.g_at(thetas)
+        W, singular = _wald_stack(g, G, covs, T)
+    SG = S @ G
+    inner = SG @ covs @ np.swapaxes(SG, -1, -2)
+    eigs = []
+    for d in scalings:
+        lam = np.linalg.eigvalsh(d[:, None] * inner * d)[:, ::-1]
+        if singular is not None:
+            lam[singular] = np.nan
+        eigs.append(lam)
+    return _Batch(g, W, singular, tuple(eigs))
+
+
 def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
                           t_grid: Sequence[int], reps: int, seed: int,
                           report: RateReport | None = None) -> SimResult:
@@ -404,37 +501,20 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
     singular = 0
     violations = 0
     for T in grid:
-        w_vals = np.full(reps, np.nan)
-        eig_vals = np.full((reps, q), np.nan)
-        mu_vals = np.full(reps, np.nan)
         delta = T ** (s_deg / 2.0)
-        tilde = T ** (beta / 2.0)
-        for rep in range(reps):
-            rng = _substream(seed, T, rep)
-            theta_hat, V_hat = draw_estimate(model, T, rng)
-            try:
-                W = wald_statistic(theta_hat, V_hat, comp, T)
-            except SingularMetricError:
-                singular += 1
-                continue
-            w_vals[rep] = W
-            gv = comp.g_at(theta_hat)
-            Gm = comp.jacobian_at(theta_hat)
-            SG = S_float @ Gm
-            Sg = S_float @ gv
-            sigma_bar = (delta[:, None] * (SG @ V_hat @ SG.T)) * delta[None, :]
-            eig_vals[rep] = symmetric_eigenvalues(sigma_bar)
-            if degenerate:
-                sigma_hat = (tilde[:, None] * sigma_bar) * tilde[None, :]
-                lam = symmetric_eigenvalues(sigma_hat)
-                scaled_g = T ** ((s_deg + 1.0) / 2.0) * Sg
-                mu = float(np.min(scaled_g**2) / np.max(lam))
-                mu_vals[rep] = mu
-                if W < T**beta_bar * mu - 1e-9:
-                    violations += 1
-        wald_all.append(w_vals)
-        eig_medians.append(np.nanmedian(eig_vals, axis=0))
-        mu_medians.append(float(np.nanmedian(mu_vals)) if degenerate else 0.0)
+        # sigma_bar = D S G V G' S' D; sigma_hat rescales it by T^{beta/2}
+        scalings = (delta, delta * T ** (beta / 2.0)) if degenerate else (delta,)
+        batch = _batch(comp, model, T, reps, seed, S_float, scalings, wald=True)
+        singular += int(batch.singular.sum())
+        wald_all.append(batch.wald)
+        eig_medians.append(np.nanmedian(batch.eigs[0], axis=0))
+        if degenerate:
+            scaled_g = T ** ((s_deg + 1.0) / 2.0) * (batch.g @ S_float.T)
+            mu = np.min(scaled_g**2, axis=1) / batch.eigs[1][:, 0]
+            violations += int(np.count_nonzero(batch.wald < T**beta_bar * mu - 1e-9))
+            mu_medians.append(float(np.nanmedian(mu)))
+        else:
+            mu_medians.append(0.0)
 
     total = len(grid) * reps
     fraction = singular / total
@@ -486,19 +566,12 @@ def scaled_eigen_trajectory(sys: RestrictionSystem, model: EstimatorModel,
     S_float = np.array([[float(v) for v in row] for row in ech.S])
     s_deg = np.array(ech.row_degrees, dtype=float)
     beta = np.array([float(b) for b in report.beta])
+    plugin = None if vhat is None else (lambda rng, T: vhat)
     raw = np.empty((len(grid), q))
     for ti, T in enumerate(grid):
-        vals = np.full((reps, q), np.nan)
-        delta = T ** (s_deg / 2.0)
-        for rep in range(reps):
-            rng = _substream(seed, T, rep)
-            theta_hat, V_hat = draw_estimate(model, T, rng)
-            if vhat is not None:
-                V_hat = vhat
-            SG = S_float @ comp.jacobian_at(theta_hat)
-            sigma_bar = (delta[:, None] * (SG @ V_hat @ SG.T)) * delta[None, :]
-            vals[rep] = symmetric_eigenvalues(sigma_bar)
-        raw[ti] = np.nanmedian(vals, axis=0)
+        batch = _batch(comp, model, T, reps, seed, S_float, (T ** (s_deg / 2.0),),
+                       plugin=plugin)
+        raw[ti] = np.nanmedian(batch.eigs[0], axis=0)
     scaled = raw * np.array(grid, dtype=float)[:, None] ** beta[None, :]
     return EigTrajectories(t_grid=grid, raw_medians=raw, scaled_medians=scaled,
                            beta=tuple(report.beta))
@@ -561,22 +634,20 @@ def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
     theta_bar = np.array([float(t) for t in sys.theta_bar])
     model = EstimatorModel(theta_bar, np.eye(p))
     U_float = U.to_float()
+
+    def plugin(rng, T):
+        if u_t_mode == "exact":
+            return U_float
+        # PSD perturbation: U may sit on the cone boundary, where a signed
+        # perturbation would leave the admissible set
+        A = rng.standard_normal((p, p))
+        return U_float + perturb_scale / math.sqrt(T) * (A @ A.T) / p
+
     raw = np.empty((len(grid), q))
     for ti, T in enumerate(grid):
-        vals = np.full((reps, q), np.nan)
-        for rep in range(reps):
-            rng = _substream(seed, T, rep)
-            theta_hat, _ = draw_estimate(model, T, rng)
-            if u_t_mode == "exact":
-                U_T = U_float
-            else:
-                # PSD perturbation: U may sit on the cone boundary, where a
-                # signed perturbation would leave the admissible set
-                A = rng.standard_normal((p, p))
-                U_T = U_float + perturb_scale / math.sqrt(T) * (A @ A.T) / p
-            Gm = comp.jacobian_at(theta_hat)
-            vals[rep] = symmetric_eigenvalues(Gm @ U_T @ Gm.T)
-        raw[ti] = np.nanmedian(vals, axis=0)
+        batch = _batch(comp, model, T, reps, seed, np.eye(q), (np.ones(q),),
+                       plugin=plugin)
+        raw[ti] = np.nanmedian(batch.eigs[0], axis=0)
     beta_f = np.array([float(b) for b in betas])
     scaled = raw * np.array(grid, dtype=float)[:, None] ** beta_f[None, :]
     return VanishingResult(

@@ -14,6 +14,9 @@ from waldrates.simulate import (
     EstimatorModel,
     GenericCovarianceError,
     SingularMetricError,
+    _batch,
+    _draw_stack,
+    _wald_stack,
     chi_square_median,
     compile_system,
     divergence_experiment,
@@ -28,6 +31,7 @@ from waldrates.simulate import (
 from waldrates.systems import linear_system, product_pairs_system, surd_covariance
 
 PP_THETA = np.array([0.0, 0.0, 1.0, 1.0])
+EPS = np.finfo(float).eps
 
 
 class _ForcedRng:
@@ -322,3 +326,86 @@ class TestVanishingRateExperiment:
         assert res.k_star is None
         scaled = res.scaled_medians[:, 2]
         assert 0.5 <= scaled[-1] / scaled[-2] <= 2.0
+
+
+def _block_scaling(report, T):
+    ech = report.echelon
+    S = np.array([[float(v) for v in row] for row in ech.S])
+    return S, T ** (np.array(ech.row_degrees, dtype=float) / 2.0)
+
+
+class TestKernel:
+    """The batched kernel against the per-draw oracles it replaced."""
+
+    @pytest.mark.parametrize("T", [100, 100_000])
+    def test_eigenvalues_match_jacobi(self, pp_report, T):
+        comp = compile_system(product_pairs_system())
+        model = EstimatorModel(PP_THETA, np.eye(4))
+        S, delta = _block_scaling(pp_report, T)
+        batch = _batch(comp, model, T, 200, 8, S, (delta,))
+        for rep in range(200):
+            theta, V = draw_estimate(model, T, np.random.default_rng([8, T, rep]))
+            SG = S @ comp.jacobian_at(theta)
+            sigma = (delta[:, None] * (SG @ V @ SG.T)) * delta[None, :]
+            lam = symmetric_eigenvalues(sigma)
+            bound = 64 * EPS * np.abs(lam).max()  # ||sigma||_2
+            assert np.abs(batch.eigs[0][rep] - lam).max() <= bound
+
+    @pytest.mark.parametrize("T", [100, 100_000])
+    def test_wald_matches_closed_form(self, pp_report, T):
+        comp = compile_system(product_pairs_system())
+        model = EstimatorModel(PP_THETA, np.eye(4))
+        S, delta = _block_scaling(pp_report, T)
+        batch = _batch(comp, model, T, 500, 9, S, (delta,), wald=True)
+        assert not batch.singular.any()
+        thetas, _ = _draw_stack(model, T, 500, 9)
+        G = comp.jacobian_at(thetas)
+        cond = np.linalg.cond(G @ np.swapaxes(G, 1, 2))
+        closed = np.array([wald_closed_form_product_pairs(t, T) for t in thetas])
+        rel = np.abs(batch.wald - closed) / np.abs(closed)
+        assert (rel <= np.maximum(1e-9, 64 * EPS * cond)).all()
+
+    def test_singular_draw_counted_not_regularised(self):
+        comp = compile_system(product_pairs_system())
+        rng = np.random.default_rng(10)
+        others = PP_THETA + rng.standard_normal((40, 4)) / 10.0
+        stack = np.insert(others, 17, PP_THETA, axis=0)
+        # G's first row (y, x, 0, 0) vanishes at the null point: zero pivot
+        assert not comp.jacobian_at(PP_THETA)[0].any()
+        W, singular = _wald_stack(comp.g_at(stack), comp.jacobian_at(stack),
+                                  np.eye(4), 1000)
+        assert singular.sum() == 1 and singular[17]
+        assert np.isnan(W[17])
+        W_clean, singular_clean = _wald_stack(comp.g_at(others),
+                                              comp.jacobian_at(others),
+                                              np.eye(4), 1000)
+        assert not singular_clean.any()
+        assert np.array_equal(np.delete(W, 17), W_clean)
+        with pytest.raises(SingularMetricError):
+            wald_statistic(PP_THETA, np.eye(4), comp, 1000)
+        with pytest.raises(SingularMetricError):
+            wald_statistic(stack, np.eye(4), comp, 1000)
+
+    def test_stacked_evaluation_matches_per_draw(self):
+        names = ["x", "y", "z"]
+        g = [parse_polynomial(text, names) for text in (
+            "x^2*y + 3*x*y*z - y^3 + 2*z - 1/3",
+            "x*z^2 - 5*y^2*z + x^3 - z + 7/5*x*y",
+            "x^2*y^2*z - 2*x*y + 4*z^3 - y",
+        )]
+        comp = compile_system(RestrictionSystem(names, [0, 0, 0], g))
+        thetas = np.random.default_rng(11).uniform(-2.0, 2.0, size=(50, 3))
+        g_stack, G_stack = comp.g_at(thetas), comp.jacobian_at(thetas)
+        assert g_stack.shape == (50, 3) and G_stack.shape == (50, 3, 3)
+        for theta, g_row, G_row in zip(thetas, g_stack, G_stack):
+            np.testing.assert_array_max_ulp(g_row, comp.g_at(theta), maxulp=4)
+            np.testing.assert_array_max_ulp(G_row, comp.jacobian_at(theta), maxulp=4)
+
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    def test_draws_match_draw_estimate(self, mode):
+        model = EstimatorModel(PP_THETA, np.eye(4), mode, 0.5)
+        thetas, covs = _draw_stack(model, 1000, 100, 12)
+        for rep in range(100):
+            theta, V = draw_estimate(model, 1000, np.random.default_rng([12, 1000, rep]))
+            assert np.array_equal(thetas[rep], theta)
+            assert np.array_equal(covs[rep], V)
