@@ -45,7 +45,13 @@ from .rates import (
     min_degree_generic,
     rate_report,
 )
-from .restriction import NullViolatedError, RankDeficientError, RestrictionSystem
+from .restriction import (
+    FraldVerdict,
+    NullViolatedError,
+    RankDeficientError,
+    RestrictionSystem,
+    frald_check,
+)
 from .simulate import (
     CholeskyFailureError,
     EstimatorModel,
@@ -245,7 +251,7 @@ def _spec_json(spec: SpecFile) -> dict:
     }
 
 
-def _frald_json(report: RateReport, q: int, var_names) -> dict:
+def _frald_json(report: FraldVerdict | RateReport, q: int, var_names) -> dict:
     ech = report.echelon
     return {
         "rank": report.rank_r,
@@ -325,9 +331,8 @@ def _blocks_text(blocks) -> str:
 def cmd_analyze(args) -> int:
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
-    U = spec.to_covariance()
-    report = rate_report(system, U, trials=args.trials, rng=random.Random(args.seed))
-    ech = report.echelon
+    verdict = frald_check(system, trials=args.trials, rng=random.Random(args.seed))
+    ech = verdict.echelon
     q = system.q
     print(f"system: {q} restrictions in {system.p} parameters "
           f"(seed {args.seed}, rank trials {args.trials})")
@@ -340,11 +345,11 @@ def cmd_analyze(args) -> int:
         entries = ", ".join(ech.low_matrix.entry(i, j).to_text(names)
                             for j in range(ech.low_matrix.cols))
         print(f"  deg {ech.row_degrees[i]}: [{entries}]")
-    verdict = "HOLDS" if report.rank_r == q else "FAILS"
-    print(f"rank of the lowest-degree matrix: r = {report.rank_r} (q = {q})")
-    print(f"FRALD-T: {verdict}, r = {report.rank_r}, blocks {_blocks_text(ech.blocks)}")
+    word = "HOLDS" if verdict.frald_t_holds else "FAILS"
+    print(f"rank of the lowest-degree matrix: r = {verdict.rank_r} (q = {q})")
+    print(f"FRALD-T: {word}, r = {verdict.rank_r}, blocks {_blocks_text(ech.blocks)}")
     out = _base_report("analyze", args.spec, spec, args.seed)
-    out["frald"] = _frald_json(report, q, spec.var_names)
+    out["frald"] = _frald_json(verdict, q, spec.var_names)
     _write_report(out, args.json)
     return EXIT_OK
 
@@ -359,9 +364,8 @@ def cmd_rates(args) -> int:
     print(f"minimal degrees at V: {m_text}")
     generic_m = None
     if args.samples:
-        generic_m = [min_degree_generic(system, k, samples=args.samples,
-                                        rng_seed=args.seed + 17 * k)
-                     for k in range(1, q + 1)]
+        generic_m = min_degree_generic(system, samples=args.samples,
+                                       rng_seed=args.seed + 17)
         print("generic minimal degrees over random SPD covariances "
               f"({args.samples} samples): "
               + ", ".join(f"m_{k + 1} = {_degree_json(m)}" for k, m in enumerate(generic_m)))

@@ -25,7 +25,6 @@ from .restriction import (
     EchelonForm,
     PolyMatrix,
     RestrictionSystem,
-    echelonize,
     frald_check,
     jacobian,
     recenter,
@@ -302,7 +301,7 @@ def rate_report(sys: RestrictionSystem, U: Covariance, trials: int = 3,
     ech = verdict.echelon
     r, q = verdict.rank_r, sys.q
 
-    raw_coeffs = charpoly_coeffs(build_B(jacobian(recenter(sys)), U))
+    raw_coeffs = charpoly_coeffs(build_B(verdict.jacobian, U))
     gammas_raw = t_graded_coeffs(ech.full_matrix, U, ech)
 
     gamma: list[Fraction] = []
@@ -337,23 +336,22 @@ def rate_report(sys: RestrictionSystem, U: Covariance, trials: int = 3,
     )
 
 
-def min_degree_generic(sys: RestrictionSystem, k: int, samples: int = 5,
-                       rng_seed: int = 0) -> int | float:
-    """Estimate the generic minimal degree m_k over SPD covariances.
+def min_degree_generic(sys: RestrictionSystem, samples: int = 5,
+                       rng_seed: int = 0) -> tuple:
+    """Estimate the generic minimal degrees m_1..m_q over SPD covariances.
 
-    Draws ``samples`` random exact SPD matrices (L D L' construction) and
-    returns the smallest m_k(U) observed; almost every U attains the true
-    minimum, so a handful of draws suffices.
+    Draws ``samples`` random exact SPD matrices (L D L' construction), builds
+    one characteristic polynomial per draw, and returns, for every k, the
+    smallest m_k(U) observed.  The estimate is one-sided: it is never below
+    the true generic minimum, and almost every U attains that minimum, so a
+    handful of draws suffices.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not 1 <= k <= sys.q:
-        raise ValueError(f"k must be in 1..{sys.q}")
     G = jacobian(recenter(sys))
     rng = random.Random(rng_seed)
-    best = INF_DEGREE
+    best = [INF_DEGREE] * sys.q
     for _ in range(samples):
         U = Covariance.random_spd(sys.p, rng)
-        coeffs = charpoly_coeffs(build_B(G, U))
-        best = min(best, coeffs.m[k - 1])
-    return best
+        best = list(map(min, best, charpoly_coeffs(build_B(G, U)).m))
+    return tuple(best)

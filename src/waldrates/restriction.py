@@ -413,6 +413,7 @@ class FraldVerdict:
     rank_r: int
     frald_t_holds: bool
     echelon: EchelonForm
+    jacobian: PolyMatrix  # G of the recentered system, before echelonization
 
 
 def frald_check(sys: RestrictionSystem, trials: int = 3,
@@ -422,7 +423,8 @@ def frald_check(sys: RestrictionSystem, trials: int = 3,
     G = jacobian(centered)
     ech = echelonize(G)
     r = poly_rank(ech.low_matrix, trials=trials, rng=rng)
-    return FraldVerdict(rank_r=r, frald_t_holds=(r == sys.q), echelon=ech)
+    return FraldVerdict(rank_r=r, frald_t_holds=(r == sys.q), echelon=ech,
+                        jacobian=G)
 
 
 def transform(sys: RestrictionSystem, S: Sequence[Sequence]) -> RestrictionSystem:

@@ -21,7 +21,7 @@ compare against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -307,19 +307,10 @@ class SimResult:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimResult):
             return NotImplemented
-        return (
-            self.t_grid == other.t_grid
-            and all(np.array_equal(a, b) for a, b in zip(self.wald_samples, other.wald_samples))
-            and self.median_log_slope == other.median_log_slope
-            and self.slope_stderr == other.slope_stderr
-            and all(np.array_equal(a, b) for a, b in zip(self.eig_trajectories, other.eig_trajectories))
-            and self.mu_samples == other.mu_samples
-            and self.singular_fraction == other.singular_fraction
-            and self.bound_violations == other.bound_violations
-            and self.rank_r == other.rank_r
-            and self.beta_bar == other.beta_bar
-            and self.seed == other.seed
-        )
+        # NaN marks a singular draw, so two identical runs hold NaN in the same places
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name),
+                                  equal_nan=True)
+                   for f in fields(self))
 
     @property
     def median_wald(self) -> np.ndarray:
@@ -410,16 +401,6 @@ def _validate_grid(t_grid: Sequence[int], reps: int) -> tuple[int, ...]:
     return grid
 
 
-def _rate_data(sys: RestrictionSystem, model: EstimatorModel,
-               report: RateReport | None) -> RateReport:
-    if report is not None:
-        return report
-    from .rates import rate_report  # local import to avoid cycles at import time
-
-    V_exact = [[Fraction(x) for x in row] for row in np.asarray(model.V)]
-    return rate_report(sys, Covariance(V_exact))
-
-
 class _Batch(NamedTuple):
     g: np.ndarray | None          # (reps, q), only when the statistic is asked for
     wald: np.ndarray | None       # (reps,), NaN on singular draws
@@ -475,7 +456,7 @@ def _batch(comp: CompiledSystem, model: EstimatorModel, T: int, reps: int,
 
 def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
                           t_grid: Sequence[int], reps: int, seed: int,
-                          report: RateReport | None = None) -> SimResult:
+                          report: RateReport) -> SimResult:
     """Medians of W over replications per T, with the fitted log-log slope.
 
     Also tracks, per draw, the block-scaled eigenvalues and the lower-bound
@@ -485,7 +466,6 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
     fraction; above 5% the experiment fails.
     """
     grid = _validate_grid(t_grid, reps)
-    report = _rate_data(sys, model, report)
     comp = compile_system(sys)
     ech = report.echelon
     q = sys.q
@@ -610,10 +590,7 @@ def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
     q, p = sys.q, sys.p
     coeffs_u = charpoly_coeffs(build_B(jacobian(recenter(sys)), U))
     m_at_u = coeffs_u.m
-    m_generic = tuple(
-        min_degree_generic(sys, k, samples=generic_samples, rng_seed=seed + 17 * k)
-        for k in range(1, q + 1)
-    )
+    m_generic = min_degree_generic(sys, samples=generic_samples, rng_seed=seed + 17)
     k_star = next((k for k in range(1, q + 1) if m_at_u[k - 1] > m_generic[k - 1]), None)
     if k_star is None and check_degenerate:
         raise GenericCovarianceError(

@@ -125,13 +125,16 @@ def s_invariance_check(system: RestrictionSystem, n_transforms: int = 10,
             if abs(np.linalg.det(np.array(S, dtype=float))) > 1e-3:
                 break
         comp_s = compile_system(transform(system, S))
-        for _ in range(ndraws):
-            theta = nprng.uniform(0.5, 2.0, size=p) * nprng.choice([-1.0, 1.0], size=p)
+        thetas = np.empty((ndraws, p))
+        covs = np.empty((ndraws, p, p))
+        for i in range(ndraws):
+            thetas[i] = nprng.uniform(0.5, 2.0, size=p) * nprng.choice([-1.0, 1.0], size=p)
             A = nprng.standard_normal((p, p))
-            V_hat = A @ A.T + 0.5 * np.eye(p)
-            w_plain = wald_statistic(theta, V_hat, comp, 100)
-            w_trans = wald_statistic(theta, V_hat, comp_s, 100)
-            worst = max(worst, abs(w_plain - w_trans) / max(abs(w_plain), 1e-300))
+            covs[i] = A @ A.T + 0.5 * np.eye(p)
+        w_plain = wald_statistic(thetas, covs, comp, 100)
+        w_trans = wald_statistic(thetas, covs, comp_s, 100)
+        worst = max(worst, float(np.max(np.abs(w_plain - w_trans)
+                                        / np.maximum(np.abs(w_plain), 1e-300))))
     passed = worst <= rtol
     return CheckResult(
         name="transformation invariance",

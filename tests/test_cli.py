@@ -28,6 +28,15 @@ SCHEMA = json.loads(
 )
 
 
+def coordinate_spec(n):
+    """Spec text of the n coordinate restrictions x1 = ... = xn = 0."""
+    names = [f"x{i + 1}" for i in range(n)]
+    lines = ["vars " + " ".join(names), "theta_bar " + " ".join("0" * n)]
+    lines += [f"g {name}" for name in names]
+    lines.append("V identity")
+    return "\n".join(lines) + "\n"
+
+
 def write_spec(tmp_path, text, name="case.spec"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -250,14 +259,16 @@ class TestCommands:
         assert json.loads(text)["title"] == "waldrates report"
 
     def test_rates_rejects_more_than_eight_restrictions(self, tmp_path, capsys):
-        n = 9
-        names = " ".join(f"x{i}" for i in range(n))
-        lines = [f"vars {names}", "theta_bar " + " ".join("0" * n)]
-        lines += [f"g x{i}" for i in range(n)]
-        lines.append("V identity")
-        path = write_spec(tmp_path, "\n".join(lines) + "\n")
+        path = write_spec(tmp_path, coordinate_spec(9))
         assert main(["rates", path]) == EXIT_VALIDATION
         assert "8" in capsys.readouterr().err
+
+    def test_analyze_builds_no_charpoly_so_q9_passes(self, tmp_path, capsys):
+        out_json = tmp_path / "report.json"
+        path = write_spec(tmp_path, coordinate_spec(9))
+        assert main(["analyze", path, "--json", str(out_json)]) == EXIT_OK
+        assert "FRALD-T: HOLDS, r = 9" in capsys.readouterr().out
+        assert json.loads(out_json.read_text())["frald"]["rank"] == 9
 
     def test_non_square_free_radicand_reports_location(self, tmp_path):
         path = write_spec(tmp_path,

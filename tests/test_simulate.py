@@ -236,24 +236,34 @@ class TestDivergenceExperiment:
         assert res.singular_fraction == 0.0
         assert all((w[np.isfinite(w)] >= 0).all() for w in res.wald_samples)
 
-    def test_determinism_bit_identical(self, pp_report):
+    @pytest.mark.parametrize("grid, reps, seed, singular", [
+        pytest.param([10, 100, 1000, 10000], 200, 99, False, id="seed99"),
+        # one singular inner matrix at T = 1e5, marked NaN in W
+        pytest.param([100, 1000, 10000, 100000], 2000, 310, True,
+                     id="seed310_singular"),
+    ])
+    def test_determinism_bit_identical(self, pp_report, grid, reps, seed, singular):
         model = EstimatorModel(PP_THETA, np.eye(4))
-        args = (product_pairs_system(), model, [10, 100, 1000, 10000], 200, 99)
-        assert divergence_experiment(*args, report=pp_report) == \
-            divergence_experiment(*args, report=pp_report)
+        args = (product_pairs_system(), model, grid, reps, seed)
+        first = divergence_experiment(*args, report=pp_report)
+        assert first == divergence_experiment(*args, report=pp_report)
+        assert (first.singular_fraction > 0) == singular
 
-    def test_report_computed_from_float_covariance_when_missing(self):
+    def test_linear_q2_exact_report_flat_slope(self):
         model = EstimatorModel(np.zeros(2), np.eye(2))
+        report = rate_report(linear_system(2), Covariance.identity(2))
         res = divergence_experiment(linear_system(2), model,
-                                    [10, 100, 1000, 10000], 200, 3)
+                                    [10, 100, 1000, 10000], 200, 3, report=report)
         assert res.rank_r == 2
         assert res.beta_bar == 0.0
         assert abs(res.median_log_slope) < 0.2
 
     def test_linear_case_matches_chi_square(self):
         model = EstimatorModel(np.zeros(1), np.eye(1))
+        report = rate_report(linear_system(1), Covariance.identity(1))
         res = divergence_experiment(linear_system(1), model,
-                                    [100, 1000, 10000, 100000], 500, 11)
+                                    [100, 1000, 10000, 100000], 500, 11,
+                                    report=report)
         pooled = float(np.median(np.concatenate(res.wald_samples)))
         assert pooled == pytest.approx(chi_square_median(1), rel=0.15)
 
