@@ -12,7 +12,8 @@ Spec file format (line oriented, '#' starts a comment, order free):
 
 Scalar entries are single tokens: rationals (``-7/10``), decimals (``0.98``,
 parsed exactly), or surds (``7/10*sqrt(2)``).  Polynomial lines use the full
-grammar and may contain spaces.
+grammar and may contain spaces; a restriction of total degree above
+MAX_G_DEGREE is rejected before anything expands it.  ``d`` takes an integer.
 
 Subcommands: analyze, rates, simulate, verify.  Text goes to stdout;
 ``--json PATH`` writes a machine-readable report that round-trips exact
@@ -63,6 +64,11 @@ from .simulate import (
 from .verify import run_all
 
 SLOPE_TOLERANCE = 0.15
+
+#: Largest total degree of a 'g' line.  Recentring expands every monomial
+#: around theta_bar, which grows without limit in the degree (x^4000 - 1 at
+#: theta_bar 1 ran for over a minute).
+MAX_G_DEGREE = 16
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -147,7 +153,13 @@ def parse_spec(path: str | Path) -> SpecFile:
                     )
                 theta_bar = entries
             elif key == "g":
-                g_list.append(parse_polynomial(rest, var_names, line=lineno))
+                poly = parse_polynomial(rest, var_names, line=lineno)
+                if poly.total_degree() > MAX_G_DEGREE:
+                    raise SpecFileError(
+                        f"restriction of total degree {poly.total_degree()} exceeds "
+                        f"the limit of {MAX_G_DEGREE}", lineno
+                    )
+                g_list.append(poly)
             elif key == "V":
                 if rest == "identity":
                     v_identity = True
@@ -159,7 +171,12 @@ def parse_spec(path: str | Path) -> SpecFile:
                         )
                     v_rows.append(row)
             elif key == "d":
-                d_value = int(rest)
+                try:
+                    d_value = int(rest)
+                except ValueError:
+                    raise SpecFileError(
+                        f"'d' must be an integer, got {rest!r}", lineno
+                    ) from None
         except PolyParseError as exc:
             raise SpecFileError(str(exc), lineno) from exc
     if theta_bar is None:
@@ -364,7 +381,7 @@ def cmd_rates(args) -> int:
     print(f"minimal degrees at V: {m_text}")
     generic_m = None
     if args.samples:
-        generic_m = min_degree_generic(system, samples=args.samples,
+        generic_m = min_degree_generic(report.jacobian, samples=args.samples,
                                        rng_seed=args.seed + 17)
         print("generic minimal degrees over random SPD covariances "
               f"({args.samples} samples): "

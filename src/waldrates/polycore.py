@@ -88,17 +88,24 @@ class Scalar:
 
     # -- ring operations ---------------------------------------------------
 
+    # Rational fast path: when both operands have b = 0, +, -, * and unary -
+    # do one Fraction operation and skip the constructor's radicand checks.
+
     def __add__(self, other):
         try:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
+        if not self.b and not other.b:
+            return _rational(self.a + other.a)
         d = self._join_d(other)
         return Scalar(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.b:
+            return _rational(-self.a)
         return Scalar(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
@@ -106,7 +113,10 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        return self + (-other)
+        if not self.b and not other.b:
+            return _rational(self.a - other.a)
+        d = self._join_d(other)
+        return Scalar(self.a - other.a, self.b - other.b, d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -116,6 +126,8 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
+        if not self.b and not other.b:
+            return _rational(self.a * other.a)
         d = self._join_d(other)
         return Scalar(
             self.a * other.a + self.b * other.b * d,
@@ -230,6 +242,19 @@ class Scalar:
         if self.b == 0:
             return f"Scalar({self.a})"
         return f"Scalar({self.a}, {self.b}, d={self.d})"
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _rational(a: Fraction) -> Scalar:
+    """The rational Scalar a + 0*sqrt(0), built without re-running the checks
+    of ``Scalar.__init__`` (a is already an exact Fraction)."""
+    out = object.__new__(Scalar)
+    object.__setattr__(out, "a", a)
+    object.__setattr__(out, "b", _FRACTION_ZERO)
+    object.__setattr__(out, "d", 0)
+    return out
 
 
 def _fraction_text(x: Fraction) -> str:

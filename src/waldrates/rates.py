@@ -6,6 +6,16 @@ degrees m_k(U), and derives the eigenvalue scaling exponents gamma_k / beta_k
 and the predicted divergence exponent beta_bar from a grading of the
 block-rescaled matrix.
 
+Every degree the pipeline reports (m_k at U, the grading exponents gamma_k and
+the generic m_k) is read on random rays: x = t*y with y a random integer
+vector, |y_i| <= RAY_RANGE, so that each entry of G is a polynomial in t
+alone and the exact charpoly is univariate.  The degree on a ray is never
+below the true one, and is above it only when y is a root of the
+coefficient's lowest homogeneous part (Schwartz-Zippel: probability at most
+deg / (2 * RAY_RANGE + 1) per ray); the reported degree is the minimum over
+RAYS independent rays.  The multivariate ``charpoly_coeffs`` on G(x) itself
+stays as the exact oracle that ``verify`` and the tests compare against.
+
 Sign convention: the coefficients are those of det(lambda I - B), i.e.
 a_k = (-1)^k * (sum of all k x k principal minors), so that the elementary
 symmetric polynomials of the eigenvalues satisfy P_k = (-1)^k a_k exactly.
@@ -15,6 +25,7 @@ In particular det(B) = (-1)^q a_q.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,12 +37,20 @@ from .restriction import (
     PolyMatrix,
     RestrictionSystem,
     frald_check,
-    jacobian,
-    recenter,
 )
 
 #: Principal-minor enumeration is exponential; stay exact and small.
 MAX_Q = 8
+
+#: Ray coordinates are uniform integers in [-RAY_RANGE, RAY_RANGE].
+RAY_RANGE = 10**6
+
+#: Independent rays per degree read-out; the minimum over them is reported.
+RAYS = 2
+
+#: Seed of the ray stream, kept apart from the streams that choose
+#: poly_rank's points and min_degree_generic's covariances.
+_RAY_SEED = 1_000_003
 
 
 class NonSpdError(ValueError):
@@ -231,18 +250,44 @@ def charpoly_coeffs(B: PolyMatrix) -> CharPolyCoeffs:
     return CharPolyCoeffs(a=tuple(a), m=tuple(p.lowest_degree() for p in a))
 
 
-def _lift_graded(p: MultiPoly, drop: int) -> MultiPoly:
-    """Map p(x) to t^{-drop} p(t*y): new variable t at index 0, exponent
-    |monomial| - drop.  Negative exponents mean the block degree was wrong."""
-    terms = {}
+def _lift_graded(p: MultiPoly, drop: int, y: Sequence[int]) -> MultiPoly:
+    """Restrict p to the ray x = t*y and divide by t^drop: the univariate
+    polynomial t^{-drop} p(t*y).  Negative exponents mean the block degree
+    was wrong."""
+    terms: dict = {}
     for mono, coeff in p.terms.items():
         tdeg = sum(mono) - drop
         if tdeg < 0:
             raise NegativeTDegreeError(
                 f"monomial of degree {sum(mono)} under block scaling {drop}"
             )
-        terms[(tdeg, *mono)] = coeff
-    return MultiPoly(p.nvars + 1, terms)
+        value = coeff * math.prod(yi**e for yi, e in zip(y, mono) if e)
+        key = (tdeg,)
+        terms[key] = terms[key] + value if key in terms else value
+    return MultiPoly(1, terms)
+
+
+def _ray_degrees(G: PolyMatrix, U: Covariance, rays: random.Random | None = None,
+                 count: int = RAYS, drops: Sequence[int] | None = None) -> tuple:
+    """Lowest t-degree of each charpoly coefficient of B = G U G' on rays.
+
+    Row i of G is restricted to x = t*y and divided by t^{drops[i]} (zero by
+    default); the exact univariate charpoly of the result gives one degree
+    per coefficient, INF_DEGREE when it vanishes on the ray.  Returns the
+    minimum over ``count`` rays drawn from ``rays`` (a fresh stream seeded
+    with _RAY_SEED by default).  One-sided: never below the degree of the
+    multivariate coefficient, and above it only if every ray is a root of
+    that coefficient's lowest part.
+    """
+    rays = random.Random(_RAY_SEED) if rays is None else rays
+    drops = (0,) * G.rows if drops is None else drops
+    best = [INF_DEGREE] * G.rows
+    for _ in range(count):
+        y = [rays.randint(-RAY_RANGE, RAY_RANGE) for _ in range(G.nvars)]
+        on_ray = PolyMatrix([[_lift_graded(p, drop, y) for p in row]
+                             for row, drop in zip(G.entries, drops)])
+        best = list(map(min, best, charpoly_coeffs(build_B(on_ray, U)).m))
+    return tuple(best)
 
 
 def t_graded_coeffs(G: PolyMatrix, U: Covariance,
@@ -252,24 +297,15 @@ def t_graded_coeffs(G: PolyMatrix, U: Covariance,
     The grading variable t stands for T^{-1/2}: row i of the (already
     echelonized) matrix G is mapped to t^{-s_i} G_i(t*y) with s_i its block
     degree, so every entry has nonnegative t-degree.  gamma_k is half the
-    minimal t-degree of the k-th coefficient; None marks an identically zero
-    coefficient (exponent indeterminate from symmetric functions alone).
+    minimal t-degree of the k-th coefficient, read on RAYS random rays y;
+    None marks a coefficient that vanishes on every ray (identically zero
+    but for the Schwartz-Zippel failure set; exponent indeterminate from
+    symmetric functions alone).
     """
     if G.rows != echelon.q:
         raise ValueError("G and echelon form disagree on the number of rows")
-    lifted = PolyMatrix([
-        [_lift_graded(p, echelon.row_degrees[i]) for p in G.row(i)]
-        for i in range(G.rows)
-    ])
-    B = build_B(lifted, U)
-    coeffs = charpoly_coeffs(B)
-    gammas: list[Fraction | None] = []
-    for poly in coeffs.a:
-        if poly.is_zero():
-            gammas.append(None)
-        else:
-            gammas.append(Fraction(min(mono[0] for mono in poly.terms), 2))
-    return gammas
+    return [None if m == INF_DEGREE else Fraction(m, 2)
+            for m in _ray_degrees(G, U, drops=echelon.row_degrees)]
 
 
 @dataclass(frozen=True)
@@ -285,9 +321,10 @@ class RateReport:
     beta: tuple[Fraction, ...]
     beta_bar: Fraction
     block_degrees: tuple[tuple[int, int], ...]
-    indeterminate: tuple[int, ...]  # 1-based k where a_k vanished identically
+    indeterminate: tuple[int, ...]  # 1-based k where a_k vanished on every ray
     char_m: tuple                   # minimal degrees m_k(U) of the unscaled a_k
     echelon: EchelonForm
+    jacobian: PolyMatrix            # G of the recentered system, before echelonization
 
     @property
     def divergence_predicted(self) -> bool:
@@ -301,7 +338,7 @@ def rate_report(sys: RestrictionSystem, U: Covariance, trials: int = 3,
     ech = verdict.echelon
     r, q = verdict.rank_r, sys.q
 
-    raw_coeffs = charpoly_coeffs(build_B(verdict.jacobian, U))
+    char_m = _ray_degrees(verdict.jacobian, U)
     gammas_raw = t_graded_coeffs(ech.full_matrix, U, ech)
 
     gamma: list[Fraction] = []
@@ -331,27 +368,30 @@ def rate_report(sys: RestrictionSystem, U: Covariance, trials: int = 3,
         beta_bar=beta_bar,
         block_degrees=ech.blocks,
         indeterminate=tuple(indeterminate),
-        char_m=raw_coeffs.m,
+        char_m=char_m,
         echelon=ech,
+        jacobian=verdict.jacobian,
     )
 
 
-def min_degree_generic(sys: RestrictionSystem, samples: int = 5,
+def min_degree_generic(G: PolyMatrix, samples: int = 5,
                        rng_seed: int = 0) -> tuple:
     """Estimate the generic minimal degrees m_1..m_q over SPD covariances.
 
-    Draws ``samples`` random exact SPD matrices (L D L' construction), builds
-    one characteristic polynomial per draw, and returns, for every k, the
-    smallest m_k(U) observed.  The estimate is one-sided: it is never below
-    the true generic minimum, and almost every U attains that minimum, so a
+    ``G`` is the Jacobian of the recentered system.  Draws ``samples`` random
+    exact SPD matrices (L D L' construction) from ``random.Random(rng_seed)``,
+    builds one characteristic polynomial per draw on one random ray (from a
+    separate ray stream), and returns, for every k, the smallest degree
+    observed.  The estimate is one-sided: it is never below the true generic
+    minimum, and almost every (U, ray) pair attains that minimum, so a
     handful of draws suffices.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    G = jacobian(recenter(sys))
     rng = random.Random(rng_seed)
-    best = [INF_DEGREE] * sys.q
+    rays = random.Random(_RAY_SEED + rng_seed)
+    best = [INF_DEGREE] * G.rows
     for _ in range(samples):
-        U = Covariance.random_spd(sys.p, rng)
-        best = list(map(min, best, charpoly_coeffs(build_B(G, U)).m))
+        U = Covariance.random_spd(G.cols, rng)
+        best = list(map(min, best, _ray_degrees(G, U, rays, count=1)))
     return tuple(best)

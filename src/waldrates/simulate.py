@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .rates import Covariance, RateReport, charpoly_coeffs, build_B, min_degree_generic
+from .rates import Covariance, RateReport, _ray_degrees, min_degree_generic
 from .restriction import RestrictionSystem, jacobian, recenter
 
 
@@ -588,9 +588,9 @@ def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
         raise ValueError(f"unknown u_t_mode {u_t_mode!r}")
     grid = tuple(int(t) for t in t_grid)
     q, p = sys.q, sys.p
-    coeffs_u = charpoly_coeffs(build_B(jacobian(recenter(sys)), U))
-    m_at_u = coeffs_u.m
-    m_generic = min_degree_generic(sys, samples=generic_samples, rng_seed=seed + 17)
+    G = jacobian(recenter(sys))
+    m_at_u = _ray_degrees(G, U)
+    m_generic = min_degree_generic(G, samples=generic_samples, rng_seed=seed + 17)
     k_star = next((k for k in range(1, q + 1) if m_at_u[k - 1] > m_generic[k - 1]), None)
     if k_star is None and check_degenerate:
         raise GenericCovarianceError(

@@ -11,6 +11,7 @@ from waldrates.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_VALIDATION,
+    MAX_G_DEGREE,
     SpecFileError,
     main,
     parse_spec,
@@ -90,6 +91,32 @@ class TestParseSpec:
         with pytest.raises(SpecFileError) as err:
             parse_spec(path)
         assert "sqrt" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["2.5", "sqrt(2)", "two"])
+    def test_non_integer_d_reports_line(self, tmp_path, value):
+        path = write_spec(tmp_path, f"vars x\ntheta_bar 0\ng x\nd {value}\nV identity\n")
+        with pytest.raises(SpecFileError) as err:
+            parse_spec(path)
+        assert err.value.line == 4
+        assert main(["analyze", path]) == EXIT_VALIDATION
+
+    def test_restriction_degree_limit(self, tmp_path, capsys):
+        # one degree over the limit is rejected at parse time, before any
+        # recentring; the limit itself still parses and analyzes
+        names = " ".join(f"x{i}" for i in range(MAX_G_DEGREE + 1))
+        ones = " ".join("1" for _ in range(MAX_G_DEGREE + 1))
+        over = "*".join(f"x{i}" for i in range(MAX_G_DEGREE + 1))
+        path = write_spec(tmp_path, f"vars {names}\ntheta_bar {ones}\ng x0\n"
+                                    f"g {over} - 1\nV identity\n")
+        with pytest.raises(SpecFileError) as err:
+            parse_spec(path)
+        assert err.value.line == 4
+        assert str(MAX_G_DEGREE) in str(err.value)
+        assert main(["analyze", path]) == EXIT_VALIDATION
+        at_limit = write_spec(tmp_path, f"vars x y\ntheta_bar 1 1\n"
+                                        f"g x^{MAX_G_DEGREE} - 1\nV identity\n",
+                              name="limit.spec")
+        assert main(["analyze", at_limit]) == EXIT_OK
 
     def test_too_many_restrictions(self, tmp_path):
         path = write_spec(tmp_path, "vars x\ntheta_bar 0\ng x\ng x^2\nV identity\n")

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waldrates import polycore
 from waldrates.polycore import (
     INF_DEGREE,
     FieldMismatchError,
@@ -332,3 +334,50 @@ class TestGrammar:
         p = MultiPoly(2, {(1, 0): Scalar(1, 1, 2)})
         rendered = p.to_text(["x", "y"])
         assert parse_polynomial(rendered, ["x", "y"]) == p
+
+
+# -- rational fast path of Scalar ------------------------------------------------
+
+surds_st = st.builds(Scalar, fractions_st, fractions_st.filter(bool), st.sampled_from((2, 3, 5)))
+
+
+def _general(op, x, y):
+    """The constructor path: (a, b, d) as Scalar.__init__ normalises them."""
+    d = x.d or y.d
+    if op == "+":
+        out = Scalar(x.a + y.a, x.b + y.b, d)
+    elif op == "-":
+        out = Scalar(x.a - y.a, x.b - y.b, d)
+    else:
+        out = Scalar(x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, d)
+    return out.a, out.b, out.d
+
+
+def _apply(op, x, y):
+    return x + y if op == "+" else (x - y if op == "-" else x * y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fractions_st, fractions_st, st.sampled_from("+-*"))
+def test_rational_fast_path_matches_general_path(x, y, op):
+    sx, sy = Scalar(x), Scalar(y)
+    with patch.object(polycore, "_rational", wraps=polycore._rational) as fast:
+        out = _apply(op, sx, sy)
+        neg = -sx
+    assert fast.call_count == 2
+    assert (out.a, out.b, out.d) == _general(op, sx, sy)
+    assert (neg.a, neg.b, neg.d) == (Scalar(-x).a, Scalar(-x).b, Scalar(-x).d)
+    assert type(out.a) is Fraction and type(out.b) is Fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(fractions_st, surds_st, st.sampled_from("+-*"), st.booleans())
+def test_mixed_operands_take_general_path(x, surd, op, rational_first):
+    sx = Scalar(x)
+    lhs, rhs = (sx, surd) if rational_first else (surd, sx)
+    with patch.object(polycore, "_rational", wraps=polycore._rational) as fast:
+        out = _apply(op, lhs, rhs)
+        neg = -surd
+    assert fast.call_count == 0
+    assert (out.a, out.b, out.d) == _general(op, lhs, rhs)
+    assert (neg.a, neg.b, neg.d) == (-surd.a, -surd.b, surd.d)

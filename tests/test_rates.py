@@ -9,13 +9,22 @@ to 1e-4 and the minimal degree jumps to 6.
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from waldrates.cli import parse_spec
 
 from waldrates.polycore import INF_DEGREE, MultiPoly, Scalar, parse_polynomial
 from waldrates.rates import (
+    RAY_RANGE,
     Covariance,
+    _lift_graded,
+    _ray_degrees,
     NegativeTDegreeError,
     NonSpdError,
     QTooLargeError,
@@ -28,7 +37,9 @@ from waldrates.rates import (
 )
 from waldrates.restriction import (
     PolyMatrix,
+    RankDeficientError,
     RestrictionSystem,
+    ZeroRowError,
     echelonize,
     jacobian,
     recenter,
@@ -229,33 +240,25 @@ class TestTGradedCoeffs:
             t_graded_coeffs(ech.full_matrix, Covariance.identity(4), inflated)
 
     def test_trivial_blocks_reproduce_plain_coefficients(self):
-        # all block degrees zero: substituting t = 1 recovers the unscaled a_k
-        sysd = linear_system(2, p=3)
+        # all block degrees zero: the ray lift at t = 1 is G(y), and its
+        # charpoly at t = 1 is the unscaled a_k at y
+        names = ["x", "y", "z"]
+        sysd = RestrictionSystem(names, (0, 0, 0),
+                                 (parse_polynomial("x + y^2", names),
+                                  parse_polynomial("y + x*z - z^3", names)))
         G = jacobian(recenter(sysd))
         ech = echelonize(G)
         assert all(s == 0 for _, s in ech.blocks)
         U = Covariance.random_spd(3, random.Random(5))
-        lifted = charpoly_coeffs(build_B(
-            PolyMatrix([[_lift(p, 0) for p in ech.full_matrix.row(i)]
-                        for i in range(2)]), U))
+        y = [3, -7, 11]
+        lifted = PolyMatrix([[_lift_graded(p, 0, y) for p in ech.full_matrix.row(i)]
+                             for i in range(2)])
+        assert lifted.nvars == 1
+        assert lifted.evaluate([1]) == ech.full_matrix.evaluate(y)
+        on_ray = charpoly_coeffs(build_B(lifted, U))
         plain = charpoly_coeffs(build_B(ech.full_matrix, U))
-        for a_lift, a_plain in zip(lifted.a, plain.a):
-            assert _drop_t(a_lift) == a_plain
-
-
-def _lift(p, drop):
-    from waldrates.rates import _lift_graded
-
-    return _lift_graded(p, drop)
-
-
-def _drop_t(p):
-    # substitute t = 1: sum coefficients over the leading exponent
-    out = {}
-    for mono, coeff in p.terms.items():
-        rest = mono[1:]
-        out[rest] = out.get(rest, Scalar(0)) + coeff
-    return MultiPoly(p.nvars - 1, out)
+        for a_ray, a_plain in zip(on_ray.a, plain.a):
+            assert a_ray.evaluate([1]) == a_plain.evaluate(y)
 
 
 class TestRateReport:
@@ -290,12 +293,12 @@ class TestRateReport:
 
 
 class TestMinDegreeGeneric:
-    def test_product_pairs_detects_generic_four(self):
-        assert min_degree_generic(product_pairs_system(), samples=5,
+    def test_product_pairs_detects_generic_four(self, centered_jacobian):
+        assert min_degree_generic(centered_jacobian, samples=5,
                                   rng_seed=3)[2] == 4
 
-    def test_trace_has_constant_term(self):
-        assert min_degree_generic(product_pairs_system(), samples=3,
+    def test_trace_has_constant_term(self, centered_jacobian):
+        assert min_degree_generic(centered_jacobian, samples=3,
                                   rng_seed=3)[0] == 0
 
     def test_k2_matches_exhaustive_sampling(self):
@@ -306,13 +309,13 @@ class TestMinDegreeGeneric:
         for _ in range(5):
             U = Covariance.random_spd(4, rng)
             best = min(best, charpoly_coeffs(build_B(G, U)).m[1])
-        assert min_degree_generic(sysd, samples=5, rng_seed=21)[1] == best
+        assert min_degree_generic(G, samples=5, rng_seed=21)[1] == best
 
     def test_generic_degree_is_lower_bound(self):
         # m_k(U) >= generic m_k, with equality for >= 90% of random draws
         sysd = product_pairs_system()
         G = jacobian(recenter(sysd))
-        generic = min_degree_generic(sysd, samples=10, rng_seed=1)[2]
+        generic = min_degree_generic(G, samples=10, rng_seed=1)[2]
         rng = random.Random(77)
         hits = 0
         for _ in range(50):
@@ -321,3 +324,99 @@ class TestMinDegreeGeneric:
             assert m3 >= generic
             hits += m3 == generic
         assert hits >= 45
+
+
+# -- ray-restricted degrees against the multivariate oracle -------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _graded_oracle(G, U, echelon):
+    """gamma_k from the multivariate t-lift: row i becomes t^{-s_i} G_i(t*x)
+    over (t, x), and gamma_k is half the lowest t-exponent of a_k."""
+    lifted = PolyMatrix([
+        [MultiPoly(G.nvars + 1, {(sum(m) - s, *m): c for m, c in p.terms.items()})
+         for p in row]
+        for row, s in zip(G.entries, echelon.row_degrees)
+    ])
+    return [None if a.is_zero() else Fraction(min(m[0] for m in a.terms), 2)
+            for a in charpoly_coeffs(build_B(lifted, U)).a]
+
+
+@st.composite
+def small_systems(draw):
+    """Systems with p <= 4, q <= 3, degree <= 3, null point 0, and a random
+    exact SPD covariance or (p = 4) the boundary-PSD surd covariance."""
+    p = draw(st.integers(1, 4))
+    q = draw(st.integers(1, min(p, 3)))
+    monos = [m for m in itertools.product(range(4), repeat=p) if 1 <= sum(m) <= 3]
+    g = tuple(
+        MultiPoly(p, draw(st.dictionaries(st.sampled_from(monos),
+                                          st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                                          min_size=1, max_size=4)))
+        for _ in range(q)
+    )
+    names = [f"x{i}" for i in range(p)]
+    if p == 4 and draw(st.booleans()):
+        U = surd_covariance()
+    else:
+        U = Covariance.random_spd(p, random.Random(draw(st.integers(0, 2**32))))
+    return RestrictionSystem(names, (0,) * p, g), U
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_systems())
+def test_ray_degrees_match_multivariate_oracle(case):
+    sysd, U = case
+    G = jacobian(sysd)
+    try:
+        ech = echelonize(G)
+    except (RankDeficientError, ZeroRowError):
+        assume(False)
+    assert _ray_degrees(G, U) == charpoly_coeffs(build_B(G, U)).m
+    assert t_graded_coeffs(ech.full_matrix, U, ech) == \
+        _graded_oracle(ech.full_matrix, U, ech)
+
+
+def _sympy_scalar(value):
+    return sympy.Rational(value.a) + sympy.Rational(value.b) * sympy.sqrt(value.d)
+
+
+@pytest.mark.parametrize("name", [
+    "product_pairs.spec",
+    "product_pairs_cov98.spec",
+    "linear_q1.spec",
+    "linear_q2.spec",
+])
+def test_ray_coefficients_match_sympy_charpoly(name):
+    # sympy differentiates, recentres, restricts to the ray and expands the
+    # charpoly on its own, from the spec file's text
+    text = (FIXTURES / name).read_text()
+    lines = [line.split("#", 1)[0].split(None, 1) for line in text.splitlines()]
+    lines = [(key, rest.strip()) for key, rest in (ln for ln in lines if ln)]
+    names = next(rest for key, rest in lines if key == "vars").split()
+    syms = sympy.symbols(names)
+    local = dict(zip(names, syms))
+    g = sympy.Matrix([sympy.sympify(rest.replace("^", "**"), locals=local, rational=True)
+                      for key, rest in lines if key == "g"])
+    v_rows = [rest.split() for key, rest in lines if key == "V"]
+    V = sympy.eye(len(names)) if v_rows == [["identity"]] else sympy.Matrix(
+        [[sympy.sympify(e, rational=True) for e in row] for row in v_rows])
+    theta_bar = [sympy.sympify(e, rational=True)
+                 for e in next(rest for key, rest in lines if key == "theta_bar").split()]
+
+    t, lam = sympy.symbols("t lambda")
+    y = [random.Random(name).randint(-RAY_RANGE, RAY_RANGE) for _ in names]
+    J = g.jacobian(syms).subs({s: b + t * c for s, b, c in zip(syms, theta_bar, y)},
+                              simultaneous=True)
+    want = (J * V * J.T).expand().charpoly(lam).all_coeffs()[1:]
+
+    spec = parse_spec(FIXTURES / name)
+    G = jacobian(recenter(spec.to_restriction_system()))
+    on_ray = PolyMatrix([[_lift_graded(p, 0, y) for p in row] for row in G.entries])
+    got = charpoly_coeffs(build_B(on_ray, spec.to_covariance())).a
+    assert len(got) == len(want)
+    for a_k, w_k in zip(got, want):
+        mine = sum((_sympy_scalar(c) * t**m[0] for m, c in a_k.terms.items()),
+                   sympy.Integer(0))
+        assert sympy.expand(mine - w_k) == 0
