@@ -471,6 +471,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_NUMERICAL
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of ``--seed`` and ``--samples``: checked before any work."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="waldrates",
@@ -480,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("spec", help="restriction spec file")
-        p.add_argument("--seed", type=int, default=42,
+        p.add_argument("--seed", type=_non_negative_int, default=42,
                        help="seed for all randomness (default 42)")
         p.add_argument("--trials", type=int, default=3,
                        help="random points for polynomial rank testing")
@@ -493,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rates = sub.add_parser("rates", help="degree invariants and divergence exponents")
     common(p_rates)
-    p_rates.add_argument("--samples", type=int, default=0,
+    p_rates.add_argument("--samples", type=_non_negative_int, default=0,
                          help="also estimate generic minimal degrees from N random covariances")
     p_rates.set_defaults(func=cmd_rates)
 

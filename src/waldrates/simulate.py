@@ -2,8 +2,13 @@
 
 Estimator draws follow the root-T asymptotic model: theta_hat = theta_bar +
 T^{-1/2} L z with L the Cholesky factor of V and z standard normal.  Every
-(T, replication) pair derives its own substream from (seed, T, rep), so
-results are bit-identical across runs and independent of scheduling.
+(T, replication) pair draws from its own substream, the stream of
+``np.random.default_rng([seed, T, rep])``, so results are bit-identical
+across runs and independent of scheduling.  The draw stage does not build
+those generators one by one: it runs NumPy's SeedSequence hash for every rep
+of a T at once and sets one reused PCG64 to each rep's state, which gives
+the same streams bit for bit (NumPy's stream-compatibility policy, NEP 19,
+freezes both algorithms; the tests compare against ``default_rng``).
 
 All three experiments run one batched kernel per T over every replication:
 draw each replication from its substream; evaluate g and the exact symbolic
@@ -21,6 +26,7 @@ compare against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -89,12 +95,99 @@ class EstimatorModel:
         return self.theta_bar.size
 
 
-def _substream(seed: int, T: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng([seed, T, rep])
+# NumPy's SeedSequence hash (pool of 4 uint32 words) and PCG64 seeding
+# constants, from numpy/random/bit_generator.pyx and pcg64.h; NEP 19 freezes
+# both, so default_rng([seed, T, rep]) streams never change under them.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _entropy_words(n: int) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative int, low word first; 0 is [0]."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_chain(init: int, mult: int):
+    """SeedSequence's hashmix step, with its multiplier advancing on every call."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _substream_seeds(seed: int, T: int, reps: int) -> np.ndarray:
+    """``SeedSequence([seed, T, rep]).generate_state(4, uint64)`` for every rep.
+
+    Runs SeedSequence's hash over all reps at once in uint32 arithmetic, with
+    the entropy words assembled as NumPy assembles them: a seed or T of 2^32
+    or more gives several words, the rep (below 2^32) one.  Shape (reps, 4).
+    """
+    words = _entropy_words(seed) + _entropy_words(T)
+    entropy = [np.full(reps, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(reps, dtype=np.uint32))
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    hashmix = _hash_chain(_INIT_A, _MULT_A)
+    zero = np.zeros(reps, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    generate = _hash_chain(_INIT_B, _MULT_B)
+    halves = [generate(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    # uint64 word k is halves[2k] | halves[2k + 1] << 32 (little-endian view)
+    return np.stack([halves[2 * k] | (halves[2 * k + 1] << np.uint64(32))
+                     for k in range(4)], axis=1)
+
+
+def _pcg64_state(words: np.ndarray) -> dict:
+    """The state of a PCG64 seeded with four generate_state words (its srandom)."""
+    s_hi, s_lo, i_hi, i_lo = words.tolist()
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _perturbed_vhat(model: EstimatorModel, T: int, W: np.ndarray) -> np.ndarray:
+    """V + scale T^{-1/2} (W + W')/2 for one p x p W or a stack of them."""
+    W = (W + np.swapaxes(W, -1, -2)) / 2.0
+    return model.V + model.vhat_scale / math.sqrt(T) * W
 
 
 def draw_estimate(model: EstimatorModel, T: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One estimator draw: theta_hat and the covariance estimate V_hat."""
+    """One estimator draw: theta_hat and the covariance estimate V_hat.
+
+    In perturbed mode V_hat is re-drawn until it passes Cholesky, at most 10
+    times.  ``_draw_stack`` draws the same values for a whole stack of reps.
+    """
     if T < 1:
         raise ValueError("T must be >= 1")
     z = rng.standard_normal(model.p)
@@ -102,14 +195,9 @@ def draw_estimate(model: EstimatorModel, T: int, rng) -> tuple[np.ndarray, np.nd
     if model.vhat_mode == "exact":
         return theta_hat, model.V
     for _ in range(10):
-        W = rng.standard_normal((model.p, model.p))
-        W = (W + W.T) / 2.0
-        V_hat = model.V + model.vhat_scale / math.sqrt(T) * W
-        try:
-            np.linalg.cholesky(V_hat)
-        except np.linalg.LinAlgError:
-            continue
-        return theta_hat, V_hat
+        V_hat = _perturbed_vhat(model, T, rng.standard_normal((model.p, model.p)))
+        if not _cholesky_failures(V_hat[None])[0]:
+            return theta_hat, V_hat
     raise CholeskyFailureError("perturbed V_hat stayed non-SPD after 10 retries")
 
 
@@ -174,12 +262,22 @@ def _as_compiled(sys_or_compiled) -> CompiledSystem:
     return CompiledSystem(sys_or_compiled)
 
 
-def _cholesky_fails(A: np.ndarray) -> bool:
+def _cholesky_failures(stack: np.ndarray) -> np.ndarray:
+    """Boolean mask of the matrices in an (N, n, n) stack that fail Cholesky.
+
+    One batched factorisation; it raises for the whole stack if any member
+    fails, and only then is each matrix factorised alone.
+    """
+    failed = np.zeros(len(stack), dtype=bool)
     try:
-        np.linalg.cholesky(A)
+        np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        return True
-    return False
+        for i, matrix in enumerate(stack):
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                failed[i] = True
+    return failed
 
 
 def _wald_stack(g: np.ndarray, G: np.ndarray, V: np.ndarray,
@@ -191,13 +289,8 @@ def _wald_stack(g: np.ndarray, G: np.ndarray, V: np.ndarray,
     boolean mask of those singular draws.  Nothing is regularised.
     """
     A = G @ V @ np.swapaxes(G, -1, -2)
-    singular = np.zeros(A.shape[0], dtype=bool)
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        # the batched factorisation raises for the whole stack
-        singular = np.array([_cholesky_fails(a) for a in A])
-        L = np.linalg.cholesky(A[~singular])
+    singular = _cholesky_failures(A)
+    L = np.linalg.cholesky(A[~singular])
     v = np.linalg.solve(L, g[~singular][..., None])[..., 0]
     W = np.full(A.shape[0], np.nan)
     W[~singular] = T * (v * v).sum(axis=1)
@@ -412,18 +505,42 @@ def _draw_stack(model: EstimatorModel, T: int, reps: int, seed: int,
                 plugin=None) -> tuple[np.ndarray, np.ndarray]:
     """Draw stage: theta_hat (reps, p) and V_hat (reps, p, p), one substream each.
 
-    ``plugin(rng, T)``, when given, replaces each V_hat; it draws from the
-    same substream, after the estimate.  Each generator is dropped as soon as
-    its draws are taken.
+    Rep ``rep`` draws from the stream of ``np.random.default_rng([seed, T,
+    rep])`` exactly what ``draw_estimate`` draws from it, in the same order:
+    z, then in perturbed mode the first W, then ``plugin(rng, T)``, which,
+    when given, replaces V_hat.  One reused PCG64 is set to each rep's state
+    in turn; theta_hat and the perturbed V_hat are formed for the whole
+    stack, and only the reps whose V_hat fails Cholesky replay their stream
+    through ``draw_estimate``'s retries.
     """
-    thetas = np.empty((reps, model.p))
-    covs = np.empty((reps, model.p, model.p))
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    p = model.p
+    perturbed = model.vhat_mode == "perturbed"
+    seeds = _substream_seeds(seed, T, reps)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    z = np.empty((reps, p))
+    W = np.empty((reps, p, p)) if perturbed else None
+    plugged = None if plugin is None else np.empty((reps, p, p))
     for rep in range(reps):
-        rng = _substream(seed, T, rep)
-        thetas[rep], covs[rep] = draw_estimate(model, T, rng)
+        bitgen.state = _pcg64_state(seeds[rep])
+        rng.standard_normal(out=z[rep])
+        if perturbed:
+            rng.standard_normal(out=W[rep])
         if plugin is not None:
-            covs[rep] = plugin(rng, T)
-    return thetas, covs
+            plugged[rep] = plugin(rng, T)
+    thetas = model.theta_bar + (model._chol @ z[..., None])[..., 0] / math.sqrt(T)
+    if not perturbed:
+        covs = np.broadcast_to(model.V, (reps, p, p)).copy()
+    else:
+        covs = _perturbed_vhat(model, T, W)
+        for rep in np.flatnonzero(_cholesky_failures(covs)):
+            bitgen.state = _pcg64_state(seeds[rep])
+            covs[rep] = draw_estimate(model, T, rng)[1]
+            if plugin is not None:
+                plugged[rep] = plugin(rng, T)
+    return thetas, (covs if plugin is None else plugged)
 
 
 def _batch(comp: CompiledSystem, model: EstimatorModel, T: int, reps: int,

@@ -304,6 +304,24 @@ class TestCommands:
             parse_spec(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("analyze", "--seed", "-1"),
+        ("rates", "--seed", "-1"),
+        ("rates", "--samples", "-2"),
+        ("simulate", "--seed", "-1"),
+        ("verify", "--seed", "-1"),
+    ])
+    def test_negative_number_rejected_before_any_work(self, command, option,
+                                                       value, capsys):
+        # random.Random(-1) would silently act as seed 1, and default_rng
+        # rejects it only after the symbolic work has run
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(FIXTURES / "product_pairs.spec"), option, value])
+        assert exc.value.code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: expected a non-negative integer" in captured.err
+
 
 class TestNegativeControl:
     def test_corrupted_coefficients_fail_symmetric_check(self):

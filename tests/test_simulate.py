@@ -5,7 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from waldrates import simulate
 from waldrates.polycore import parse_polynomial
 from waldrates.rates import Covariance, rate_report
 from waldrates.restriction import RestrictionSystem, transform
@@ -15,7 +18,11 @@ from waldrates.simulate import (
     GenericCovarianceError,
     SingularMetricError,
     _batch,
+    _cholesky_failures,
     _draw_stack,
+    _pcg64_state,
+    _perturbed_vhat,
+    _substream_seeds,
     _wald_stack,
     chi_square_median,
     compile_system,
@@ -419,3 +426,94 @@ class TestKernel:
             theta, V = draw_estimate(model, 1000, np.random.default_rng([12, 1000, rep]))
             assert np.array_equal(thetas[rep], theta)
             assert np.array_equal(covs[rep], V)
+
+
+def _oracle_draws(model, T, reps, seed, plugin=None):
+    """Per-rep draw_estimate (then plugin) on default_rng([seed, T, rep])."""
+    thetas, covs = [], []
+    for rep in range(reps):
+        rng = np.random.default_rng([seed, T, rep])
+        theta, V = draw_estimate(model, T, rng)
+        thetas.append(theta)
+        covs.append(V if plugin is None else plugin(rng, T))
+    return np.array(thetas), np.array(covs)
+
+
+class TestSubstreams:
+    """The vectorised seeding and the one-pass draw stage against default_rng."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**70 - 1), T=st.integers(1, 2**70 - 1),
+           reps=st.integers(1, 4))
+    def test_states_match_default_rng(self, seed, T, reps):
+        # fails if NumPy's SeedSequence or PCG64 seeding ever changes
+        seeds = _substream_seeds(seed, T, reps)
+        assert [_pcg64_state(words) for words in seeds] == [
+            np.random.default_rng([seed, T, rep]).bit_generator.state
+            for rep in range(reps)]
+
+    def test_negative_seed_rejected(self):
+        model = EstimatorModel(PP_THETA, np.eye(4))
+        with pytest.raises(ValueError, match="non-negative"):
+            _draw_stack(model, 100, 10, -1)
+
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    @pytest.mark.parametrize("T", [1, 10**5, 2**32 + 3])
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_stack_matches_draw_estimate(self, seed, T, mode):
+        model = EstimatorModel(PP_THETA, np.eye(4), mode, 0.5)
+        thetas, covs = _draw_stack(model, T, 200, seed)
+        oracle_thetas, oracle_covs = _oracle_draws(model, T, 200, seed)
+        # every rep, rep 0 and the last included
+        assert np.array_equal(thetas, oracle_thetas)
+        assert np.array_equal(covs, oracle_covs)
+
+    @pytest.mark.parametrize("with_plugin", [False, True])
+    def test_only_failing_reps_replay_their_stream(self, monkeypatch, with_plugin):
+        model = EstimatorModel(PP_THETA, np.eye(4), "perturbed", 4.0)
+        T, reps, seed = 100, 200, 3
+        plugin = (lambda rng, T: rng.standard_normal((4, 4))) if with_plugin else None
+        first_failures = 0
+        for rep in range(reps):
+            rng = np.random.default_rng([seed, T, rep])
+            rng.standard_normal(4)
+            W = rng.standard_normal((4, 4))
+            first_failures += int(_cholesky_failures(_perturbed_vhat(model, T, W)[None])[0])
+        assert first_failures > 0
+        replays = []
+
+        def counting_draw_estimate(*args):
+            replays.append(args)
+            return draw_estimate(*args)
+
+        monkeypatch.setattr(simulate, "draw_estimate", counting_draw_estimate)
+        thetas, covs = _draw_stack(model, T, reps, seed, plugin)
+        assert len(replays) == first_failures
+        oracle_thetas, oracle_covs = _oracle_draws(model, T, reps, seed, plugin)
+        assert np.array_equal(thetas, oracle_thetas)
+        assert np.array_equal(covs, oracle_covs)
+
+    def test_ten_failed_retries_raise(self):
+        model = EstimatorModel(PP_THETA, np.eye(4), "perturbed", 1e6)
+        with pytest.raises(CholeskyFailureError, match="10 retries"):
+            draw_estimate(model, 100, np.random.default_rng([1, 100, 0]))
+        with pytest.raises(CholeskyFailureError, match="10 retries"):
+            _draw_stack(model, 100, 20, 1)
+
+    def test_vanishing_perturbed_plugin_matches_default_rng(self, monkeypatch):
+        calls = []
+
+        def recording_draw_stack(model, T, reps, seed, plugin=None):
+            out = _draw_stack(model, T, reps, seed, plugin)
+            calls.append((model, T, reps, seed, plugin, out))
+            return out
+
+        monkeypatch.setattr(simulate, "_draw_stack", recording_draw_stack)
+        vanishing_rate_experiment(product_pairs_system(), surd_covariance(),
+                                  "perturbed", [1000, 10**5], 200, 2**32 + 1)
+        assert [call[1] for call in calls] == [1000, 10**5]
+        for model, T, reps, seed, plugin, (thetas, covs) in calls:
+            oracle_thetas, oracle_covs = _oracle_draws(model, T, reps, seed, plugin)
+            assert np.array_equal(thetas, oracle_thetas)
+            assert np.array_equal(covs, oracle_covs)
+            assert not np.array_equal(covs[0], covs[1])  # the plug-in draws
