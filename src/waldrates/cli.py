@@ -37,7 +37,14 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .polycore import MultiPoly, PolyParseError, Scalar, parse_polynomial, parse_scalar
+from .polycore import (
+    MultiPoly,
+    PolyParseError,
+    Scalar,
+    _fraction_text,
+    parse_polynomial,
+    parse_scalar,
+)
 from .rates import (
     Covariance,
     NonSpdError,
@@ -58,6 +65,7 @@ from .simulate import (
     EstimatorModel,
     ExcessiveSingularDrawsError,
     SimResult,
+    _validate_grid,
     chi_square_median,
     divergence_experiment,
 )
@@ -244,12 +252,8 @@ def spec_to_text(spec: SpecFile) -> str:
 
 def scalar_to_json(value: Scalar):
     if value.is_rational():
-        return _fraction_json(value.a)
-    return {"a": _fraction_json(value.a), "b": _fraction_json(value.b), "d": value.d}
-
-
-def _fraction_json(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+        return _fraction_text(value.a)
+    return {"a": _fraction_text(value.a), "b": _fraction_text(value.b), "d": value.d}
 
 
 def _degree_json(m):
@@ -417,11 +421,15 @@ def cmd_simulate(args) -> int:
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
     U = spec.to_covariance()
-    report = rate_report(system, U, trials=args.trials, rng=random.Random(args.seed))
-    grid = [int(t) for t in args.grid.split(",")]
+    try:
+        grid = [int(t) for t in args.grid.split(",")]
+    except ValueError:
+        raise SpecFileError(f"invalid --grid value {args.grid!r}") from None
+    _validate_grid(grid, args.reps)
     vhat_mode, vhat_scale = _parse_vhat(args.vhat)
     theta_bar = np.array([float(t) for t in spec.theta_bar])
     model = EstimatorModel(theta_bar, U.to_float(), vhat_mode, vhat_scale)
+    report = rate_report(system, U, trials=args.trials, rng=random.Random(args.seed))
     res = divergence_experiment(system, model, grid, args.reps, args.seed,
                                 report=report)
     print(f"grid {grid}, reps {args.reps}, seed {args.seed}, vhat {args.vhat}")
@@ -471,15 +479,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_NUMERICAL
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type of ``--seed`` and ``--samples``: checked before any work."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _int_at_least(minimum: int, word: str):
+    """argparse type of an integer option that is checked before any work."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= minimum:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {word} integer, got {text!r}")
+
+    return parse
+
+
+_non_negative_int = _int_at_least(0, "a non-negative")  # --seed, --samples
+_positive_int = _int_at_least(1, "a positive")          # --trials
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="restriction spec file")
         p.add_argument("--seed", type=_non_negative_int, default=42,
                        help="seed for all randomness (default 42)")
-        p.add_argument("--trials", type=int, default=3,
+        p.add_argument("--trials", type=_positive_int, default=3,
                        help="random points for polynomial rank testing")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="write a JSON report to PATH")

@@ -71,8 +71,10 @@ class Scalar:
     def coerce(value: "Scalar | RationalLike") -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(value)
+        if isinstance(value, Fraction):
+            return _rational(value)
+        if isinstance(value, int):
+            return _rational(Fraction(value))
         raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
     def _join_d(self, other: "Scalar") -> int:
@@ -268,10 +270,6 @@ ZERO = Scalar(0)
 Monomial = tuple  # tuple[int, ...]
 
 
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def _grlex_key(mono: Monomial):
     return (sum(mono), mono)
 
@@ -305,8 +303,7 @@ class MultiPoly:
                 raise ValueError(f"bad monomial {mono!r} for {nvars} variables")
             coeff = Scalar.coerce(coeff)
             if not coeff.is_zero():
-                clean[mono] = clean[mono] + coeff if mono in clean else coeff
-        clean = {m: c for m, c in clean.items() if not c.is_zero()}
+                clean[mono] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 

@@ -210,9 +210,6 @@ class RestrictionSystem:
     def null_residuals(self) -> list[Scalar]:
         return [poly.evaluate(self.theta_bar) for poly in self.g]
 
-    def null_holds(self) -> bool:
-        return all(r.is_zero() for r in self.null_residuals())
-
 
 def recenter(sys: RestrictionSystem) -> RestrictionSystem:
     """Rewrite the system in deviation coordinates u = theta - theta_bar."""
@@ -357,7 +354,7 @@ def echelonize(G: PolyMatrix, max_passes: int | None = None) -> EchelonForm:
     else:
         raise RankDeficientError("echelonization did not terminate")
 
-    degrees = [_row_low_vector(row)[0] for row in sg]
+    degrees = [deg for deg, _ in lows]  # sg is unchanged since the last pass
     order = sorted(range(q), key=lambda i: (degrees[i], i))
     sg = [sg[i] for i in order]
     S = [S[i] for i in order]
@@ -370,13 +367,13 @@ def echelonize(G: PolyMatrix, max_passes: int | None = None) -> EchelonForm:
         else:
             blocks.append((1, deg))
 
-    full = PolyMatrix(sg)
-    low, _, _ = lowest_matrix(full)
+    low = PolyMatrix([[p.homogeneous_component(deg) for p in row]
+                      for row, deg in zip(sg, degrees)])
     return EchelonForm(
         S=tuple(tuple(row) for row in S),
         blocks=tuple(blocks),
         low_matrix=low,
-        full_matrix=full,
+        full_matrix=PolyMatrix(sg),
         row_degrees=tuple(degrees),
     )
 

@@ -4,11 +4,11 @@ Estimator draws follow the root-T asymptotic model: theta_hat = theta_bar +
 T^{-1/2} L z with L the Cholesky factor of V and z standard normal.  Every
 (T, replication) pair draws from its own substream, the stream of
 ``np.random.default_rng([seed, T, rep])``, so results are bit-identical
-across runs and independent of scheduling.  The draw stage does not build
-those generators one by one: it runs NumPy's SeedSequence hash for every rep
-of a T at once and sets one reused PCG64 to each rep's state, which gives
-the same streams bit for bit (NumPy's stream-compatibility policy, NEP 19,
-freezes both algorithms; the tests compare against ``default_rng``).
+across runs and independent of scheduling.  The draw stage runs NumPy's
+SeedSequence hash for every rep of a T at once and hands each rep's seed
+words to NumPy's own PCG64 seeding, which gives the same streams bit for
+bit (NumPy's stream-compatibility policy, NEP 19, freezes the hash; the
+tests compare against ``default_rng``).
 
 All three experiments run one batched kernel per T over every replication:
 draw each replication from its substream; evaluate g and the exact symbolic
@@ -82,6 +82,8 @@ class EstimatorModel:
             raise CholeskyFailureError("V is not symmetric")
         if self.vhat_mode not in ("exact", "perturbed"):
             raise ValueError(f"unknown vhat_mode {self.vhat_mode!r}")
+        if not math.isfinite(self.vhat_scale):
+            raise ValueError(f"vhat_scale must be finite, got {self.vhat_scale!r}")
         try:
             L = np.linalg.cholesky(V)
         except np.linalg.LinAlgError as exc:
@@ -95,16 +97,14 @@ class EstimatorModel:
         return self.theta_bar.size
 
 
-# NumPy's SeedSequence hash (pool of 4 uint32 words) and PCG64 seeding
-# constants, from numpy/random/bit_generator.pyx and pcg64.h; NEP 19 freezes
-# both, so default_rng([seed, T, rep]) streams never change under them.
+# NumPy's SeedSequence hash constants (pool of 4 uint32 words), from
+# numpy/random/bit_generator.pyx; NEP 19 freezes the hash, so
+# default_rng([seed, T, rep]) streams never change under them.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def _entropy_words(n: int) -> list[int]:
@@ -140,6 +140,8 @@ def _substream_seeds(seed: int, T: int, reps: int) -> np.ndarray:
     the entropy words assembled as NumPy assembles them: a seed or T of 2^32
     or more gives several words, the rep (below 2^32) one.  Shape (reps, 4).
     """
+    # here, not at import: import waldrates must not load numpy.random
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
     words = _entropy_words(seed) + _entropy_words(T)
     entropy = [np.full(reps, w, dtype=np.uint32) for w in words]
     entropy.append(np.arange(reps, dtype=np.uint32))
@@ -167,13 +169,22 @@ def _substream_seeds(seed: int, T: int, reps: int) -> np.ndarray:
                      for k in range(4)], axis=1)
 
 
-def _pcg64_state(words: np.ndarray) -> dict:
-    """The state of a PCG64 seeded with four generate_state words (its srandom)."""
-    s_hi, s_lo, i_hi, i_lo = words.tolist()
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+class _SeedWords:
+    """A row of ``_substream_seeds`` as an ``ISeedSequence``: NumPy's PCG64
+    seeds itself from ``generate_state(4, uint64)``, which is that row."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _stream(words: np.ndarray) -> np.random.Generator:
+    """The generator of ``default_rng([seed, T, rep])``, from that rep's seed words."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def _perturbed_vhat(model: EstimatorModel, T: int, W: np.ndarray) -> np.ndarray:
@@ -196,7 +207,7 @@ def draw_estimate(model: EstimatorModel, T: int, rng) -> tuple[np.ndarray, np.nd
         return theta_hat, model.V
     for _ in range(10):
         V_hat = _perturbed_vhat(model, T, rng.standard_normal((model.p, model.p)))
-        if not _cholesky_failures(V_hat[None])[0]:
+        if not _cholesky_stack(V_hat[None])[1][0]:
             return theta_hat, V_hat
     raise CholeskyFailureError("perturbed V_hat stayed non-SPD after 10 retries")
 
@@ -262,22 +273,23 @@ def _as_compiled(sys_or_compiled) -> CompiledSystem:
     return CompiledSystem(sys_or_compiled)
 
 
-def _cholesky_failures(stack: np.ndarray) -> np.ndarray:
-    """Boolean mask of the matrices in an (N, n, n) stack that fail Cholesky.
+def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of an (N, n, n) stack and the mask of members that fail.
 
-    One batched factorisation; it raises for the whole stack if any member
-    fails, and only then is each matrix factorised alone.
+    One batched factorisation; only if it raises is each matrix factorised
+    alone, and a failing member's factor is left NaN.
     """
     failed = np.zeros(len(stack), dtype=bool)
     try:
-        np.linalg.cholesky(stack)
+        return np.linalg.cholesky(stack), failed
     except np.linalg.LinAlgError:
-        for i, matrix in enumerate(stack):
-            try:
-                np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                failed[i] = True
-    return failed
+        factors = np.full(stack.shape, np.nan)
+    for i, matrix in enumerate(stack):
+        try:
+            factors[i] = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    return factors, failed
 
 
 def _wald_stack(g: np.ndarray, G: np.ndarray, V: np.ndarray,
@@ -289,9 +301,8 @@ def _wald_stack(g: np.ndarray, G: np.ndarray, V: np.ndarray,
     boolean mask of those singular draws.  Nothing is regularised.
     """
     A = G @ V @ np.swapaxes(G, -1, -2)
-    singular = _cholesky_failures(A)
-    L = np.linalg.cholesky(A[~singular])
-    v = np.linalg.solve(L, g[~singular][..., None])[..., 0]
+    L, singular = _cholesky_stack(A)
+    v = np.linalg.solve(L[~singular], g[~singular][..., None])[..., 0]
     W = np.full(A.shape[0], np.nan)
     W[~singular] = T * (v * v).sum(axis=1)
     return W, singular
@@ -502,59 +513,49 @@ class _Batch(NamedTuple):
 
 
 def _draw_stack(model: EstimatorModel, T: int, reps: int, seed: int,
-                plugin=None) -> tuple[np.ndarray, np.ndarray]:
-    """Draw stage: theta_hat (reps, p) and V_hat (reps, p, p), one substream each.
+                tail: tuple[int, ...] = (0,)):
+    """Draw stage: theta_hat (reps, p), V_hat and tail normals, one substream each.
 
     Rep ``rep`` draws from the stream of ``np.random.default_rng([seed, T,
     rep])`` exactly what ``draw_estimate`` draws from it, in the same order:
-    z, then in perturbed mode the first W, then ``plugin(rng, T)``, which,
-    when given, replaces V_hat.  One reused PCG64 is set to each rep's state
-    in turn; theta_hat and the perturbed V_hat are formed for the whole
-    stack, and only the reps whose V_hat fails Cholesky replay their stream
-    through ``draw_estimate``'s retries.
+    z, then in perturbed mode the first W, then normals of shape ``tail``
+    (none by default).  theta_hat and the perturbed V_hat are formed for the
+    whole stack; only the reps whose V_hat fails Cholesky replay their stream
+    through ``draw_estimate``'s retries, then draw their tail.  Returns
+    (thetas, V_hat, tails), V_hat being ``model.V`` itself in exact mode.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     p = model.p
     perturbed = model.vhat_mode == "perturbed"
     seeds = _substream_seeds(seed, T, reps)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    z = np.empty((reps, p))
-    W = np.empty((reps, p, p)) if perturbed else None
-    plugged = None if plugin is None else np.empty((reps, p, p))
-    for rep in range(reps):
-        bitgen.state = _pcg64_state(seeds[rep])
-        rng.standard_normal(out=z[rep])
-        if perturbed:
-            rng.standard_normal(out=W[rep])
-        if plugin is not None:
-            plugged[rep] = plugin(rng, T)
+    n_w = p * p if perturbed else 0
+    normals = np.empty((reps, p + n_w + math.prod(tail)))
+    for row, words in zip(normals, seeds):
+        _stream(words).standard_normal(out=row)
+    z, W, tails = np.split(normals, [p, p + n_w], axis=1)
     thetas = model.theta_bar + (model._chol @ z[..., None])[..., 0] / math.sqrt(T)
+    tails = tails.reshape((reps,) + tuple(tail))
     if not perturbed:
-        covs = np.broadcast_to(model.V, (reps, p, p)).copy()
-    else:
-        covs = _perturbed_vhat(model, T, W)
-        for rep in np.flatnonzero(_cholesky_failures(covs)):
-            bitgen.state = _pcg64_state(seeds[rep])
-            covs[rep] = draw_estimate(model, T, rng)[1]
-            if plugin is not None:
-                plugged[rep] = plugin(rng, T)
-    return thetas, (covs if plugin is None else plugged)
+        return thetas, model.V, tails
+    covs = _perturbed_vhat(model, T, W.reshape(reps, p, p))
+    for rep in np.flatnonzero(_cholesky_stack(covs)[1]):
+        rng = _stream(seeds[rep])
+        covs[rep] = draw_estimate(model, T, rng)[1]
+        tails[rep] = rng.standard_normal(tail)
+    return thetas, covs, tails
 
 
-def _batch(comp: CompiledSystem, model: EstimatorModel, T: int, reps: int,
-           seed: int, S: np.ndarray, scalings: Sequence[np.ndarray],
-           wald: bool = False, plugin=None) -> _Batch:
+def _batch(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray, T: int,
+           S: np.ndarray, scalings: Sequence[np.ndarray], wald: bool = False) -> _Batch:
     """The Monte Carlo kernel: one T of an experiment over all reps at once.
 
-    Draw every rep from its substream; evaluate G, and g when ``wald``, for
-    the whole stack; solve for W, counting the draws whose inner matrix fails
-    Cholesky as singular; then, for each vector d in ``scalings``, take the
-    descending eigenvalues of diag(d) S G V_hat G' S' diag(d) by batched
-    LAPACK, NaN on the singular draws.
+    For the (reps, p) draws and their V_hat, one (p, p) matrix or a stack,
+    evaluate G, and g when ``wald``; solve for W, counting the draws whose
+    inner matrix fails Cholesky as singular; then, for each vector d in
+    ``scalings``, take the descending eigenvalues of diag(d) S G V_hat G'
+    S' diag(d) by batched LAPACK, NaN on the singular draws.
     """
-    thetas, covs = _draw_stack(model, T, reps, seed, plugin)
     G = comp.jacobian_at(thetas)
     g = W = singular = None
     if wald:
@@ -601,7 +602,8 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
         delta = T ** (s_deg / 2.0)
         # sigma_bar = D S G V G' S' D; sigma_hat rescales it by T^{beta/2}
         scalings = (delta, delta * T ** (beta / 2.0)) if degenerate else (delta,)
-        batch = _batch(comp, model, T, reps, seed, S_float, scalings, wald=True)
+        thetas, covs, _ = _draw_stack(model, T, reps, seed)
+        batch = _batch(comp, thetas, covs, T, S_float, scalings, wald=True)
         singular += int(batch.singular.sum())
         wald_all.append(batch.wald)
         eig_medians.append(np.nanmedian(batch.eigs[0], axis=0))
@@ -663,11 +665,11 @@ def scaled_eigen_trajectory(sys: RestrictionSystem, model: EstimatorModel,
     S_float = np.array([[float(v) for v in row] for row in ech.S])
     s_deg = np.array(ech.row_degrees, dtype=float)
     beta = np.array([float(b) for b in report.beta])
-    plugin = None if vhat is None else (lambda rng, T: vhat)
     raw = np.empty((len(grid), q))
     for ti, T in enumerate(grid):
-        batch = _batch(comp, model, T, reps, seed, S_float, (T ** (s_deg / 2.0),),
-                       plugin=plugin)
+        thetas, covs, _ = _draw_stack(model, T, reps, seed)
+        batch = _batch(comp, thetas, covs if vhat is None else vhat, T, S_float,
+                       (T ** (s_deg / 2.0),))
         raw[ti] = np.nanmedian(batch.eigs[0], axis=0)
     scaled = raw * np.array(grid, dtype=float)[:, None] ** beta[None, :]
     return EigTrajectories(t_grid=grid, raw_medians=raw, scaled_medians=scaled,
@@ -728,19 +730,15 @@ def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
     theta_bar = np.array([float(t) for t in sys.theta_bar])
     model = EstimatorModel(theta_bar, np.eye(p))
     U_float = U.to_float()
-
-    def plugin(rng, T):
-        if u_t_mode == "exact":
-            return U_float
-        # PSD perturbation: U may sit on the cone boundary, where a signed
-        # perturbation would leave the admissible set
-        A = rng.standard_normal((p, p))
-        return U_float + perturb_scale / math.sqrt(T) * (A @ A.T) / p
-
+    tail = (p, p) if u_t_mode == "perturbed" else (0,)
     raw = np.empty((len(grid), q))
     for ti, T in enumerate(grid):
-        batch = _batch(comp, model, T, reps, seed, np.eye(q), (np.ones(q),),
-                       plugin=plugin)
+        thetas, _, A = _draw_stack(model, T, reps, seed, tail)
+        # PSD perturbation: U may sit on the cone boundary, where a signed
+        # perturbation would leave the admissible set
+        U_T = U_float if u_t_mode == "exact" else (
+            U_float + perturb_scale / math.sqrt(T) * (A @ np.swapaxes(A, -1, -2)) / p)
+        batch = _batch(comp, thetas, U_T, T, np.eye(q), (np.ones(q),))
         raw[ti] = np.nanmedian(batch.eigs[0], axis=0)
     beta_f = np.array([float(b) for b in betas])
     scaled = raw * np.array(grid, dtype=float)[:, None] ** beta_f[None, :]

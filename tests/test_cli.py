@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from waldrates import cli
 from waldrates.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -321,6 +322,32 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {option}: expected a non-negative integer" in captured.err
+
+    @pytest.mark.parametrize("command, options", [
+        ("simulate", ["--vhat", "perturbed:nan"]),
+        ("simulate", ["--vhat", "perturbed:inf"]),
+        ("simulate", ["--reps", "10"]),
+        ("simulate", ["--grid", "100,10"]),
+        ("simulate", ["--grid", "1,x,3,4"]),
+        ("simulate", ["--trials", "0"]),
+        ("analyze", ["--trials", "0"]),
+        ("rates", ["--trials", "-3"]),
+    ])
+    def test_bad_option_rejected_before_any_work(self, command, options,
+                                                 monkeypatch, capsys):
+        # perturbed:nan used to run the whole experiment and fail in eigvalsh,
+        # perturbed:inf to exhaust ten V-hat retries per draw
+        def no_work(*args, **kwargs):
+            raise AssertionError("the symbolic pipeline ran")
+
+        monkeypatch.setattr(cli, "rate_report", no_work)
+        monkeypatch.setattr(cli, "frald_check", no_work)
+        try:
+            code = main([command, str(FIXTURES / "product_pairs.spec"), *options])
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
 
 
 class TestNegativeControl:

@@ -1,7 +1,11 @@
 """Monte Carlo engine: draws, Wald evaluation, eigensolver, experiments."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +22,10 @@ from waldrates.simulate import (
     GenericCovarianceError,
     SingularMetricError,
     _batch,
-    _cholesky_failures,
+    _cholesky_stack,
     _draw_stack,
-    _pcg64_state,
     _perturbed_vhat,
+    _stream,
     _substream_seeds,
     _wald_stack,
     chi_square_median,
@@ -359,7 +363,8 @@ class TestKernel:
         comp = compile_system(product_pairs_system())
         model = EstimatorModel(PP_THETA, np.eye(4))
         S, delta = _block_scaling(pp_report, T)
-        batch = _batch(comp, model, T, 200, 8, S, (delta,))
+        thetas, covs, _ = _draw_stack(model, T, 200, 8)
+        batch = _batch(comp, thetas, covs, T, S, (delta,))
         for rep in range(200):
             theta, V = draw_estimate(model, T, np.random.default_rng([8, T, rep]))
             SG = S @ comp.jacobian_at(theta)
@@ -373,9 +378,9 @@ class TestKernel:
         comp = compile_system(product_pairs_system())
         model = EstimatorModel(PP_THETA, np.eye(4))
         S, delta = _block_scaling(pp_report, T)
-        batch = _batch(comp, model, T, 500, 9, S, (delta,), wald=True)
+        thetas, covs, _ = _draw_stack(model, T, 500, 9)
+        batch = _batch(comp, thetas, covs, T, S, (delta,), wald=True)
         assert not batch.singular.any()
-        thetas, _ = _draw_stack(model, T, 500, 9)
         G = comp.jacobian_at(thetas)
         cond = np.linalg.cond(G @ np.swapaxes(G, 1, 2))
         closed = np.array([wald_closed_form_product_pairs(t, T) for t in thetas])
@@ -421,22 +426,59 @@ class TestKernel:
     @pytest.mark.parametrize("mode", ["exact", "perturbed"])
     def test_draws_match_draw_estimate(self, mode):
         model = EstimatorModel(PP_THETA, np.eye(4), mode, 0.5)
-        thetas, covs = _draw_stack(model, 1000, 100, 12)
+        thetas, covs, _ = _draw_stack(model, 1000, 100, 12)
+        covs = np.broadcast_to(covs, (100, 4, 4))
         for rep in range(100):
             theta, V = draw_estimate(model, 1000, np.random.default_rng([12, 1000, rep]))
             assert np.array_equal(thetas[rep], theta)
             assert np.array_equal(covs[rep], V)
 
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    def test_unstacked_covariance_same_bits_as_stacked(self, pp_report, mode):
+        comp = compile_system(product_pairs_system())
+        model = EstimatorModel(PP_THETA, np.eye(4), mode, 0.5)
+        S, delta = _block_scaling(pp_report, 1000)
+        thetas, covs, _ = _draw_stack(model, 1000, 300, 14)
+        assert (covs is model.V) == (mode == "exact")
+        V = model.V if mode == "exact" else covs[7]
+        args = (1000, S, (delta, 2 * delta))
+        unstacked = _batch(comp, thetas, V, *args, wald=True)
+        stacked = _batch(comp, thetas, np.broadcast_to(V, (300, 4, 4)).copy(), *args,
+                         wald=True)
+        for a, b in zip(unstacked, stacked):
+            if isinstance(a, tuple):
+                assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b))
+            else:
+                assert np.array_equal(a, b, equal_nan=True)
 
-def _oracle_draws(model, T, reps, seed, plugin=None):
-    """Per-rep draw_estimate (then plugin) on default_rng([seed, T, rep])."""
-    thetas, covs = [], []
+    def test_cholesky_stack_factors_match_per_matrix(self):
+        comp = compile_system(product_pairs_system())
+        rng = np.random.default_rng(15)
+        others = PP_THETA + rng.standard_normal((40, 4)) / 10.0
+        G = comp.jacobian_at(np.insert(others, 17, PP_THETA, axis=0))
+        inner = G @ np.swapaxes(G, 1, 2)
+        for stack in (np.delete(inner, 17, axis=0), inner):  # batched, then fallback
+            factors, failed = _cholesky_stack(stack)
+            assert list(np.flatnonzero(failed)) == ([17] if len(stack) == 41 else [])
+            for i, matrix in enumerate(stack):
+                if failed[i]:
+                    assert np.isnan(factors[i]).all()
+                    with pytest.raises(np.linalg.LinAlgError):
+                        np.linalg.cholesky(matrix)
+                else:
+                    assert np.array_equal(factors[i], np.linalg.cholesky(matrix))
+
+
+def _oracle_draws(model, T, reps, seed, tail=(0,)):
+    """Per-rep draw_estimate (then the tail normals) on default_rng([seed, T, rep])."""
+    thetas, covs, tails = [], [], []
     for rep in range(reps):
         rng = np.random.default_rng([seed, T, rep])
         theta, V = draw_estimate(model, T, rng)
         thetas.append(theta)
-        covs.append(V if plugin is None else plugin(rng, T))
-    return np.array(thetas), np.array(covs)
+        covs.append(V)
+        tails.append(rng.standard_normal(tail))
+    return np.array(thetas), np.array(covs), np.array(tails)
 
 
 class TestSubstreams:
@@ -446,11 +488,20 @@ class TestSubstreams:
     @given(seed=st.integers(0, 2**70 - 1), T=st.integers(1, 2**70 - 1),
            reps=st.integers(1, 4))
     def test_states_match_default_rng(self, seed, T, reps):
-        # fails if NumPy's SeedSequence or PCG64 seeding ever changes
+        # fails if NumPy's SeedSequence hash or its seeding of PCG64 ever changes
         seeds = _substream_seeds(seed, T, reps)
-        assert [_pcg64_state(words) for words in seeds] == [
+        assert [_stream(words).bit_generator.state for words in seeds] == [
             np.random.default_rng([seed, T, rep]).bit_generator.state
             for rep in range(reps)]
+
+    def test_import_does_not_load_numpy_random(self):
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                "import waldrates; print(before or 'numpy.random' not in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(simulate.__file__).parents[1])] + sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "True"
 
     def test_negative_seed_rejected(self):
         model = EstimatorModel(PP_THETA, np.eye(4))
@@ -462,23 +513,23 @@ class TestSubstreams:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
     def test_stack_matches_draw_estimate(self, seed, T, mode):
         model = EstimatorModel(PP_THETA, np.eye(4), mode, 0.5)
-        thetas, covs = _draw_stack(model, T, 200, seed)
-        oracle_thetas, oracle_covs = _oracle_draws(model, T, 200, seed)
+        thetas, covs, _ = _draw_stack(model, T, 200, seed)
+        oracle_thetas, oracle_covs, _ = _oracle_draws(model, T, 200, seed)
         # every rep, rep 0 and the last included
         assert np.array_equal(thetas, oracle_thetas)
-        assert np.array_equal(covs, oracle_covs)
+        assert np.array_equal(np.broadcast_to(covs, oracle_covs.shape), oracle_covs)
 
-    @pytest.mark.parametrize("with_plugin", [False, True])
-    def test_only_failing_reps_replay_their_stream(self, monkeypatch, with_plugin):
+    @pytest.mark.parametrize("with_tail", [False, True])
+    def test_only_failing_reps_replay_their_stream(self, monkeypatch, with_tail):
         model = EstimatorModel(PP_THETA, np.eye(4), "perturbed", 4.0)
         T, reps, seed = 100, 200, 3
-        plugin = (lambda rng, T: rng.standard_normal((4, 4))) if with_plugin else None
+        tail = (4, 4) if with_tail else (0,)
         first_failures = 0
         for rep in range(reps):
             rng = np.random.default_rng([seed, T, rep])
             rng.standard_normal(4)
             W = rng.standard_normal((4, 4))
-            first_failures += int(_cholesky_failures(_perturbed_vhat(model, T, W)[None])[0])
+            first_failures += int(_cholesky_stack(_perturbed_vhat(model, T, W)[None])[1][0])
         assert first_failures > 0
         replays = []
 
@@ -487,11 +538,12 @@ class TestSubstreams:
             return draw_estimate(*args)
 
         monkeypatch.setattr(simulate, "draw_estimate", counting_draw_estimate)
-        thetas, covs = _draw_stack(model, T, reps, seed, plugin)
+        thetas, covs, tails = _draw_stack(model, T, reps, seed, tail)
         assert len(replays) == first_failures
-        oracle_thetas, oracle_covs = _oracle_draws(model, T, reps, seed, plugin)
+        oracle_thetas, oracle_covs, oracle_tails = _oracle_draws(model, T, reps, seed, tail)
         assert np.array_equal(thetas, oracle_thetas)
         assert np.array_equal(covs, oracle_covs)
+        assert np.array_equal(tails, oracle_tails)
 
     def test_ten_failed_retries_raise(self):
         model = EstimatorModel(PP_THETA, np.eye(4), "perturbed", 1e6)
@@ -501,19 +553,28 @@ class TestSubstreams:
             _draw_stack(model, 100, 20, 1)
 
     def test_vanishing_perturbed_plugin_matches_default_rng(self, monkeypatch):
-        calls = []
+        calls, covs = [], []
 
-        def recording_draw_stack(model, T, reps, seed, plugin=None):
-            out = _draw_stack(model, T, reps, seed, plugin)
-            calls.append((model, T, reps, seed, plugin, out))
+        def recording_draw_stack(model, T, reps, seed, tail=(0,)):
+            out = _draw_stack(model, T, reps, seed, tail)
+            calls.append((model, T, reps, seed, tail, out))
             return out
 
+        def recording_batch(comp, thetas, cov, *args, **kwargs):
+            covs.append(cov)
+            return _batch(comp, thetas, cov, *args, **kwargs)
+
         monkeypatch.setattr(simulate, "_draw_stack", recording_draw_stack)
+        monkeypatch.setattr(simulate, "_batch", recording_batch)
         vanishing_rate_experiment(product_pairs_system(), surd_covariance(),
                                   "perturbed", [1000, 10**5], 200, 2**32 + 1)
         assert [call[1] for call in calls] == [1000, 10**5]
-        for model, T, reps, seed, plugin, (thetas, covs) in calls:
-            oracle_thetas, oracle_covs = _oracle_draws(model, T, reps, seed, plugin)
+        U = surd_covariance().to_float()
+        for (model, T, reps, seed, tail, (thetas, _, tails)), U_T in zip(calls, covs):
+            assert tail == (4, 4)
+            oracle_thetas, _, oracle_tails = _oracle_draws(model, T, reps, seed, tail)
             assert np.array_equal(thetas, oracle_thetas)
-            assert np.array_equal(covs, oracle_covs)
-            assert not np.array_equal(covs[0], covs[1])  # the plug-in draws
+            assert np.array_equal(tails, oracle_tails)
+            # U_T = U + 0.5 T^{-1/2} A A' / p, formed rep by rep from the oracle's A
+            assert np.array_equal(U_T, [U + 0.5 / math.sqrt(T) * (A @ A.T) / 4
+                                        for A in oracle_tails])
