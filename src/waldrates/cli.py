@@ -25,6 +25,7 @@ precondition violated (null point, non-PSD covariance), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -516,13 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="echelon form and FRALD-T verdict")
     common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_rates = sub.add_parser("rates", help="degree invariants and divergence exponents")
     common(p_rates)
     p_rates.add_argument("--samples", type=_non_negative_int, default=0,
                          help="also estimate generic minimal degrees from N random covariances")
-    p_rates.set_defaults(func=cmd_rates)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo divergence experiment")
     common(p_sim)
@@ -532,20 +531,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replications per grid point (>= 200)")
     p_sim.add_argument("--vhat", default="exact",
                        help="'exact' or 'perturbed:SCALE' covariance estimate")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="cross-module consistency checks")
     common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; ``main`` dispatches on the subcommand
+    name at call time, so a rebound ``cmd_<name>`` still runs."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (SpecFileError, PolyParseError, QTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

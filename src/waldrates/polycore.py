@@ -90,7 +90,7 @@ class Scalar:
 
     # -- ring operations ---------------------------------------------------
 
-    # Rational fast path: when both operands have b = 0, +, -, * and unary -
+    # Rational fast path: when both operands have b = 0, +, -, *, / and unary -
     # do one Fraction operation and skip the constructor's radicand checks.
 
     def __add__(self, other):
@@ -149,6 +149,8 @@ class Scalar:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
+        if not self.b and not other.b:
+            return _rational(self.a / other.a)
         d = self._join_d(other)
         # norm a^2 - d b^2 is nonzero for nonzero elements (sqrt(d) irrational)
         norm = other.a * other.a - other.b * other.b * d
@@ -349,12 +351,12 @@ class MultiPoly:
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             out[mono] = out[mono] + coeff if mono in out else coeff
-        return MultiPoly(self.nvars, out)
+        return _trusted_poly(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return _trusted_poly(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -378,7 +380,7 @@ class MultiPoly:
                 mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
                 prod = c1 * c2
                 out[mono] = out[mono] + prod if mono in out else prod
-        return MultiPoly(self.nvars, out)
+        return _trusted_poly(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -386,7 +388,7 @@ class MultiPoly:
         value = Scalar.coerce(value)
         if value.is_zero():
             return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {m: c * value for m, c in self.terms.items()})
+        return _trusted_poly(self.nvars, {m: c * value for m, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -453,7 +455,7 @@ class MultiPoly:
             new = list(mono)
             new[var] = e - 1
             out[tuple(new)] = coeff * e
-        return MultiPoly(self.nvars, out)
+        return _trusted_poly(self.nvars, out)
 
     def shift_origin(self, theta_bar: Sequence) -> "MultiPoly":
         """Return q(u) = p(theta_bar + u), expanded exactly."""
@@ -477,7 +479,7 @@ class MultiPoly:
         """Sum of all terms of exactly the given total degree."""
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        return MultiPoly(
+        return _trusted_poly(
             self.nvars, {m: c for m, c in self.terms.items() if sum(m) == degree}
         )
 
@@ -548,6 +550,16 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {dict(self.sorted_terms())!r})"
+
+
+def _trusted_poly(nvars: int, terms: dict) -> MultiPoly:
+    """A MultiPoly from terms that internal arithmetic built: monomials are
+    already tuples of nvars ints and coefficients already Scalars, so only the
+    zero coefficients are dropped (``MultiPoly.__init__`` checks everything)."""
+    out = object.__new__(MultiPoly)
+    object.__setattr__(out, "nvars", nvars)
+    object.__setattr__(out, "terms", {m: c for m, c in terms.items() if c.a or c.b})
+    return out
 
 
 def _term_text(coeff: Scalar, mono: Monomial, var_names: Sequence[str]) -> str:

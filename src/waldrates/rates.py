@@ -13,8 +13,11 @@ alone and the exact charpoly is univariate.  The degree on a ray is never
 below the true one, and is above it only when y is a root of the
 coefficient's lowest homogeneous part (Schwartz-Zippel: probability at most
 deg / (2 * RAY_RANGE + 1) per ray); the reported degree is the minimum over
-RAYS independent rays.  The multivariate ``charpoly_coeffs`` on G(x) itself
-stays as the exact oracle that ``verify`` and the tests compare against.
+RAYS independent rays.  On a ray the charpoly is taken with plain integers:
+G and U are scaled to entries A(t) + sqrt(d) B(t) of Z[sqrt(d)][t], which
+moves no degree, and the same memoised Laplace expansion as the multivariate
+``charpoly_coeffs`` runs on them.  ``charpoly_coeffs`` on G(x) itself stays
+as the exact oracle that ``verify`` and the tests compare against.
 
 Sign convention: the coefficients are those of det(lambda I - B), i.e.
 a_k = (-1)^k * (sum of all k x k principal minors), so that the elementary
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import INF_DEGREE, MultiPoly, Scalar
+from .polycore import INF_DEGREE, FieldMismatchError, MultiPoly, Scalar, _trusted_poly
 from .restriction import (
     EchelonForm,
     PolyMatrix,
@@ -186,25 +189,34 @@ def _dot_scale(row: Sequence[MultiPoly], weights: Sequence[Scalar]) -> MultiPoly
     return acc
 
 
-def _minor_det(B: PolyMatrix, rows: tuple, cols: tuple, memo: dict) -> MultiPoly:
-    """Determinant of the (rows, cols) submatrix by memoised Laplace expansion."""
+def _minor_det(B: Sequence[Sequence], rows: tuple, cols: tuple, memo: dict, one):
+    """Determinant of the (rows, cols) submatrix of the grid B by memoised
+    Laplace expansion.  Generic over the entry ring: entries need +, -, * and
+    is_zero(), and ``one`` is the ring's unit."""
     if not rows:
-        return MultiPoly.constant(1, B.nvars)
+        return one
     key = (rows, cols)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    r0 = rows[0]
+    row = B[rows[0]]
     rest_rows = rows[1:]
-    acc = MultiPoly.zero(B.nvars)
+    acc = one - one
     for idx, c in enumerate(cols):
-        entry = B.entry(r0, c)
+        entry = row[c]
         if entry.is_zero():
             continue
-        sub = _minor_det(B, rest_rows, cols[:idx] + cols[idx + 1 :], memo)
-        term = entry * sub
+        term = entry * _minor_det(B, rest_rows, cols[:idx] + cols[idx + 1 :], memo, one)
         acc = acc + term if idx % 2 == 0 else acc - term
     memo[key] = acc
+    return acc
+
+
+def _minor_sum(B: Sequence[Sequence], k: int, memo: dict, one):
+    """Sum of the determinants of all k x k principal minors of the grid B."""
+    acc = one - one
+    for subset in itertools.combinations(range(len(B)), k):
+        acc = acc + _minor_det(B, subset, subset, memo, one)
     return acc
 
 
@@ -215,10 +227,14 @@ def principal_minor_sum(B: PolyMatrix, k: int, memo: dict | None = None) -> Mult
     if not 0 <= k <= B.rows:
         raise ValueError("minor size out of range")
     memo = {} if memo is None else memo
-    acc = MultiPoly.zero(B.nvars)
-    for subset in itertools.combinations(range(B.rows), k):
-        acc = acc + _minor_det(B, subset, subset, memo)
-    return acc
+    return _minor_sum(B.entries, k, memo, MultiPoly.constant(1, B.nvars))
+
+
+def _check_q(q: int) -> None:
+    if q > MAX_Q:
+        raise QTooLargeError(
+            f"{q} restrictions exceed the exact minor-enumeration limit of {MAX_Q}"
+        )
 
 
 @dataclass(frozen=True)
@@ -238,10 +254,7 @@ def charpoly_coeffs(B: PolyMatrix) -> CharPolyCoeffs:
     q = B.rows
     if B.rows != B.cols:
         raise ValueError("B must be square")
-    if q > MAX_Q:
-        raise QTooLargeError(
-            f"{q} restrictions exceed the exact minor-enumeration limit of {MAX_Q}"
-        )
+    _check_q(q)
     memo: dict = {}
     a = []
     for k in range(1, q + 1):
@@ -264,7 +277,111 @@ def _lift_graded(p: MultiPoly, drop: int, y: Sequence[int]) -> MultiPoly:
         value = coeff * math.prod(yi**e for yi, e in zip(y, mono) if e)
         key = (tdeg,)
         terms[key] = terms[key] + value if key in terms else value
-    return MultiPoly(1, terms)
+    return _trusted_poly(1, terms)
+
+
+# -- Z[sqrt(d)][t]: the ring of the ray charpolys ----------------------------
+#
+# A ray entry is A(t) + sqrt(d) * B(t) with A, B dense lists of ints indexed by
+# t-degree and trimmed of trailing zeros.  A t^j coefficient is zero only when
+# both of its ints are, because sqrt(d) is irrational for the square-free d > 1
+# that Scalar admits; d = 0 keeps every B empty.
+
+
+def _trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _add(f: list, g: list) -> list:
+    if len(f) < len(g):
+        f, g = g, f
+    out = f[:]
+    for i, x in enumerate(g):
+        out[i] += x
+    return _trim(out) if len(f) == len(g) else out
+
+
+def _sub(f: list, g: list) -> list:
+    out = f + [0] * (len(g) - len(f))
+    for i, x in enumerate(g):
+        out[i] -= x
+    return _trim(out)
+
+
+def _mul_into(out: list, f: list, g: list, scale: int = 1) -> None:
+    """out += scale * f * g, growing out as needed (it may end in zeros)."""
+    if not f or not g:
+        return
+    if len(out) < len(f) + len(g) - 1:
+        out.extend([0] * (len(f) + len(g) - 1 - len(out)))
+    for j, gj in enumerate(g):
+        if gj:
+            gj *= scale
+            for i, fi in enumerate(f, j):
+                out[i] += fi * gj
+
+
+class _RayPoly:
+    """An entry A(t) + sqrt(d) * B(t) of Z[sqrt(d)][t]; see above."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: list, b: list, d: int):
+        self.a, self.b, self.d = a, b, d
+
+    def is_zero(self) -> bool:
+        return not self.a and not self.b
+
+    def __add__(self, other: _RayPoly) -> _RayPoly:
+        b = _add(self.b, other.b) if self.b or other.b else []
+        return _RayPoly(_add(self.a, other.a), b, self.d)
+
+    def __sub__(self, other: _RayPoly) -> _RayPoly:
+        b = _sub(self.b, other.b) if self.b or other.b else []
+        return _RayPoly(_sub(self.a, other.a), b, self.d)
+
+    def __mul__(self, other: _RayPoly) -> _RayPoly:
+        return _dot((self,), (other,), self.d)
+
+    def lowest_degree(self) -> int | float:
+        for j, (x, y) in enumerate(itertools.zip_longest(self.a, self.b, fillvalue=0)):
+            if x or y:
+                return j
+        return INF_DEGREE
+
+
+def _dot(xs: Sequence[_RayPoly], ys: Sequence[_RayPoly], d: int) -> _RayPoly:
+    """sum_k xs[k] * ys[k], accumulated in one pair of lists."""
+    a: list = []
+    b: list = []
+    for x, y in zip(xs, ys):
+        _mul_into(a, x.a, y.a)
+        if x.b or y.b:
+            _mul_into(a, x.b, y.b, d)
+            _mul_into(b, x.a, y.b)
+            _mul_into(b, x.b, y.a)
+    return _RayPoly(_trim(a), _trim(b), d)
+
+
+def _integer_grid(grid: Sequence[Sequence[dict]], d: int) -> list[list[_RayPoly]]:
+    """Entries {t-degree: Scalar} times the lcm c of all their denominators,
+    as _RayPoly entries: c * grid, exactly."""
+    c = math.lcm(*(x.denominator for row in grid for terms in row
+                   for s in terms.values() for x in (s.a, s.b)))
+    out = []
+    for row in grid:
+        new = []
+        for terms in row:
+            a = [0] * (max(terms, default=-1) + 1)
+            b = a[:]
+            for j, s in terms.items():
+                a[j] = s.a.numerator * (c // s.a.denominator)
+                b[j] = s.b.numerator * (c // s.b.denominator)
+            new.append(_RayPoly(_trim(a), _trim(b), d))
+        out.append(new)
+    return out
 
 
 def _ray_degrees(G: PolyMatrix, U: Covariance, rays: random.Random | None = None,
@@ -278,15 +395,39 @@ def _ray_degrees(G: PolyMatrix, U: Covariance, rays: random.Random | None = None
     with _RAY_SEED by default).  One-sided: never below the degree of the
     multivariate coefficient, and above it only if every ray is a root of
     that coefficient's lowest part.
+
+    The charpoly is taken in Z[sqrt(d)][t], with d the one radicand of G and
+    U: the ray's G is scaled by the common denominator c_G of its
+    coefficients and U by c_U, and a_k(c_G^2 c_U B) = (c_G^2 c_U)^k a_k(B)
+    has the same t-degrees.
     """
+    if G.cols != U.p:
+        raise ValueError(f"G has {G.cols} columns but U is {U.p} x {U.p}")
+    _check_q(G.rows)
+    radicands = {c.d for row in G.entries for p in row for c in p.terms.values() if c.d}
+    radicands |= {v.d for row in U.entries for v in row if v.d}
+    if len(radicands) > 1:
+        raise FieldMismatchError("cannot mix " + " and ".join(
+            f"sqrt({d})" for d in sorted(radicands)) + " coefficients")
+    d = radicands.pop() if radicands else 0
+    u_cols = list(zip(*_integer_grid([[{0: v} for v in row] for row in U.entries], d)))
+    one = _RayPoly([1], [], d)
     rays = random.Random(_RAY_SEED) if rays is None else rays
     drops = (0,) * G.rows if drops is None else drops
     best = [INF_DEGREE] * G.rows
     for _ in range(count):
         y = [rays.randint(-RAY_RANGE, RAY_RANGE) for _ in range(G.nvars)]
-        on_ray = PolyMatrix([[_lift_graded(p, drop, y) for p in row]
-                             for row, drop in zip(G.entries, drops)])
-        best = list(map(min, best, charpoly_coeffs(build_B(on_ray, U)).m))
+        g_rows = _integer_grid([[{m[0]: c for m, c in _lift_graded(p, drop, y).terms.items()}
+                                 for p in row] for row, drop in zip(G.entries, drops)], d)
+        gu_rows = [[_dot(g_row, u_col, d) for u_col in u_cols] for g_row in g_rows]
+        B = [[None] * G.rows for _ in range(G.rows)]
+        for i, gu_row in enumerate(gu_rows):
+            for j in range(i, G.rows):
+                B[i][j] = B[j][i] = _dot(gu_row, g_rows[j], d)
+        memo: dict = {}
+        degrees = [_minor_sum(B, k, memo, one).lowest_degree()
+                   for k in range(1, G.rows + 1)]
+        best = list(map(min, best, degrees))
     return tuple(best)
 
 

@@ -149,6 +149,21 @@ class TestRoundTrip:
 
 
 class TestCommands:
+    def test_parser_built_once_and_dispatch_at_call_time(self, monkeypatch, capsys):
+        built = []
+        real_build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+        cli._parser.cache_clear()
+        spec = str(FIXTURES / "product_pairs.spec")
+        assert main(["rates", spec]) == EXIT_OK
+        assert "predicted divergence exponent β̄ = 1" in capsys.readouterr().out
+        seen = []
+        monkeypatch.setattr(cli, "cmd_rates", lambda args: seen.append(args) or 7)
+        assert main(["rates", spec, "--seed", "3"]) == 7
+        assert [(a.command, a.seed, a.samples) for a in seen] == [("rates", 3, 0)]
+        assert capsys.readouterr().out == ""
+        assert built == [1]
+
     def test_analyze_product_pairs(self, tmp_path, capsys):
         out_json = tmp_path / "report.json"
         code = main(["analyze", str(FIXTURES / "product_pairs.spec"),

@@ -381,3 +381,34 @@ def test_mixed_operands_take_general_path(x, surd, op, rational_first):
     assert fast.call_count == 0
     assert (out.a, out.b, out.d) == _general(op, lhs, rhs)
     assert (neg.a, neg.b, neg.d) == (-surd.a, -surd.b, surd.d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fractions_st, fractions_st.filter(bool))
+def test_rational_division_fast_path(x, y):
+    sx, sy = Scalar(x), Scalar(y)
+    with patch.object(polycore, "_is_square_free", wraps=polycore._is_square_free) as check:
+        out = sx / sy
+    assert check.call_count == 0  # no trip through Scalar.__init__
+    assert (out.a, out.b, out.d) == (x / y, 0, 0)
+    assert type(out.a) is Fraction and type(out.b) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        sx / Scalar(0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          st.builds(Scalar, fractions_st, fractions_st, st.just(2)),
+                          st.booleans()), max_size=6))
+def test_trusted_constructor_matches_public(entries):
+    # internal results are built through polycore._trusted_poly; a term added
+    # together with its negative cancels to an exact zero Scalar
+    terms = {}
+    for mono, coeff, cancel in entries:
+        for c in (coeff, -coeff) if cancel else (coeff,):
+            terms[mono] = terms[mono] + c if mono in terms else c
+    trusted = polycore._trusted_poly(2, terms)
+    public = MultiPoly(2, terms)
+    assert trusted == public
+    assert trusted.terms == public.terms
+    assert all(not c.is_zero() for c in trusted.terms.values())

@@ -19,10 +19,17 @@ from hypothesis import strategies as st
 
 from waldrates.cli import parse_spec
 
-from waldrates.polycore import INF_DEGREE, MultiPoly, Scalar, parse_polynomial
+from waldrates.polycore import (
+    INF_DEGREE,
+    FieldMismatchError,
+    MultiPoly,
+    Scalar,
+    parse_polynomial,
+)
 from waldrates.rates import (
     RAY_RANGE,
     Covariance,
+    _integer_grid,
     _lift_graded,
     _ray_degrees,
     NegativeTDegreeError,
@@ -376,6 +383,92 @@ def test_ray_degrees_match_multivariate_oracle(case):
     assert _ray_degrees(G, U) == charpoly_coeffs(build_B(G, U)).m
     assert t_graded_coeffs(ech.full_matrix, U, ech) == \
         _graded_oracle(ech.full_matrix, U, ech)
+
+
+class _FixedRay:
+    """A ray stream that hands out the given coordinates in order."""
+
+    def __init__(self, y):
+        self._y = iter(y)
+
+    def randint(self, lo, hi):
+        return next(self._y)
+
+
+@st.composite
+def ray_cases(draw):
+    """A q x p matrix G (p <= 4, q <= 3) of polynomials of degree <= 3 with
+    coefficients in Q(sqrt(2)), a random exact SPD U or (p = 4) the sqrt(2)
+    surd covariance, a ray y with small entries (zeros included, so entries
+    cancel on it) and row drops up to each row's lowest degree."""
+    p = draw(st.integers(1, 4))
+    q = draw(st.integers(1, min(p, 3)))
+    monos = [m for m in itertools.product(range(4), repeat=p) if sum(m) <= 3]
+    coeffs = st.sampled_from((-3, -1, 1, 2, Fraction(2, 3), Fraction(-5, 4),
+                              Scalar(0, 1, 2), Scalar(1, Fraction(-1, 2), 2)))
+    G = PolyMatrix([[MultiPoly(p, draw(st.dictionaries(st.sampled_from(monos), coeffs,
+                                                       max_size=3)))
+                     for _ in range(p)] for _ in range(q)])
+    drops = [draw(st.integers(0, min(min(e.lowest_degree() for e in row), 2)))
+             for row in G.entries]
+    if p == 4 and draw(st.booleans()):
+        U = surd_covariance()
+    else:
+        U = Covariance.random_spd(p, random.Random(draw(st.integers(0, 2**32))))
+    y = draw(st.lists(st.integers(-2, 2), min_size=p, max_size=p))
+    return G, U, y, drops
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ray_cases())
+def test_integer_ray_degrees_match_charpoly_on_the_same_ray(case):
+    G, U, y, drops = case
+    lifted = PolyMatrix([[_lift_graded(e, drop, y) for e in row]
+                         for row, drop in zip(G.entries, drops)])
+    want = charpoly_coeffs(build_B(lifted, U)).m
+    assert _ray_degrees(G, U, _FixedRay(y), count=1, drops=drops) == want
+
+
+def _ray_poly(terms):
+    """{t-degree: Scalar} with integer parts, as a Z[sqrt(2)][t] entry."""
+    return _integer_grid([[terms]], 2)[0][0]
+
+
+def _ray_terms(r):
+    return {(j,): Scalar(a, b, 2)
+            for j, (a, b) in enumerate(itertools.zip_longest(r.a, r.b, fillvalue=0))
+            if a or b}
+
+
+_small = st.integers(-3, 3)
+_univariate = st.dictionaries(st.integers(0, 4),
+                              st.builds(Scalar, _small, _small, st.just(2)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_univariate, _univariate)
+def test_ray_ring_matches_scalar_polynomials(f, g):
+    # the integer entries of the ray path against MultiPoly over Q(sqrt(2)),
+    # including pure-surd lowest coefficients and exact cancellation
+    x, y = _ray_poly(f), _ray_poly(g)
+    mf = MultiPoly(1, {(j,): c for j, c in f.items()})
+    mg = MultiPoly(1, {(j,): c for j, c in g.items()})
+    for got, want in ((x, mf), (x + y, mf + mg), (x - y, mf - mg), (x * y, mf * mg),
+                      (x - x, mf - mf)):
+        assert _ray_terms(got) == want.terms
+        assert got.lowest_degree() == want.lowest_degree()
+        assert got.is_zero() == want.is_zero()
+        assert all(not c or c[-1] for c in (got.a, got.b))  # no trailing zeros
+
+
+def test_ray_degrees_reject_two_radicands():
+    G = PolyMatrix([[poly("sqrt(2)*x"), poly("y"), poly("z"), poly("w")]])
+    s = Scalar(0, Fraction(1, 10), 3)
+    U = Covariance([[1, s, 0, 0], [s, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(FieldMismatchError):
+        _ray_degrees(G, U)
+    with pytest.raises(FieldMismatchError):
+        build_B(G, U)
 
 
 def _sympy_scalar(value):
