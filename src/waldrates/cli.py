@@ -30,7 +30,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -104,14 +104,13 @@ class SpecFile:
     v_identity: bool
     v_rows: tuple[tuple[Scalar, ...], ...] | None
     d: int | None
+    covariance: Covariance = field(compare=False, repr=False)  # V, certified PSD
 
     def to_restriction_system(self) -> RestrictionSystem:
         return RestrictionSystem(self.var_names, self.theta_bar, self.g)
 
     def to_covariance(self) -> Covariance:
-        if self.v_identity:
-            return Covariance.identity(len(self.var_names))
-        return Covariance(self.v_rows)
+        return self.covariance
 
 
 def parse_spec(path: str | Path) -> SpecFile:
@@ -220,16 +219,16 @@ def parse_spec(path: str | Path) -> SpecFile:
             f"declared d = {d_value} but entries use sqrt({radicands.pop()})"
         )
 
-    spec = SpecFile(
+    return SpecFile(
         var_names=var_names,
         theta_bar=theta_bar,
         g=tuple(g_list),
         v_identity=v_identity,
         v_rows=tuple(v_rows) if v_rows else None,
         d=d_value,
+        # raises NonSpdError for an unusable covariance
+        covariance=Covariance.identity(p) if v_identity else Covariance(v_rows),
     )
-    spec.to_covariance()  # raises NonSpdError for an unusable covariance
-    return spec
 
 
 def spec_to_text(spec: SpecFile) -> str:

@@ -164,7 +164,7 @@ class Scalar:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("scalar powers must be nonnegative integers")
-        out = Scalar(1)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -458,22 +458,37 @@ class MultiPoly:
         return _trusted_poly(self.nvars, out)
 
     def shift_origin(self, theta_bar: Sequence) -> "MultiPoly":
-        """Return q(u) = p(theta_bar + u), expanded exactly."""
+        """Return q(u) = p(theta_bar + u), expanded exactly.
+
+        Taylor shift per monomial: c*x^e contributes
+        c * prod_i C(e_i, k_i) * theta_i^(e_i - k_i) to the coefficient of u^k
+        for every k <= e, accumulated in one dict.  The arithmetic runs on
+        plain Fractions when theta_bar and every coefficient are rational.
+        """
         if len(theta_bar) != self.nvars:
             raise ValueError(
                 f"shift point has {len(theta_bar)} entries, expected {self.nvars}"
             )
         shift = [Scalar.coerce(t) for t in theta_bar]
-        out = MultiPoly.zero(self.nvars)
-        for mono, coeff in self.sorted_terms():
-            term = MultiPoly.constant(coeff, self.nvars)
-            for k, e in enumerate(mono):
-                if e == 0:
+        rational = not any(x.b for x in [*shift, *self.terms.values()])
+        if rational:
+            shift = [t.a for t in shift]
+        rows: dict[tuple[int, int], list] = {}  # (i, e) -> [(k, C(e, k) theta_i^(e-k))]
+        out: dict = {}
+        for mono, coeff in self.terms.items():
+            partial = [((), coeff.a if rational else coeff)]
+            for i, e in enumerate(mono):
+                if not e or not shift[i]:  # the one term k = e, factor 1
+                    partial = [(ks + (e,), v) for ks, v in partial]
                     continue
-                factor = MultiPoly.variable(k, self.nvars) + shift[k]
-                term = term * factor**e
-            out = out + term
-        return out
+                row = rows.get((i, e))
+                if row is None:
+                    row = rows[(i, e)] = [(k, math.comb(e, k) * shift[i] ** (e - k))
+                                          for k in range(e + 1)]
+                partial = [(ks + (k,), v * f) for ks, v in partial for k, f in row]
+            for ks, v in partial:
+                out[ks] = out[ks] + v if ks in out else v
+        return _trusted_poly(self.nvars, {m: Scalar.coerce(v) for m, v in out.items()})
 
     def homogeneous_component(self, degree: int) -> "MultiPoly":
         """Sum of all terms of exactly the given total degree."""
@@ -497,20 +512,46 @@ class MultiPoly:
 
         Exact Scalar result when every entry is an int/Fraction/Scalar;
         otherwise a float, summing terms in graded lexicographic order.
+
+        At a rational point x_i = n_i/d_i the exact sum runs in ints: with E_i
+        the largest exponent of variable i, each monomial is
+        prod n_i^e_i * d_i^(E_i - e_i) over D = prod d_i^E_i, and the
+        coefficients are taken over the lcm L of their denominators, so the
+        result is one Fraction pair over L*D.
         """
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} entries, expected {self.nvars}")
         exact = all(isinstance(x, (int, Fraction, Scalar)) for x in point)
         if exact:
             pt = [Scalar.coerce(x) for x in point]
-            total = Scalar(0)
-            for mono, coeff in self.sorted_terms():
-                val = coeff
-                for x, e in zip(pt, mono):
-                    if e:
-                        val = val * x**e
-                total = total + val
-            return total
+            if any(x.b for x in pt):
+                total = ZERO
+                for mono, coeff in self.terms.items():
+                    for x, e in zip(pt, mono):
+                        if e:
+                            coeff = coeff * x**e
+                    total = total + coeff
+                return total
+            top = [max(exps) for exps in zip(*self.terms)]  # E_i
+            tables = [[x.a.numerator**e * x.a.denominator ** (top_e - e) for e in range(top_e + 1)]
+                      for x, top_e in zip(pt, top)]  # tables[i][e] = n_i^e d_i^(E_i - e)
+            den = math.prod(row[0] for row in tables)
+            lcm = math.lcm(*(f.denominator for c in self.terms.values() for f in (c.a, c.b)))
+            num_a = num_b = radicand = 0
+            for mono, coeff in self.terms.items():
+                m = 1
+                for row, e in zip(tables, mono):
+                    m *= row[e]
+                num_a += coeff.a.numerator * (lcm // coeff.a.denominator) * m
+                if coeff.b:
+                    if radicand not in (0, coeff.d):
+                        raise FieldMismatchError(
+                            f"cannot mix sqrt({radicand}) and sqrt({coeff.d}) coefficients")
+                    radicand = coeff.d
+                    num_b += coeff.b.numerator * (lcm // coeff.b.denominator) * m
+            if num_b:
+                return Scalar(Fraction(num_a, lcm * den), Fraction(num_b, lcm * den), radicand)
+            return _rational(Fraction(num_a, lcm * den))
         pt_f = [float(x) for x in point]
         acc = 0.0
         for mono, coeff in self.sorted_terms():
@@ -663,12 +704,15 @@ def _parse_number(parser: _Parser) -> Fraction:
         kind2, value2, col2 = parser.next()
         if kind2 != "number" or "." in value2:
             raise PolyParseError("denominator must be an integer", parser.line, col2)
-        num /= Fraction(value2)
+        den = Fraction(value2)
+        if not den:
+            raise PolyParseError("denominator must be nonzero", parser.line, col2)
+        num /= den
     return num
 
 
 def _parse_term(parser: _Parser, var_names: Sequence[str]) -> tuple[Scalar, Monomial]:
-    coeff = Scalar(1)
+    coeff = ONE
     exponents = [0] * len(var_names)
     while True:
         tok = parser.peek()
@@ -676,7 +720,7 @@ def _parse_term(parser: _Parser, var_names: Sequence[str]) -> tuple[Scalar, Mono
             parser.error("empty term")
         kind, value, col = tok
         if kind == "number":
-            coeff = coeff * Scalar(_parse_number(parser))
+            coeff = coeff * _rational(_parse_number(parser))
         elif kind == "ident" and value == "sqrt":
             parser.next()
             parser.expect("(")
@@ -718,7 +762,7 @@ def parse_polynomial(text: str, var_names: Sequence[str], line: int = 1) -> Mult
     if not tokens:
         raise PolyParseError("empty polynomial", line, 1)
     parser = _Parser(tokens, line)
-    poly = MultiPoly.zero(len(var_names))
+    terms: dict[Monomial, Scalar] = {}
     sign = 1
     tok = parser.peek()
     if tok is not None and tok[1] in "+-":
@@ -726,17 +770,36 @@ def parse_polynomial(text: str, var_names: Sequence[str], line: int = 1) -> Mult
         sign = -1 if tok[1] == "-" else 1
     while True:
         coeff, mono = _parse_term(parser, var_names)
-        poly = poly + MultiPoly(len(var_names), {mono: coeff * sign})
+        coeff = -coeff if sign < 0 else coeff
+        other = coeff.d and next((c.d for c in terms.values() if c.d not in (0, coeff.d)), 0)
+        if other:
+            raise FieldMismatchError(f"cannot mix sqrt({other}) and sqrt({coeff.d}) polynomials")
+        terms[mono] = terms[mono] + coeff if mono in terms else coeff
         tok = parser.peek()
         if tok is None:
-            return poly
+            return _trusted_poly(len(var_names), terms)
         if tok[1] not in "+-":
             raise PolyParseError(f"expected '+' or '-', got {tok[1]!r}", line, tok[2])
         parser.next()
         sign = -1 if tok[1] == "-" else 1
 
 
+# [sign] digits [. digits] [/ digits] [*sqrt(digits)], nearly every theta_bar
+# and V entry.  parse_scalar hands any other text, and any literal it would have
+# to reject, to the grammar, so every error message and column comes from there.
+_LITERAL_RE = re.compile(r"([-+−]?)([0-9]+)(?:\.([0-9]+))?(?:/([0-9]+))?(?:\*sqrt\(([0-9]+)\))?")
+
+
 def parse_scalar(text: str, line: int = 1) -> Scalar:
     """Parse a single scalar entry, e.g. ``-7/10*sqrt(2)``, ``0.98`` or ``3``."""
-    poly = parse_polynomial(text, [], line=line)
-    return poly.terms.get((), Scalar(0))
+    m = _LITERAL_RE.fullmatch(text)
+    if m and int(m[4] or 1):
+        sign, whole, frac, den, radicand = m.groups()
+        num = int(whole + (frac or ""))
+        value = Fraction(-num if sign in ("-", "−") else num,
+                         int(den or 1) * 10 ** len(frac or ""))
+        if radicand is None:
+            return _rational(value)
+        if _is_square_free(int(radicand)):
+            return Scalar(0, value, int(radicand))
+    return parse_polynomial(text, [], line=line).terms.get((), ZERO)

@@ -109,8 +109,8 @@ class Covariance:
             for j in range(i):
                 L[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         D = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(p)]
-        rows = [[sum(L[i][k] * D[k] * L[j][k] for k in range(p)) for j in range(p)]
-                for i in range(p)]
+        rows = [[sum(L[i][k] * D[k] * L[j][k] for k in range(min(i, j) + 1))
+                 for j in range(p)] for i in range(p)]
         return cls(rows)
 
     def entry(self, i: int, j: int) -> Scalar:
@@ -136,31 +136,32 @@ def _assert_positive_semidefinite(grid) -> bool:
     """Exact LDL' certification; returns True when strictly definite.
 
     Raises NonSpdError on a negative pivot or on a zero pivot whose column is
-    not identically zero (both mean the matrix is not PSD).
+    not identically zero (both mean the matrix is not PSD).  Generic over the
+    entry type: a rational grid runs on plain Fractions, a surd one on Scalars.
     """
+    if not any(v.b for row in grid for v in row):
+        grid = [[v.a for v in row] for row in grid]
     p = len(grid)
-    L = [[Scalar(0)] * p for _ in range(p)]
-    D: list[Scalar] = []
+    L = [[0] * p for _ in range(p)]
+    D = []
     definite = True
     for j in range(p):
         pivot = grid[j][j]
         for k in range(j):
             pivot = pivot - L[j][k] * L[j][k] * D[k]
-        sign = pivot.sign()
+        sign = (pivot > 0) - (pivot < 0)
         if sign < 0:
             raise NonSpdError(f"pivot {j} of the LDL' factorisation is negative")
         D.append(pivot)
-        L[j][j] = Scalar(1)
         for i in range(j + 1, p):
             acc = grid[i][j]
             for k in range(j):
                 acc = acc - L[i][k] * L[j][k] * D[k]
             if sign == 0:
-                if not acc.is_zero():
+                if acc:
                     raise NonSpdError(
                         f"zero pivot {j} with a nonzero column entry: not PSD"
                     )
-                L[i][j] = Scalar(0)
             else:
                 L[i][j] = acc / pivot
         if sign == 0:

@@ -268,6 +268,29 @@ class TestCommands:
         path = write_spec(tmp_path, "vars x\ntheta_bar 0 0\ng x\nV identity\n")
         assert main(["analyze", path]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("body, line, col", [
+        ("theta_bar 1/0 0\ng x*y\nV identity\n", 2, 3),
+        ("theta_bar 0 0\ng x*y + 1/0\nV identity\n", 3, 9),
+        ("theta_bar 0 0\ng x*y\nV 1 1/0\nV 0 1\n", 4, 3),
+    ])
+    def test_zero_denominator_exit_code_and_line(self, tmp_path, capsys, body, line, col):
+        path = write_spec(tmp_path, "vars x y\n" + body)
+        assert main(["analyze", path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ")
+        assert f"column {col}: denominator must be nonzero" in err
+
+    def test_rates_certifies_v_rows_once(self, tmp_path, monkeypatch, capsys):
+        from waldrates import rates
+
+        certify = rates._assert_positive_semidefinite
+        calls = []
+        monkeypatch.setattr(rates, "_assert_positive_semidefinite",
+                            lambda grid: calls.append(grid) or certify(grid))
+        path = write_spec(tmp_path, "vars x y\ntheta_bar 0 0\ng x*y\nV 2 1\nV 1 2\n")
+        assert main(["rates", path]) == EXIT_OK
+        assert len(calls) == 1
+
     def test_non_psd_exit_code(self, tmp_path, capsys):
         path = write_spec(tmp_path,
                           "vars x y\ntheta_bar 0 0\ng x*y\nV 0 1\nV 1 1\n")

@@ -18,6 +18,7 @@ from waldrates.polycore import (
     parse_polynomial,
     parse_scalar,
 )
+from waldrates.restriction import PolyMatrix, poly_rank, scalar_mat_rank
 
 V4 = ["x", "y", "z", "w"]
 
@@ -250,14 +251,14 @@ fractions_st = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
 @st.composite
-def polys(draw, nvars=3, max_deg=4):
+def polys(draw, nvars=3, max_deg=4, coeffs=fractions_st):
     n_terms = draw(st.integers(0, 4))
     terms = {}
     for _ in range(n_terms):
         mono = tuple(draw(st.integers(0, max_deg)) for _ in range(nvars))
         if sum(mono) > max_deg:
             continue
-        coeff = draw(fractions_st)
+        coeff = draw(coeffs)
         if coeff:
             terms[mono] = coeff
     return MultiPoly(nvars, terms)
@@ -319,6 +320,20 @@ class TestGrammar:
             parse_polynomial("x + $", V4, line=12)
         assert err.value.line == 12
         assert err.value.col == 5
+
+    @pytest.mark.parametrize("text, col", [("3/0", 3), ("-2.5/00*sqrt(2)", 6),
+                                           ("x*y + 1/0", 9)])
+    def test_zero_denominator_is_located(self, text, col):
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(text, V4, line=6)
+        assert (err.value.line, err.value.col) == (6, col)
+        assert "denominator must be nonzero" in str(err.value)
+
+    def test_mixed_radicands_rejected_unless_cancelled(self):
+        with pytest.raises(FieldMismatchError, match=r"sqrt\(2\) and sqrt\(3\) polynomials"):
+            poly("sqrt(2)*x + y + sqrt(3)*z")
+        # the sqrt(2) terms cancel before the sqrt(3) term arrives
+        assert poly("sqrt(2)*x - sqrt(2)*x + sqrt(3)*z") == poly("sqrt(3)*z")
 
     def test_round_trip_rendering(self):
         texts = [
@@ -412,3 +427,125 @@ def test_trusted_constructor_matches_public(entries):
     assert trusted == public
     assert trusted.terms == public.terms
     assert all(not c.is_zero() for c in trusted.terms.values())
+
+
+# -- integer-native front end against its references --------------------------------
+
+
+@st.composite
+def scalar_texts(draw):
+    """Scalar entries: mostly literals [sign] a[.b][/c][*sqrt(d)] with leading
+    zeros, zero denominators and radicands that are not square-free, some with
+    one character inserted or replaced so they leave the literal form."""
+    digits = st.text("0123456789", min_size=1, max_size=4)
+    text = draw(st.sampled_from(["", "+", "-", "\u2212"])) + draw(digits)
+    if draw(st.booleans()):
+        text += "." + draw(digits)
+    if draw(st.booleans()):
+        text += "/" + draw(st.one_of(st.sampled_from(["0", "00"]), digits))
+    if draw(st.booleans()):
+        text += f"*sqrt({draw(st.integers(0, 30))})"
+    if draw(st.integers(0, 3)) == 0:
+        pos = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(list(" .*/()+-^x_\u0663") + ["sqrt(2)", "*sqrt(3)"]))
+        text = text[:pos] + char + text[pos + draw(st.integers(0, 1)):]
+    return text
+
+
+def _outcome(read, text):
+    try:
+        value = read(text)
+    except ValueError as exc:  # PolyParseError, FieldMismatchError
+        return type(exc).__name__, str(exc), getattr(exc, "col", None)
+    assert type(value.a) is Fraction and type(value.b) is Fraction
+    return value.a, value.b, value.d
+
+
+@settings(max_examples=600, deadline=None)
+@given(scalar_texts())
+def test_parse_scalar_matches_grammar(text):
+    grammar = _outcome(lambda t: parse_polynomial(t, [], line=4).terms.get((), Scalar(0)), text)
+    assert _outcome(lambda t: parse_scalar(t, line=4), text) == grammar
+
+
+def test_parse_scalar_reads_literals_without_the_grammar():
+    with patch.object(polycore, "parse_polynomial", side_effect=AssertionError) as grammar:
+        assert parse_scalar("-007.50/3") == Scalar(Fraction(-5, 2))
+        assert parse_scalar("\u22121/2*sqrt(2)") == Scalar(0, Fraction(-1, 2), 2)
+        assert parse_scalar("+4*sqrt(1)") == Scalar(4)
+    assert grammar.call_count == 0
+
+
+q_sqrt2_st = st.one_of(fractions_st, st.builds(Scalar, fractions_st, fractions_st, st.just(2)))
+
+
+def _shift_by_powers(p, theta):
+    """Test oracle: p(theta + u) as a sum of products of (u_k + theta_k)^e."""
+    out = MultiPoly.zero(p.nvars)
+    for mono, coeff in p.terms.items():
+        term = MultiPoly.constant(coeff, p.nvars)
+        for k, e in enumerate(mono):
+            term = term * (MultiPoly.variable(k, p.nvars) + theta[k]) ** e
+        out = out + term
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(coeffs=q_sqrt2_st, max_deg=5), st.lists(q_sqrt2_st, min_size=3, max_size=3))
+def test_shift_origin_matches_product_of_powers(p, theta):
+    assert p.shift_origin(theta).terms == _shift_by_powers(p, theta).terms
+
+
+def _fraction_reference(p, point):
+    """Test oracle at a rational point: the a and b parts summed one Fraction
+    product at a time."""
+    xs = [Scalar.coerce(x).a for x in point]
+    a = b = Fraction(0)
+    for mono, coeff in p.terms.items():
+        m = Fraction(1)
+        for x, e in zip(xs, mono):
+            for _ in range(e):
+                m *= x
+        a += coeff.a * m
+        b += coeff.b * m
+    return Scalar(a, b, p.field_d())
+
+
+wide_fractions_st = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+rational_coords_st = st.one_of(wide_fractions_st, st.integers(-50, 50),
+                               st.builds(Scalar, wide_fractions_st))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(coeffs=q_sqrt2_st, max_deg=6), st.lists(rational_coords_st, min_size=3, max_size=3))
+def test_exact_evaluate_matches_fraction_reference(p, point):
+    out, ref = p.evaluate(point), _fraction_reference(p, point)
+    assert (out.a, out.b, out.d) == (ref.a, ref.b, ref.d)
+    assert type(out.a) is Fraction and type(out.b) is Fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(coeffs=q_sqrt2_st), st.lists(q_sqrt2_st, min_size=3, max_size=3))
+def test_exact_evaluate_at_surd_points(p, point):
+    expected = Scalar(0)
+    for mono, coeff in p.terms.items():
+        for x, e in zip(point, mono):
+            for _ in range(e):
+                coeff = coeff * x
+        expected = expected + coeff
+    assert p.evaluate(point) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(polys(max_deg=3), min_size=6, max_size=6), st.integers(0, 2**32))
+def test_poly_rank_points_evaluate_like_fraction_reference(entries, seed):
+    M = PolyMatrix([entries[:3], entries[3:]])
+    draws = random.Random(seed)
+    best = 0
+    for _ in range(2):  # the points poly_rank draws, in its order
+        point = [Fraction(draws.randint(-10**6, 10**6), draws.randint(1, 10**6))
+                 for _ in range(3)]
+        values = [[_fraction_reference(p, point) for p in row] for row in M.entries]
+        assert M.evaluate(point) == values
+        best = max(best, scalar_mat_rank(values))
+    assert poly_rank(M, trials=2, rng=random.Random(seed)) == best

@@ -94,6 +94,21 @@ class TestCovariance:
         for _ in range(20):
             assert Covariance.random_spd(3, rng).is_definite
 
+    @pytest.mark.parametrize("p", range(2, 7))
+    def test_random_spd_equals_full_ldl_sum(self, p):
+        # L[i][k] = 0 for k > i, so summing k <= min(i, j) drops only zeros
+        for seed in range(50):
+            rng = random.Random(seed)
+            L = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+            for i in range(p):
+                for j in range(i):
+                    L[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            D = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(p)]
+            full = [[sum(L[i][k] * D[k] * L[j][k] for k in range(p)) for j in range(p)]
+                    for i in range(p)]
+            assert Covariance.random_spd(p, random.Random(seed)).entries == \
+                Covariance(full).entries
+
 
 class TestBuildB:
     def test_product_pairs_entries(self, centered_jacobian):
