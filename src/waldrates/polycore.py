@@ -267,6 +267,7 @@ def _fraction_text(x: Fraction) -> str:
 
 ONE = Scalar(1)
 ZERO = Scalar(0)
+_MINUS_ONE = Scalar(-1)
 
 #: A monomial is the tuple of variable exponents (j_1, ..., j_p).
 Monomial = tuple  # tuple[int, ...]
@@ -573,7 +574,7 @@ class MultiPoly:
         pieces: list[str] = []
         for mono, coeff in self.sorted_terms():
             # a + b*sqrt(d) splits into a rational term and a surd term
-            parts = [Scalar(coeff.a)] if coeff.a else []
+            parts = [_rational(coeff.a)] if coeff.a else []
             if coeff.b:
                 parts.append(Scalar(0, coeff.b, coeff.d))
             for part in parts:
@@ -613,7 +614,7 @@ def _term_text(coeff: Scalar, mono: Monomial, var_names: Sequence[str]) -> str:
         return coeff.to_text()
     if coeff == ONE:
         return vars_part
-    if coeff == Scalar(-1):
+    if coeff == _MINUS_ONE:
         return "-" + vars_part
     return f"{coeff.to_text()}*{vars_part}"
 

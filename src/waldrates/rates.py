@@ -16,8 +16,9 @@ deg / (2 * RAY_RANGE + 1) per ray); the reported degree is the minimum over
 RAYS independent rays.  On a ray the charpoly is taken with plain integers:
 G and U are scaled to entries A(t) + sqrt(d) B(t) of Z[sqrt(d)][t], which
 moves no degree, and the same memoised Laplace expansion as the multivariate
-``charpoly_coeffs`` runs on them.  ``charpoly_coeffs`` on G(x) itself stays
-as the exact oracle that ``verify`` and the tests compare against.
+``charpoly_coeffs`` runs on them.  ``verify`` checks that integer kernel
+against Jacobi eigenvalues; ``charpoly_coeffs`` on G(x) itself stays as the
+exact oracle that the tests compare against.
 
 Sign convention: the coefficients are those of det(lambda I - B), i.e.
 a_k = (-1)^k * (sum of all k x k principal minors), so that the elementary
@@ -109,8 +110,10 @@ class Covariance:
             for j in range(i):
                 L[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         D = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(p)]
-        rows = [[sum(L[i][k] * D[k] * L[j][k] for k in range(min(i, j) + 1))
-                 for j in range(p)] for i in range(p)]
+        rows = [[0] * p for _ in range(p)]
+        for i in range(p):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = sum(L[i][k] * D[k] * L[j][k] for k in range(j + 1))
         return cls(rows)
 
     def entry(self, i: int, j: int) -> Scalar:
@@ -366,9 +369,9 @@ def _dot(xs: Sequence[_RayPoly], ys: Sequence[_RayPoly], d: int) -> _RayPoly:
     return _RayPoly(_trim(a), _trim(b), d)
 
 
-def _integer_grid(grid: Sequence[Sequence[dict]], d: int) -> list[list[_RayPoly]]:
+def _integer_grid(grid: Sequence[Sequence[dict]], d: int) -> tuple[list[list[_RayPoly]], int]:
     """Entries {t-degree: Scalar} times the lcm c of all their denominators,
-    as _RayPoly entries: c * grid, exactly."""
+    as _RayPoly entries: returns (c * grid, c), exactly."""
     c = math.lcm(*(x.denominator for row in grid for terms in row
                    for s in terms.values() for x in (s.a, s.b)))
     out = []
@@ -382,6 +385,58 @@ def _integer_grid(grid: Sequence[Sequence[dict]], d: int) -> list[list[_RayPoly]
                 b[j] = s.b.numerator * (c // s.b.denominator)
             new.append(_RayPoly(_trim(a), _trim(b), d))
         out.append(new)
+    return out, c
+
+
+def _ray_ring(G: PolyMatrix, U: Covariance) -> tuple:
+    """What every ray of one (G, U) pair shares: (d, the columns of c_U * U
+    as _RayPoly entries, c_U, the ring's one), with d the one radicand."""
+    if G.cols != U.p:
+        raise ValueError(f"G has {G.cols} columns but U is {U.p} x {U.p}")
+    _check_q(G.rows)
+    radicands = {c.d for row in G.entries for p in row for c in p.terms.values() if c.d}
+    radicands |= {v.d for row in U.entries for v in row if v.d}
+    if len(radicands) > 1:
+        raise FieldMismatchError("cannot mix " + " and ".join(
+            f"sqrt({d})" for d in sorted(radicands)) + " coefficients")
+    d = radicands.pop() if radicands else 0
+    u_grid, c_u = _integer_grid([[{0: v} for v in row] for row in U.entries], d)
+    return d, list(zip(*u_grid)), c_u, _RayPoly([1], [], d)
+
+
+def _ray_charpoly(G: PolyMatrix, ring: tuple, y: Sequence[int],
+                  drops: Sequence[int]) -> tuple[list[_RayPoly], int]:
+    """Principal-minor sums e_1..e_q of the scaled ray matrix, and the scale.
+
+    Row i of G is restricted to x = t*y and divided by t^{drops[i]}.  With c_G
+    the common denominator of that, the matrix formed is c * B(t) for
+    B = G U G' on the ray and c = c_G^2 c_U, so a_k(B(t)) = (-1)^k e_k(t) / c^k.
+    """
+    d, u_cols, c_u, one = ring
+    g_rows, c_g = _integer_grid([[{m[0]: c for m, c in _lift_graded(p, drop, y).terms.items()}
+                                  for p in row] for row, drop in zip(G.entries, drops)], d)
+    gu_rows = [[_dot(g_row, u_col, d) for u_col in u_cols] for g_row in g_rows]
+    B = [[None] * G.rows for _ in range(G.rows)]
+    for i, gu_row in enumerate(gu_rows):
+        for j in range(i, G.rows):
+            B[i][j] = B[j][i] = _dot(gu_row, g_rows[j], d)
+    memo: dict = {}
+    sums = [_minor_sum(B, k, memo, one) for k in range(1, G.rows + 1)]
+    return sums, c_g * c_g * c_u
+
+
+def _ray_coeffs_at(sums: Sequence[_RayPoly], c: int, t0: Fraction) -> list[Scalar]:
+    """a_1..a_q of B(t0) exactly: (-1)^k e_k(t0) / c^k from the sums e_k and
+    the scale c that ``_ray_charpoly`` returns."""
+    out = []
+    for k, s in enumerate(sums, 1):
+        parts = []
+        for coeffs in (s.a, s.b):
+            num, den = 0, 1  # Horner in ints: e(t0) = num / den
+            for x in reversed(coeffs):
+                num, den = num * t0.numerator + x * den * t0.denominator, den * t0.denominator
+            parts.append(Fraction((-1) ** k * num, den * c**k))
+        out.append(Scalar(*parts, s.d))
     return out
 
 
@@ -397,38 +452,18 @@ def _ray_degrees(G: PolyMatrix, U: Covariance, rays: random.Random | None = None
     multivariate coefficient, and above it only if every ray is a root of
     that coefficient's lowest part.
 
-    The charpoly is taken in Z[sqrt(d)][t], with d the one radicand of G and
-    U: the ray's G is scaled by the common denominator c_G of its
-    coefficients and U by c_U, and a_k(c_G^2 c_U B) = (c_G^2 c_U)^k a_k(B)
-    has the same t-degrees.
+    The charpoly is taken in Z[sqrt(d)][t] by ``_ray_charpoly``: the scale
+    c^k it leaves on a_k is a nonzero constant, so the t-degrees are those
+    of B's coefficients.
     """
-    if G.cols != U.p:
-        raise ValueError(f"G has {G.cols} columns but U is {U.p} x {U.p}")
-    _check_q(G.rows)
-    radicands = {c.d for row in G.entries for p in row for c in p.terms.values() if c.d}
-    radicands |= {v.d for row in U.entries for v in row if v.d}
-    if len(radicands) > 1:
-        raise FieldMismatchError("cannot mix " + " and ".join(
-            f"sqrt({d})" for d in sorted(radicands)) + " coefficients")
-    d = radicands.pop() if radicands else 0
-    u_cols = list(zip(*_integer_grid([[{0: v} for v in row] for row in U.entries], d)))
-    one = _RayPoly([1], [], d)
+    ring = _ray_ring(G, U)
     rays = random.Random(_RAY_SEED) if rays is None else rays
     drops = (0,) * G.rows if drops is None else drops
     best = [INF_DEGREE] * G.rows
     for _ in range(count):
         y = [rays.randint(-RAY_RANGE, RAY_RANGE) for _ in range(G.nvars)]
-        g_rows = _integer_grid([[{m[0]: c for m, c in _lift_graded(p, drop, y).terms.items()}
-                                 for p in row] for row, drop in zip(G.entries, drops)], d)
-        gu_rows = [[_dot(g_row, u_col, d) for u_col in u_cols] for g_row in g_rows]
-        B = [[None] * G.rows for _ in range(G.rows)]
-        for i, gu_row in enumerate(gu_rows):
-            for j in range(i, G.rows):
-                B[i][j] = B[j][i] = _dot(gu_row, g_rows[j], d)
-        memo: dict = {}
-        degrees = [_minor_sum(B, k, memo, one).lowest_degree()
-                   for k in range(1, G.rows + 1)]
-        best = list(map(min, best, degrees))
+        sums, _ = _ray_charpoly(G, ring, y, drops)
+        best = list(map(min, best, (s.lowest_degree() for s in sums)))
     return tuple(best)
 
 

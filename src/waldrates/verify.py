@@ -1,9 +1,10 @@
 """Cross-module consistency checks runnable against any restriction system.
 
 Each check pits two independently computed quantities against each other:
-numeric eigenvalues against symbolic characteristic coefficients, the general
-Wald path against a closed form, and the statistic before and after a linear
-transformation of the restrictions.
+numeric eigenvalues against the exact characteristic coefficients of the
+integer ray kernel that writes every report, the general Wald path against a
+closed form, and the statistic before and after a linear transformation of
+the restrictions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rates import Covariance, CharPolyCoeffs, build_B, charpoly_coeffs
+from .rates import Covariance, _ray_charpoly, _ray_coeffs_at, _ray_ring
 from .restriction import RestrictionSystem, jacobian, recenter, transform
 from .simulate import (
     compile_system,
@@ -49,28 +50,32 @@ def _random_box_fraction(rng: random.Random) -> Fraction:
 
 
 def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
-                               seed: int = 42, rtol: float = 1e-8,
-                               coeffs: CharPolyCoeffs | None = None) -> CheckResult:
+                               seed: int = 42, rtol: float = 1e-8) -> CheckResult:
     """P_k(eigenvalues of B) must equal (-1)^k a_k at random points/covariances.
 
-    ``coeffs`` may be injected (e.g. deliberately corrupted) for negative
-    controls; by default the exact coefficients are computed from the system.
+    a_k comes from the integer ray kernel that writes every report: the
+    point x is t0*y with y = 100*x an integer ray and t0 = 1/100, and
+    ``rates._ray_charpoly`` gives a_k(x) exactly.  B(x) is formed apart from
+    it, from G evaluated exactly at x, and the Jacobi solver gives its
+    eigenvalues.
     """
     rng = random.Random(seed)
-    centered = recenter(system)
-    G = jacobian(centered)
+    G = jacobian(recenter(system))
+    t0 = Fraction(1, 100)
     worst = 0.0
     for _ in range(npoints):
         U = Covariance.random_spd(system.p, rng)
-        B = build_B(G, U)
-        cc = coeffs if coeffs is not None else charpoly_coeffs(B)
         point = [_random_box_fraction(rng) for _ in range(system.p)]
-        B_num = np.array([[float(B.entry(i, j).evaluate(point))
-                           for j in range(system.q)] for i in range(system.q)])
+        y = [int(x / t0) for x in point]
+        a = _ray_coeffs_at(*_ray_charpoly(G, _ray_ring(G, U), y, (0,) * system.q), t0)
+        G_x = G.evaluate(point)
+        GU = [[sum(gk * U.entry(k, j) for k, gk in enumerate(g) if gk) for j in range(system.p)]
+              for g in G_x]
+        B_num = np.array([[float(sum(u * v for u, v in zip(gu, g))) for g in G_x] for gu in GU])
         lam = symmetric_eigenvalues(B_num)
         for k in range(1, system.q + 1):
             pk = _elementary_symmetric(lam, k)
-            ak = (-1) ** k * float(cc.a[k - 1].evaluate(point))
+            ak = (-1) ** k * float(a[k - 1])
             rel = abs(pk - ak) / max(abs(pk), abs(ak), 1e-300)
             worst = max(worst, rel)
     passed = worst <= rtol

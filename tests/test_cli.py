@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from waldrates import cli
+from waldrates import cli, verify
 from waldrates.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -19,8 +19,9 @@ from waldrates.cli import (
     scalar_to_json,
     spec_to_text,
 )
-from waldrates.polycore import Scalar
-from waldrates.rates import NonSpdError
+from waldrates.polycore import Scalar, parse_polynomial
+from waldrates.rates import NonSpdError, _RayPoly
+from waldrates.restriction import RestrictionSystem
 from waldrates.systems import product_pairs_system
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -389,18 +390,33 @@ class TestCommands:
 
 
 class TestNegativeControl:
-    def test_corrupted_coefficients_fail_symmetric_check(self):
-        from waldrates.rates import Covariance, build_B, charpoly_coeffs
-        from waldrates.restriction import jacobian, recenter
-        from waldrates.rates import CharPolyCoeffs
-        from waldrates.verify import symmetric_polynomial_check
+    """A corrupted coefficient from the ray kernel must fail the symmetric check."""
 
-        system = product_pairs_system()
-        G = jacobian(recenter(system))
-        cc = charpoly_coeffs(build_B(G, Covariance.identity(4)))
-        corrupted = CharPolyCoeffs(
-            a=(cc.a[0] + 1, cc.a[1], cc.a[2]),  # shift a_1 by a constant
-            m=cc.m,
-        )
-        result = symmetric_polynomial_check(system, coeffs=corrupted)
-        assert not result.passed
+    @staticmethod
+    def _shift_a_k(monkeypatch, k):
+        # a_k = (-1)^k e_k(t0) / c^k, so adding (-1)^k c^k to e_k's constant
+        # term shifts a_k by exactly +1
+        kernel = verify._ray_charpoly
+
+        def corrupted(*args):
+            sums, c = kernel(*args)
+            shift = _RayPoly([(-1) ** k * c**k], [], sums[k - 1].d)
+            sums[k - 1] = sums[k - 1] + shift
+            return sums, c
+
+        monkeypatch.setattr(verify, "_ray_charpoly", corrupted)
+
+    def test_corrupted_coefficients_fail_symmetric_check(self, monkeypatch):
+        self._shift_a_k(monkeypatch, 1)
+        result = verify.symmetric_polynomial_check(product_pairs_system())
+        assert not result.passed, result.detail
+
+    def test_corrupted_surd_determinant_fails_symmetric_check(self, monkeypatch):
+        names = ("x", "y", "z", "w")
+        g = tuple(parse_polynomial(text, names) for text in
+                  ("sqrt(2)*x*y + z^2", "x*w - 1/3*sqrt(2)*y^2", "y*z + 2*w^3 + sqrt(2)*x"))
+        system = RestrictionSystem(names, (0, 0, 0, 0), g)
+        assert verify.symmetric_polynomial_check(system).passed
+        self._shift_a_k(monkeypatch, system.q)
+        result = verify.symmetric_polynomial_check(system)
+        assert not result.passed, result.detail

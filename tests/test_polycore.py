@@ -536,6 +536,21 @@ def test_exact_evaluate_at_surd_points(p, point):
     assert p.evaluate(point) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(polys(coeffs=q_sqrt2_st))
+def test_to_text_round_trips_with_surds(p):
+    # a + b*sqrt(2) renders as two terms; unit and minus-unit parts drop the 1
+    names = ["x", "y", "z"]
+    assert parse_polynomial(p.to_text(names), names) == p
+
+
+def test_rational_to_text_builds_no_scalar():
+    p = poly("x*y - 2*w^3 + 1/3 - z + 7/2*x^2*w - x^2")
+    with patch.object(Scalar, "__init__", side_effect=AssertionError) as init:
+        assert p.to_text(V4) == "1/3 - z + x*y - x^2 - 2*w^3 + 7/2*x^2*w"
+    assert init.call_count == 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(polys(max_deg=3), min_size=6, max_size=6), st.integers(0, 2**32))
 def test_poly_rank_points_evaluate_like_fraction_reference(entries, seed):

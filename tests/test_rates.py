@@ -31,7 +31,10 @@ from waldrates.rates import (
     Covariance,
     _integer_grid,
     _lift_graded,
+    _ray_charpoly,
+    _ray_coeffs_at,
     _ray_degrees,
+    _ray_ring,
     NegativeTDegreeError,
     NonSpdError,
     QTooLargeError,
@@ -106,8 +109,10 @@ class TestCovariance:
             D = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(p)]
             full = [[sum(L[i][k] * D[k] * L[j][k] for k in range(p)) for j in range(p)]
                     for i in range(p)]
-            assert Covariance.random_spd(p, random.Random(seed)).entries == \
-                Covariance(full).entries
+            entries = Covariance.random_spd(p, random.Random(seed)).entries
+            assert entries == Covariance(full).entries
+            assert all(entries[i][j] is entries[j][i] or entries[i][j] == entries[j][i]
+                       for i in range(p) for j in range(i))
 
 
 class TestBuildB:
@@ -444,9 +449,19 @@ def test_integer_ray_degrees_match_charpoly_on_the_same_ray(case):
     assert _ray_degrees(G, U, _FixedRay(y), count=1, drops=drops) == want
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ray_cases(), st.sampled_from((Fraction(1), Fraction(1, 100))))
+def test_ray_coefficients_at_a_point_match_multivariate_oracle(case, t0):
+    # what verify reads: a_k(t0*y) from the scaled integer ray charpoly
+    G, U, y, _ = case
+    got = _ray_coeffs_at(*_ray_charpoly(G, _ray_ring(G, U), y, (0,) * G.rows), t0)
+    want = [a_k.evaluate([t0 * yi for yi in y]) for a_k in charpoly_coeffs(build_B(G, U)).a]
+    assert got == want
+
+
 def _ray_poly(terms):
     """{t-degree: Scalar} with integer parts, as a Z[sqrt(2)][t] entry."""
-    return _integer_grid([[terms]], 2)[0][0]
+    return _integer_grid([[terms]], 2)[0][0][0]
 
 
 def _ray_terms(r):
