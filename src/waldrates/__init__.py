@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .polycore import (
     INF_DEGREE,
     FieldMismatchError,
-    HomogeneousDecomposition,
     MultiPoly,
     PolyParseError,
     Scalar,
@@ -25,11 +24,9 @@ from .restriction import (
     PolyMatrix,
     RankDeficientError,
     RestrictionSystem,
-    ZeroRowError,
     echelonize,
     frald_check,
     jacobian,
-    lowest_matrix,
     poly_rank,
     recenter,
     transform,

@@ -79,6 +79,11 @@ SLOPE_TOLERANCE = 0.15
 #: theta_bar 1 ran for over a minute).
 MAX_G_DEGREE = 16
 
+#: Most terms the Taylor shift of one 'g' line to theta_bar may give, counted
+#: before anything expands as prod (e_i + 1) over the i with theta_i != 0 per
+#: monomial x^e (a degree-16 monomial in 16 variables gives 2^16; rates ran 43 s).
+MAX_SHIFT_TERMS = 4096
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
@@ -146,6 +151,7 @@ def parse_spec(path: str | Path) -> SpecFile:
 
     theta_bar: tuple[Scalar, ...] | None = None
     g_list: list[MultiPoly] = []
+    g_lines: list[int] = []
     v_rows: list[tuple[Scalar, ...]] = []
     v_identity = False
     d_value: int | None = None
@@ -168,6 +174,7 @@ def parse_spec(path: str | Path) -> SpecFile:
                         f"the limit of {MAX_G_DEGREE}", lineno
                     )
                 g_list.append(poly)
+                g_lines.append(lineno)
             elif key == "V":
                 if rest == "identity":
                     v_identity = True
@@ -193,6 +200,14 @@ def parse_spec(path: str | Path) -> SpecFile:
         raise SpecFileError("no 'g' restriction lines", vars_line)
     if len(g_list) > p:
         raise SpecFileError(f"more restrictions ({len(g_list)}) than parameters ({p})")
+    moving = [i for i, t in enumerate(theta_bar) if not t.is_zero()]
+    for lineno, poly in zip(g_lines, g_list):
+        terms = sum(math.prod(mono[i] + 1 for i in moving) for mono in poly.terms)
+        if terms > MAX_SHIFT_TERMS:
+            raise SpecFileError(
+                f"recentring the restriction at theta_bar gives up to {terms} terms, "
+                f"over the limit of {MAX_SHIFT_TERMS}", lineno
+            )
     if v_identity and v_rows:
         raise SpecFileError("'V identity' cannot be mixed with V rows")
     if not v_identity:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -277,15 +276,6 @@ def _grlex_key(mono: Monomial):
     return (sum(mono), mono)
 
 
-@dataclass(frozen=True)
-class HomogeneousDecomposition:
-    """Split p = low + rest where low is the minimal-degree homogeneous part."""
-
-    low: "MultiPoly"
-    rest: "MultiPoly"
-    low_degree: int | float  # INF_DEGREE for the zero polynomial
-
-
 class MultiPoly:
     """Sparse multivariate polynomial with exact Scalar coefficients.
 
@@ -499,69 +489,41 @@ class MultiPoly:
             self.nvars, {m: c for m, c in self.terms.items() if sum(m) == degree}
         )
 
-    def lowest_homogeneous_part(self) -> HomogeneousDecomposition:
-        if not self.terms:
-            return HomogeneousDecomposition(self, self, INF_DEGREE)
-        deg = int(self.lowest_degree())
-        low = self.homogeneous_component(deg)
-        return HomogeneousDecomposition(low, self - low, deg)
-
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, point: Sequence):
-        """Evaluate at a point.
+    def evaluate(self, point: Sequence) -> Scalar:
+        """Exact value at a rational point of ints, Fractions or rational Scalars.
 
-        Exact Scalar result when every entry is an int/Fraction/Scalar;
-        otherwise a float, summing terms in graded lexicographic order.
-
-        At a rational point x_i = n_i/d_i the exact sum runs in ints: with E_i
-        the largest exponent of variable i, each monomial is
-        prod n_i^e_i * d_i^(E_i - e_i) over D = prod d_i^E_i, and the
-        coefficients are taken over the lcm L of their denominators, so the
-        result is one Fraction pair over L*D.
+        At x_i = n_i/d_i the sum runs in ints: with E_i the largest exponent
+        of variable i, each monomial is prod n_i^e_i * d_i^(E_i - e_i) over
+        D = prod d_i^E_i, and the coefficients are taken over the lcm L of
+        their denominators, so the result is one Fraction pair over L*D.
         """
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} entries, expected {self.nvars}")
-        exact = all(isinstance(x, (int, Fraction, Scalar)) for x in point)
-        if exact:
-            pt = [Scalar.coerce(x) for x in point]
-            if any(x.b for x in pt):
-                total = ZERO
-                for mono, coeff in self.terms.items():
-                    for x, e in zip(pt, mono):
-                        if e:
-                            coeff = coeff * x**e
-                    total = total + coeff
-                return total
-            top = [max(exps) for exps in zip(*self.terms)]  # E_i
-            tables = [[x.a.numerator**e * x.a.denominator ** (top_e - e) for e in range(top_e + 1)]
-                      for x, top_e in zip(pt, top)]  # tables[i][e] = n_i^e d_i^(E_i - e)
-            den = math.prod(row[0] for row in tables)
-            lcm = math.lcm(*(f.denominator for c in self.terms.values() for f in (c.a, c.b)))
-            num_a = num_b = radicand = 0
-            for mono, coeff in self.terms.items():
-                m = 1
-                for row, e in zip(tables, mono):
-                    m *= row[e]
-                num_a += coeff.a.numerator * (lcm // coeff.a.denominator) * m
-                if coeff.b:
-                    if radicand not in (0, coeff.d):
-                        raise FieldMismatchError(
-                            f"cannot mix sqrt({radicand}) and sqrt({coeff.d}) coefficients")
-                    radicand = coeff.d
-                    num_b += coeff.b.numerator * (lcm // coeff.b.denominator) * m
-            if num_b:
-                return Scalar(Fraction(num_a, lcm * den), Fraction(num_b, lcm * den), radicand)
-            return _rational(Fraction(num_a, lcm * den))
-        pt_f = [float(x) for x in point]
-        acc = 0.0
-        for mono, coeff in self.sorted_terms():
-            val = float(coeff)
-            for x, e in zip(pt_f, mono):
-                if e:
-                    val *= x**e
-            acc += val
-        return acc
+        pt = [Scalar.coerce(x) for x in point]
+        if any(x.b for x in pt):
+            raise ValueError("evaluation points must be rational")
+        top = [max(exps) for exps in zip(*self.terms)]  # E_i
+        tables = [[x.a.numerator**e * x.a.denominator ** (top_e - e) for e in range(top_e + 1)]
+                  for x, top_e in zip(pt, top)]  # tables[i][e] = n_i^e d_i^(E_i - e)
+        den = math.prod(row[0] for row in tables)
+        lcm = math.lcm(*(f.denominator for c in self.terms.values() for f in (c.a, c.b)))
+        num_a = num_b = radicand = 0
+        for mono, coeff in self.terms.items():
+            m = 1
+            for row, e in zip(tables, mono):
+                m *= row[e]
+            num_a += coeff.a.numerator * (lcm // coeff.a.denominator) * m
+            if coeff.b:
+                if radicand not in (0, coeff.d):
+                    raise FieldMismatchError(
+                        f"cannot mix sqrt({radicand}) and sqrt({coeff.d}) coefficients")
+                radicand = coeff.d
+                num_b += coeff.b.numerator * (lcm // coeff.b.denominator) * m
+        if num_b:
+            return Scalar(Fraction(num_a, lcm * den), Fraction(num_b, lcm * den), radicand)
+        return _rational(Fraction(num_a, lcm * den))
 
     # -- rendering ---------------------------------------------------------------
 
@@ -631,6 +593,13 @@ def _term_text(coeff: Scalar, mono: Monomial, var_names: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: Most digits in one numeric literal.  A degree-16 term whose literals are
+#: this long has a residual of at most about 17 * MAX_LITERAL_DIGITS digits at
+#: a rational null point (25 * at a surd one), so a NullViolatedError stays
+#: printable under Python's 4300-digit int-to-str limit.
+MAX_LITERAL_DIGITS = 100
+
+
 class PolyParseError(ValueError):
     """Parse failure with a 1-based line/column location."""
 
@@ -659,6 +628,9 @@ def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
             raise PolyParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
         if m.lastgroup != "ws":
             value = m.group()
+            if m.lastgroup == "number" and len(value) - ("." in value) > MAX_LITERAL_DIGITS:
+                raise PolyParseError(
+                    f"numeric literal longer than {MAX_LITERAL_DIGITS} digits", line, pos + 1)
             if m.lastgroup == "op" and value == "−":
                 value = "-"
             tokens.append((m.lastgroup, value, pos + 1))
@@ -786,15 +758,16 @@ def parse_polynomial(text: str, var_names: Sequence[str], line: int = 1) -> Mult
 
 
 # [sign] digits [. digits] [/ digits] [*sqrt(digits)], nearly every theta_bar
-# and V entry.  parse_scalar hands any other text, and any literal it would have
-# to reject, to the grammar, so every error message and column comes from there.
+# and V entry.  parse_scalar hands any other text, any literal it would have to
+# reject and any text longer than MAX_LITERAL_DIGITS to the grammar, so every
+# error message and column comes from there.
 _LITERAL_RE = re.compile(r"([-+−]?)([0-9]+)(?:\.([0-9]+))?(?:/([0-9]+))?(?:\*sqrt\(([0-9]+)\))?")
 
 
 def parse_scalar(text: str, line: int = 1) -> Scalar:
     """Parse a single scalar entry, e.g. ``-7/10*sqrt(2)``, ``0.98`` or ``3``."""
     m = _LITERAL_RE.fullmatch(text)
-    if m and int(m[4] or 1):
+    if m and len(text) <= MAX_LITERAL_DIGITS and int(m[4] or 1):
         sign, whole, frac, den, radicand = m.groups()
         num = int(whole + (frac or ""))
         value = Fraction(-num if sign in ("-", "−") else num,

@@ -6,20 +6,17 @@ an explicit ``random.Random`` so callers control reproducibility.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import INF_DEGREE, MultiPoly, Scalar, _grlex_key
+from .polycore import INF_DEGREE, ONE, ZERO, MultiPoly, Scalar, _grlex_key
 
 
 class NullViolatedError(ValueError):
     """The supplied point does not satisfy the restrictions exactly."""
-
-
-class ZeroRowError(ValueError):
-    """A Jacobian row is identically zero."""
 
 
 class RankDeficientError(ValueError):
@@ -28,9 +25,8 @@ class RankDeficientError(ValueError):
 
 ScalarMatrix = tuple  # tuple[tuple[Scalar, ...], ...]
 
-
-def scalar_identity(n: int) -> list[list[Scalar]]:
-    return [[Scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
+#: poly_rank's point coordinates are n/d with |n|, d <= RANK_POINT_RANGE.
+RANK_POINT_RANGE = 10**6
 
 
 def scalar_mat_det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -122,18 +118,6 @@ class PolyMatrix:
         return PolyMatrix([[self.entries[i][j] for i in range(self.rows)]
                            for j in range(self.cols)])
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("dimension mismatch")
-        return PolyMatrix([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("dimension mismatch")
-        return PolyMatrix([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
@@ -207,24 +191,22 @@ class RestrictionSystem:
     def q(self) -> int:
         return len(self.g)
 
-    def null_residuals(self) -> list[Scalar]:
-        return [poly.evaluate(self.theta_bar) for poly in self.g]
-
 
 def recenter(sys: RestrictionSystem) -> RestrictionSystem:
-    """Rewrite the system in deviation coordinates u = theta - theta_bar."""
-    residuals = sys.null_residuals()
+    """Rewrite the system in deviation coordinates u = theta - theta_bar; the
+    null residual g_i(theta_bar) is read off as the shifted g_i's constant term."""
+    at_origin = all(t.is_zero() for t in sys.theta_bar)
+    shifted = sys.g if at_origin else tuple(poly.shift_origin(sys.theta_bar) for poly in sys.g)
+    residuals = [poly.terms.get((0,) * sys.p, ZERO) for poly in shifted]
     bad = [i for i, r in enumerate(residuals) if not r.is_zero()]
     if bad:
         raise NullViolatedError(
             f"restrictions {bad} are nonzero at the null point: "
             + ", ".join(str(residuals[i]) for i in bad)
         )
-    if all(t.is_zero() for t in sys.theta_bar):
+    if at_origin:
         return sys
-    shifted = tuple(poly.shift_origin(sys.theta_bar) for poly in sys.g)
-    zero = tuple(Scalar(0) for _ in sys.var_names)
-    return RestrictionSystem(sys.var_names, zero, shifted)
+    return RestrictionSystem(sys.var_names, (ZERO,) * sys.p, shifted)
 
 
 def jacobian(sys: RestrictionSystem) -> PolyMatrix:
@@ -232,26 +214,6 @@ def jacobian(sys: RestrictionSystem) -> PolyMatrix:
     return PolyMatrix(
         [[poly.partial_derivative(k) for k in range(sys.p)] for poly in sys.g]
     )
-
-
-def lowest_matrix(G: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, list]:
-    """Row-wise minimal-degree decomposition G = low + rest.
-
-    Each row contributes, entry by entry, its homogeneous component at the
-    row's minimal degree (the minimum of the entries' lowest degrees).
-    """
-    low_rows = []
-    degrees = []
-    for i in range(G.rows):
-        row = G.row(i)
-        deg = min(p.lowest_degree() for p in row)
-        if deg == INF_DEGREE:
-            raise ZeroRowError(f"row {i} of the matrix is identically zero")
-        deg = int(deg)
-        low_rows.append([p.homogeneous_component(deg) for p in row])
-        degrees.append(deg)
-    low = PolyMatrix(low_rows)
-    return low, G - low, degrees
 
 
 @dataclass(frozen=True)
@@ -288,85 +250,66 @@ def _row_low_vector(row: Sequence[MultiPoly]) -> tuple[int, dict]:
     return deg, vec
 
 
-def echelonize(G: PolyMatrix, max_passes: int | None = None) -> EchelonForm:
+def echelonize(G: PolyMatrix) -> EchelonForm:
     """Find constant S with det(S) != 0 so the rows' lowest homogeneous parts
     are linearly independent and sorted by degree.
 
-    Repeatedly: extract each row's lowest part, test real-linear dependence of
-    these homogeneous row vectors by exact Gaussian elimination over the
-    monomial basis, and cancel the lowest part of the highest-index dependent
-    row with a combination of the earlier rows (strictly raising its degree).
-    Terminates because each rewrite raises one row's degree, degrees being
-    bounded by the largest entry degree; a row reaching zero means the input
-    Jacobian was rank deficient.
+    One pass over the rows: reduce row i's lowest part, by exact Gaussian
+    elimination over the monomial basis, against the fixed basis of the
+    lowest parts of rows < i.  While it is dependent, cancel it with that
+    combination of the earlier rows, which strictly raises row i's degree.
+    Degrees are bounded by the largest entry degree, so the rewrites end; a
+    row reaching zero means the input Jacobian was rank deficient.
     """
     q = G.rows
     sg = [list(G.row(i)) for i in range(q)]
-    S = scalar_identity(q)
-    max_deg = max((p.total_degree() for row in sg for p in row), default=0)
-    if max_passes is None:
-        max_passes = q * (int(max_deg) + 2) + 2
-
-    for _ in range(max_passes):
-        lows = [_row_low_vector(row) for row in sg]
-        changed = False
-        basis: list[tuple[tuple, dict, dict]] = []  # (pivot key, vector, expression)
-        for i in range(q):
-            _, vec = lows[i]
-            vec = dict(vec)
-            expr = {i: Scalar(1)}
+    S = [[ONE if i == j else ZERO for j in range(q)] for i in range(q)]
+    degrees: list[int] = []
+    basis: list[tuple[tuple, dict, dict]] = []  # (pivot key, vector, expression)
+    for i in range(q):
+        deg, vec = _row_low_vector(sg[i])
+        while True:
+            expr = {i: ONE}
             for pivot_key, bvec, bexpr in basis:
                 f = vec.get(pivot_key)
                 if f is None or f.is_zero():
                     continue
                 f = f / bvec[pivot_key]
                 for key, val in bvec.items():
-                    new = vec.get(key, Scalar(0)) - f * val
+                    new = vec.get(key, ZERO) - f * val
                     if new.is_zero():
                         vec.pop(key, None)
                     else:
                         vec[key] = new
                 for j, val in bexpr.items():
-                    new = expr.get(j, Scalar(0)) - f * val
+                    new = expr.get(j, ZERO) - f * val
                     if new.is_zero():
                         expr.pop(j, None)
                     else:
                         expr[j] = new
             if vec:
-                pivot_key = min(vec, key=lambda k: (k[0], _grlex_key(k[1])))
-                basis.append((pivot_key, vec, expr))
-                continue
+                break
             # dependency: low_i = -sum_j expr[j] * low_j (j < i), so adding
             # expr[j] * row_j cancels row i's lowest part
-            old_deg = lows[i][0]
             for j, cj in expr.items():
                 if j == i:
                     continue
                 sg[i] = [a + b.scale(cj) for a, b in zip(sg[i], sg[j])]
                 S[i] = [a + cj * b for a, b in zip(S[i], S[j])]
-            new_deg, _ = _row_low_vector(sg[i])
-            if new_deg <= old_deg:  # pragma: no cover - elimination guarantee
+            new_deg, vec = _row_low_vector(sg[i])
+            if new_deg <= deg:  # pragma: no cover - elimination guarantee
                 raise RuntimeError("row rewrite did not raise the degree")
-            changed = True
-            break
-        if not changed:
-            break
-    else:
-        raise RankDeficientError("echelonization did not terminate")
+            deg = new_deg
+        pivot_key = min(vec, key=lambda k: (k[0], _grlex_key(k[1])))
+        basis.append((pivot_key, vec, expr))
+        degrees.append(deg)
 
-    degrees = [deg for deg, _ in lows]  # sg is unchanged since the last pass
     order = sorted(range(q), key=lambda i: (degrees[i], i))
     sg = [sg[i] for i in order]
     S = [S[i] for i in order]
     degrees = [degrees[i] for i in order]
 
-    blocks = []
-    for deg in degrees:
-        if blocks and blocks[-1][1] == deg:
-            blocks[-1] = (blocks[-1][0] + 1, deg)
-        else:
-            blocks.append((1, deg))
-
+    blocks = [(len(list(run)), deg) for deg, run in itertools.groupby(degrees)]
     low = PolyMatrix([[p.homogeneous_component(deg) for p in row]
                       for row, deg in zip(sg, degrees)])
     return EchelonForm(
@@ -378,14 +321,13 @@ def echelonize(G: PolyMatrix, max_passes: int | None = None) -> EchelonForm:
     )
 
 
-def poly_rank(M: PolyMatrix, trials: int = 3, rng: random.Random | None = None,
-              coord_range: int = 10**6) -> int:
+def poly_rank(M: PolyMatrix, trials: int = 3, rng: random.Random | None = None) -> int:
     """Probabilistic rank of a polynomial matrix.
 
-    Evaluates at ``trials`` random rational points (numerators and
-    denominators uniform over a range of size >= 10^6) and takes the maximum
-    exact-arithmetic rank.  By Schwartz-Zippel the result is the true rank
-    except with probability vanishing in the range size.
+    Evaluates at ``trials`` random rational points (numerators uniform in
+    [-RANK_POINT_RANGE, RANK_POINT_RANGE], denominators in [1, RANK_POINT_RANGE])
+    and takes the maximum exact-arithmetic rank.  By Schwartz-Zippel the result
+    is the true rank except with probability vanishing in the range size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -395,7 +337,8 @@ def poly_rank(M: PolyMatrix, trials: int = 3, rng: random.Random | None = None,
     best = 0
     for _ in range(trials):
         point = [
-            Fraction(rng.randint(-coord_range, coord_range), rng.randint(1, coord_range))
+            Fraction(rng.randint(-RANK_POINT_RANGE, RANK_POINT_RANGE),
+                     rng.randint(1, RANK_POINT_RANGE))
             for _ in range(nvars)
         ]
         values = M.evaluate(point)

@@ -676,6 +676,13 @@ def scaled_eigen_trajectory(sys: RestrictionSystem, model: EstimatorModel,
                            beta=tuple(report.beta))
 
 
+#: Random SPD covariances behind the vanishing experiment's generic degrees.
+VANISHING_GENERIC_SAMPLES = 5
+
+#: Scale of the PSD perturbation of U in the "perturbed" vanishing mode.
+VANISHING_PERTURB_SCALE = 0.5
+
+
 @dataclass(frozen=True)
 class VanishingResult:
     """Raw and rate-rescaled eigenvalue medians of the unscaled inner matrix."""
@@ -691,17 +698,16 @@ class VanishingResult:
 
 def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
                               u_t_mode: str, t_grid: Sequence[int], reps: int,
-                              seed: int, generic_samples: int = 5,
-                              perturb_scale: float = 0.5,
-                              check_degenerate: bool = True) -> VanishingResult:
+                              seed: int, check_degenerate: bool = True) -> VanishingResult:
     """Eigenvalue trajectories of G(theta_hat) U_T G(theta_hat)' (no block scaling).
 
     The rescaling exponents come from the generic minimal degrees:
     beta_l = (m_k - m_{k-1})/2 for l >= k at the first k where U's degree
     exceeds the generic one; the scaled medians then vanish for l >= k and
     stabilise otherwise.  ``u_t_mode`` is "exact" (U_T = U) or "perturbed"
-    (U_T = U + scale * T^{-1/2} W).  Estimates are drawn with identity
-    covariance: only the plug-in covariance U_T enters the analysed matrix.
+    (U_T = U + VANISHING_PERTURB_SCALE * T^{-1/2} W).  Estimates are drawn
+    with identity covariance: only the plug-in covariance U_T enters the
+    analysed matrix.
     """
     if u_t_mode not in ("exact", "perturbed"):
         raise ValueError(f"unknown u_t_mode {u_t_mode!r}")
@@ -709,7 +715,7 @@ def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
     q, p = sys.q, sys.p
     G = jacobian(recenter(sys))
     m_at_u = _ray_degrees(G, U)
-    m_generic = min_degree_generic(G, samples=generic_samples, rng_seed=seed + 17)
+    m_generic = min_degree_generic(G, samples=VANISHING_GENERIC_SAMPLES, rng_seed=seed + 17)
     k_star = next((k for k in range(1, q + 1) if m_at_u[k - 1] > m_generic[k - 1]), None)
     if k_star is None and check_degenerate:
         raise GenericCovarianceError(
@@ -737,7 +743,7 @@ def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
         # PSD perturbation: U may sit on the cone boundary, where a signed
         # perturbation would leave the admissible set
         U_T = U_float if u_t_mode == "exact" else (
-            U_float + perturb_scale / math.sqrt(T) * (A @ np.swapaxes(A, -1, -2)) / p)
+            U_float + VANISHING_PERTURB_SCALE / math.sqrt(T) * (A @ np.swapaxes(A, -1, -2)) / p)
         batch = _batch(comp, thetas, U_T, T, np.eye(q), (np.ones(q),))
         raw[ti] = np.nanmedian(batch.eigs[0], axis=0)
     beta_f = np.array([float(b) for b in betas])

@@ -1,6 +1,7 @@
 """Spec-file parsing, report serialisation, exit codes, and CLI pipelines."""
 
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -13,13 +14,14 @@ from waldrates.cli import (
     EXIT_PRECONDITION,
     EXIT_VALIDATION,
     MAX_G_DEGREE,
+    MAX_SHIFT_TERMS,
     SpecFileError,
     main,
     parse_spec,
     scalar_to_json,
     spec_to_text,
 )
-from waldrates.polycore import Scalar, parse_polynomial
+from waldrates.polycore import MAX_LITERAL_DIGITS, Scalar, parse_polynomial
 from waldrates.rates import NonSpdError, _RayPoly
 from waldrates.restriction import RestrictionSystem
 from waldrates.systems import product_pairs_system
@@ -119,6 +121,53 @@ class TestParseSpec:
                                         f"g x^{MAX_G_DEGREE} - 1\nV identity\n",
                               name="limit.spec")
         assert main(["analyze", at_limit]) == EXIT_OK
+
+    def test_recentring_guard(self, tmp_path):
+        # 13 moving variables give 2^13 > MAX_SHIFT_TERMS terms; the count is
+        # read off the exponents, so the spec fails fast without expanding
+        names = " ".join(f"x{i}" for i in range(13))
+        monomial = "*".join(f"x{i}" for i in range(13))
+        path = write_spec(tmp_path, f"vars {names}\ntheta_bar {'1 ' * 13}\n"
+                                    f"g {monomial} - 1\nV identity\n")
+        start = time.perf_counter()
+        with pytest.raises(SpecFileError) as err:
+            parse_spec(path)
+        assert err.value.line == 3
+        assert str(MAX_SHIFT_TERMS) in str(err.value)
+        assert main(["analyze", path]) == EXIT_VALIDATION
+        assert time.perf_counter() - start < 1.0
+        # a variable with theta_i = 0 does not move, so 2^12 terms remain
+        at_limit = write_spec(tmp_path, f"vars {names}\ntheta_bar {'1 ' * 12}0\n"
+                                        f"g {monomial}\nV identity\n", name="limit.spec")
+        assert 2 ** 12 == MAX_SHIFT_TERMS
+        assert parse_spec(at_limit).g[0].total_degree() == 13
+
+    @pytest.mark.parametrize("line, text", [
+        (2, "vars x y\ntheta_bar {big} 0\ng x*y\nV identity\n"),
+        (3, "vars x y\ntheta_bar 0 0\ng {big}*x*y\nV identity\n"),
+        (4, "vars x y\ntheta_bar 0 0\ng x*y\nV {big} 0\nV 0 1\n"),
+    ])
+    def test_literal_size_guard(self, tmp_path, capsys, line, text):
+        big = "1" * (MAX_LITERAL_DIGITS + 1)
+        path = write_spec(tmp_path, text.format(big=big))
+        start = time.perf_counter()
+        with pytest.raises(SpecFileError) as err:
+            parse_spec(path)
+        assert err.value.line == line
+        assert str(MAX_LITERAL_DIGITS) in str(err.value)
+        assert main(["analyze", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+        assert time.perf_counter() - start < 1.0
+        ok = write_spec(tmp_path, text.format(big=big[1:]), name="ok.spec")
+        assert main(["analyze", ok]) == EXIT_OK
+
+    def test_longest_literals_keep_the_null_residual_printable(self, tmp_path, capsys):
+        # degree 16 at a surd null point, every literal at the digit limit
+        big = "9" * MAX_LITERAL_DIGITS
+        path = write_spec(tmp_path, f"vars x y\ntheta_bar {big}/7*sqrt(2) {big}/3\n"
+                                    f"g {big}/11*x^8*y^8 + 1\nV identity\n")
+        assert main(["analyze", path]) == EXIT_PRECONDITION
+        assert "nonzero at the null point" in capsys.readouterr().err
 
     def test_too_many_restrictions(self, tmp_path):
         path = write_spec(tmp_path, "vars x\ntheta_bar 0\ng x\ng x^2\nV identity\n")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from waldrates.cli import parse_spec
@@ -49,10 +49,11 @@ from waldrates.restriction import (
     PolyMatrix,
     RankDeficientError,
     RestrictionSystem,
-    ZeroRowError,
     echelonize,
     jacobian,
     recenter,
+    scalar_mat_det,
+    transform,
 )
 from waldrates.simulate import symmetric_eigenvalues
 from waldrates.systems import linear_system, product_pairs_system, surd_covariance
@@ -398,11 +399,61 @@ def test_ray_degrees_match_multivariate_oracle(case):
     G = jacobian(sysd)
     try:
         ech = echelonize(G)
-    except (RankDeficientError, ZeroRowError):
+    except RankDeficientError:
         assume(False)
     assert _ray_degrees(G, U) == charpoly_coeffs(build_B(G, U)).m
     assert t_graded_coeffs(ech.full_matrix, U, ech) == \
         _graded_oracle(ech.full_matrix, U, ech)
+
+
+# -- metamorphic: relabelling the parameters or the restrictions --------------
+
+
+@st.composite
+def shifted_systems(draw):
+    """small_systems moved to an integer null point: g(theta) = h(theta - theta_bar)."""
+    sysd, U = draw(small_systems())
+    theta_bar = [draw(st.integers(-2, 2)) for _ in range(sysd.p)]
+    g = tuple(h.shift_origin([-t for t in theta_bar]) for h in sysd.g)
+    return RestrictionSystem(sysd.var_names, theta_bar, g), U
+
+
+def _invariants(sysd, U):
+    try:
+        report = rate_report(sysd, U, rng=random.Random(0))
+    except RankDeficientError:
+        return "rank deficient"
+    return report.rank_r, report.echelon.blocks, report.beta_bar
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shifted_systems(), st.randoms(use_true_random=False))
+@example((product_pairs_system(), surd_covariance()), random.Random(3))
+def test_invariants_under_variable_permutation(case, rnd):
+    # variable k of the permuted system is variable perm[k] of the original
+    sysd, U = case
+    perm = list(range(sysd.p))
+    rnd.shuffle(perm)
+    permuted = RestrictionSystem(
+        [sysd.var_names[i] for i in perm],
+        [sysd.theta_bar[i] for i in perm],
+        tuple(MultiPoly(sysd.p, {tuple(m[i] for i in perm): c for m, c in h.terms.items()})
+              for h in sysd.g),
+    )
+    U_perm = Covariance([[U.entry(i, j) for j in perm] for i in perm])
+    assert _invariants(permuted, U_perm) == _invariants(sysd, U)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shifted_systems(),
+       st.lists(st.fractions(-3, 3, max_denominator=3), min_size=9, max_size=9))
+@example((product_pairs_system(), surd_covariance()), [1, 1, 0, 0, 1, 2, 1, 0, 1])
+def test_invariants_under_invertible_constant_transform(case, entries):
+    sysd, U = case
+    q = sysd.q
+    S = [entries[i * q:(i + 1) * q] for i in range(q)]
+    assume(not scalar_mat_det(S).is_zero())
+    assert _invariants(transform(sysd, S), U) == _invariants(sysd, U)
 
 
 class _FixedRay:

@@ -11,11 +11,9 @@ from waldrates.restriction import (
     PolyMatrix,
     RankDeficientError,
     RestrictionSystem,
-    ZeroRowError,
     echelonize,
     frald_check,
     jacobian,
-    lowest_matrix,
     poly_rank,
     recenter,
     scalar_mat_det,
@@ -54,6 +52,22 @@ class TestRecenter:
         with pytest.raises(NullViolatedError):
             recenter(bad)
 
+    def test_null_violated_at_zero_point(self):
+        # at theta_bar = 0 nothing is shifted; the residual is g's constant term
+        bad = RestrictionSystem(["x", "y"], [0, 0], [poly("x*y - 3/2", ["x", "y"])])
+        with pytest.raises(NullViolatedError, match=r"restrictions \[0\] .*: -3/2$"):
+            recenter(bad)
+
+    def test_null_violated_text_at_surd_point(self):
+        # residuals g_i(theta_bar), read off the shifted constant terms
+        names = ["x", "y", "z"]
+        bad = RestrictionSystem(names, [Scalar(0, 1, 2), 1, 0],
+                                [poly(t, names) for t in ("x^2 - 2", "x*y + y^2", "x^3 - 3*x*y")])
+        with pytest.raises(NullViolatedError) as err:
+            recenter(bad)
+        assert str(err.value) == \
+            "restrictions [1, 2] are nonzero at the null point: 1+1*sqrt(2), -1*sqrt(2)"
+
 
 class TestJacobian:
     def test_product_pairs_rows(self):
@@ -77,28 +91,31 @@ class TestJacobian:
 
 
 class TestLowestMatrix:
+    """The echelon form's low matrix: each row's lowest-degree homogeneous part."""
+
     def test_constant_entry_drops_higher_terms(self):
-        low, rest, degs = lowest_matrix(poly_matrix([["1 + w", "0", "0", "x"]]))
-        assert list(low.row(0)) == [poly("1"), poly("0"), poly("0"), poly("0")]
-        assert degs == [0]
-        assert list(rest.row(0)) == [poly("w"), poly("0"), poly("0"), poly("x")]
+        ech = echelonize(poly_matrix([["1 + w", "0", "0", "x"]]))
+        assert list(ech.low_matrix.row(0)) == [poly("1"), poly("0"), poly("0"), poly("0")]
+        assert ech.row_degrees == (0,)
+        rest = [p - low for p, low in zip(ech.full_matrix.row(0), ech.low_matrix.row(0))]
+        assert rest == [poly("w"), poly("0"), poly("0"), poly("x")]
 
     def test_homogeneous_row_kept_whole(self):
-        low, rest, degs = lowest_matrix(poly_matrix([["y", "x", "0", "0"]]))
-        assert list(low.row(0)) == [poly("y"), poly("x"), poly("0"), poly("0")]
-        assert degs == [1]
-        assert all(p.is_zero() for p in rest.row(0))
+        ech = echelonize(poly_matrix([["y", "x", "0", "0"]]))
+        assert list(ech.low_matrix.row(0)) == [poly("y"), poly("x"), poly("0"), poly("0")]
+        assert ech.row_degrees == (1,)
+        assert ech.low_matrix == ech.full_matrix
 
     def test_constant_matrix(self):
         M = poly_matrix([["1", "2"], ["3", "4"]], ["x", "y"])
-        low, rest, degs = lowest_matrix(M)
-        assert low == M
-        assert degs == [0, 0]
-        assert all(p.is_zero() for row in rest.entries for p in row)
+        ech = echelonize(M)
+        assert ech.low_matrix == M
+        assert ech.row_degrees == (0, 0)
+        assert ech.full_matrix == M
 
     def test_zero_row_rejected(self):
-        with pytest.raises(ZeroRowError):
-            lowest_matrix(poly_matrix([["0", "0", "0", "0"]]))
+        with pytest.raises(RankDeficientError):
+            echelonize(poly_matrix([["0", "0", "0", "0"]]))
 
 
 class TestEchelonize:
@@ -130,6 +147,25 @@ class TestEchelonize:
         assert list(ech.low_matrix.row(1)) == [poly("2*x", names), poly("0", names)]
         assert ech.S == ((Scalar(1), Scalar(0)), (Scalar(-1), Scalar(1)))
 
+    def test_row_rewritten_twice_then_a_later_row_uses_it(self):
+        # row 2's lowest part cancels against row 0 (degree 0), then against
+        # row 1 (degree 1), leaving degree 2; row 3's degree-2 part is the
+        # rewritten row 2's, so row 3 cancels it and rises to degree 3
+        g = [poly(t) for t in ("x", "x*y", "x + x*y + x*y^2", "x*y^2 + z^4")]
+        G = jacobian(RestrictionSystem(V4, [0, 0, 0, 0], g))
+        ech = echelonize(G)
+        assert ech.blocks == ((1, 0), (1, 1), (1, 2), (1, 3))
+        assert ech.row_degrees == (0, 1, 2, 3)
+        assert [[int(v.a) for v in row] for row in ech.S] == \
+            [[1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 1, 0], [1, 1, -1, 1]]
+        assert [list(ech.low_matrix.row(i)) for i in range(4)] == [
+            [poly("1"), poly("0"), poly("0"), poly("0")],
+            [poly("y"), poly("x"), poly("0"), poly("0")],
+            [poly("y^2"), poly("2*x*y"), poly("0"), poly("0")],
+            [poly("0"), poly("0"), poly("4*z^3"), poly("0")],
+        ]
+        assert G.left_mul_scalars(ech.S) == ech.full_matrix
+
     def test_rank_deficient_input(self):
         names = ["x", "y"]
         sys2 = RestrictionSystem(names, [0, 0], [poly("x", names), poly("x", names)])
@@ -141,9 +177,10 @@ class TestEchelonize:
         ech = echelonize(G)
         assert not scalar_mat_det(ech.S).is_zero()
         assert G.left_mul_scalars(ech.S) == ech.full_matrix
-        low, rest, _ = lowest_matrix(ech.full_matrix)
-        assert low + rest == ech.full_matrix
-        assert low == ech.low_matrix
+        for i, deg in enumerate(ech.row_degrees):
+            for p, low in zip(ech.full_matrix.row(i), ech.low_matrix.row(i)):
+                assert low == p.homogeneous_component(deg)
+                assert (p - low).lowest_degree() > deg
 
     def test_low_rows_homogeneous(self):
         ech = echelonize(jacobian(recenter(product_pairs_system())))
