@@ -29,6 +29,7 @@ import functools
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -123,12 +124,12 @@ def parse_spec(path: str | Path) -> SpecFile:
     text = Path(path).read_text(encoding="utf-8")
     var_names: tuple[str, ...] | None = None
     vars_line = 0
-    raw: list[tuple[int, str, str]] = []
+    raw: list[tuple[int, str, str, int]] = []  # (line, key, value, value's column)
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = line.split("#", 1)[0].rstrip()
         if not line:
             continue
-        key, _, rest = line.partition(" ")
+        key, _, rest = line.lstrip().partition(" ")
         rest = rest.strip()
         if key == "vars":
             if var_names is not None:
@@ -142,7 +143,7 @@ def parse_spec(path: str | Path) -> SpecFile:
         elif key in ("theta_bar", "g", "V", "d"):
             if not rest:
                 raise SpecFileError(f"'{key}' line has no value", lineno)
-            raw.append((lineno, key, rest))
+            raw.append((lineno, key, rest, len(line) - len(rest) + 1))
         else:
             raise SpecFileError(f"unknown directive {key!r}", lineno)
     if var_names is None:
@@ -155,19 +156,20 @@ def parse_spec(path: str | Path) -> SpecFile:
     v_rows: list[tuple[Scalar, ...]] = []
     v_identity = False
     d_value: int | None = None
-    for lineno, key, rest in raw:
+    for lineno, key, rest, col in raw:
         try:
             if key == "theta_bar":
                 if theta_bar is not None:
                     raise SpecFileError("duplicate 'theta_bar' line", lineno)
-                entries = tuple(parse_scalar(tok, line=lineno) for tok in rest.split())
+                entries = tuple(parse_scalar(tok[0], lineno, col + tok.start())
+                                for tok in re.finditer(r"\S+", rest))
                 if len(entries) != p:
                     raise SpecFileError(
                         f"theta_bar has {len(entries)} entries for {p} variables", lineno
                     )
                 theta_bar = entries
             elif key == "g":
-                poly = parse_polynomial(rest, var_names, line=lineno)
+                poly = parse_polynomial(rest, var_names, lineno, col)
                 if poly.total_degree() > MAX_G_DEGREE:
                     raise SpecFileError(
                         f"restriction of total degree {poly.total_degree()} exceeds "
@@ -179,7 +181,8 @@ def parse_spec(path: str | Path) -> SpecFile:
                 if rest == "identity":
                     v_identity = True
                 else:
-                    row = tuple(parse_scalar(tok, line=lineno) for tok in rest.split())
+                    row = tuple(parse_scalar(tok[0], lineno, col + tok.start())
+                                for tok in re.finditer(r"\S+", rest))
                     if len(row) != p:
                         raise SpecFileError(
                             f"V row has {len(row)} entries for {p} variables", lineno
@@ -192,8 +195,8 @@ def parse_spec(path: str | Path) -> SpecFile:
                     raise SpecFileError(
                         f"'d' must be an integer, got {rest!r}", lineno
                     ) from None
-        except PolyParseError as exc:
-            raise SpecFileError(str(exc), lineno) from exc
+        except PolyParseError as exc:  # its column counts from the start of the line
+            raise SpecFileError(f"column {exc.col}: {exc.message}", lineno) from exc
     if theta_bar is None:
         raise SpecFileError("missing 'theta_bar' line", vars_line)
     if not g_list:

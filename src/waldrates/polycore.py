@@ -8,6 +8,7 @@ rationals are the d = 0 case.  Nothing here ever rounds.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from fractions import Fraction
@@ -23,9 +24,12 @@ class FieldMismatchError(ValueError):
     """Combining scalars from two different quadratic extensions."""
 
 
+#: Largest radicand d of sqrt(d).  The square-free test is trial division up
+#: to sqrt(d): 10^5 steps at this bound, about 10^15 for a 31-digit radicand.
+MAX_RADICAND = 10**10
+
+
 def _is_square_free(n: int) -> bool:
-    if n < 0:
-        return False
     k = 2
     while k * k <= n:
         if n % (k * k) == 0:
@@ -49,6 +53,8 @@ class Scalar:
         b = b if isinstance(b, Fraction) else Fraction(b)
         if d < 0 or not isinstance(d, int):
             raise ValueError(f"radicand must be a nonnegative integer, got {d!r}")
+        if d > MAX_RADICAND:
+            raise ValueError(f"radicand {d} exceeds the limit of {MAX_RADICAND}")
         if not _is_square_free(d):
             raise ValueError(f"radicand must be square-free, got {d}")
         if d == 0:
@@ -90,7 +96,7 @@ class Scalar:
     # -- ring operations ---------------------------------------------------
 
     # Rational fast path: when both operands have b = 0, +, -, *, / and unary -
-    # do one Fraction operation and skip the constructor's radicand checks.
+    # do one Fraction operation.  No result re-runs the constructor's checks.
 
     def __add__(self, other):
         try:
@@ -100,14 +106,14 @@ class Scalar:
         if not self.b and not other.b:
             return _rational(self.a + other.a)
         d = self._join_d(other)
-        return Scalar(self.a + other.a, self.b + other.b, d)
+        return _surd(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
         if not self.b:
             return _rational(-self.a)
-        return Scalar(-self.a, -self.b, self.d)
+        return _surd(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         try:
@@ -117,7 +123,7 @@ class Scalar:
         if not self.b and not other.b:
             return _rational(self.a - other.a)
         d = self._join_d(other)
-        return Scalar(self.a - other.a, self.b - other.b, d)
+        return _surd(self.a - other.a, self.b - other.b, d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -130,7 +136,7 @@ class Scalar:
         if not self.b and not other.b:
             return _rational(self.a * other.a)
         d = self._join_d(other)
-        return Scalar(
+        return _surd(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -139,7 +145,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.a, -self.b, self.d)
+        return _surd(self.a, -self.b, self.d)
 
     def __truediv__(self, other):
         try:
@@ -153,9 +159,8 @@ class Scalar:
         d = self._join_d(other)
         # norm a^2 - d b^2 is nonzero for nonzero elements (sqrt(d) irrational)
         norm = other.a * other.a - other.b * other.b * d
-        conj = Scalar(other.a, -other.b, d)
-        num = self * conj
-        return Scalar(num.a / norm, num.b / norm, d)
+        num = self * other.conjugate()
+        return _surd(num.a / norm, num.b / norm, d)
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
@@ -257,6 +262,16 @@ def _rational(a: Fraction) -> Scalar:
     object.__setattr__(out, "a", a)
     object.__setattr__(out, "b", _FRACTION_ZERO)
     object.__setattr__(out, "d", 0)
+    return out
+
+
+def _surd(a: Fraction, b: Fraction, d: int) -> Scalar:
+    """a + b*sqrt(d) like ``_rational``, for a radicand d that some Scalar
+    already carries; b = 0 still normalises d to 0."""
+    out = object.__new__(Scalar)
+    object.__setattr__(out, "a", a)
+    object.__setattr__(out, "b", b)
+    object.__setattr__(out, "d", d if b else 0)
     return out
 
 
@@ -522,7 +537,7 @@ class MultiPoly:
                 radicand = coeff.d
                 num_b += coeff.b.numerator * (lcm // coeff.b.denominator) * m
         if num_b:
-            return Scalar(Fraction(num_a, lcm * den), Fraction(num_b, lcm * den), radicand)
+            return _surd(Fraction(num_a, lcm * den), Fraction(num_b, lcm * den), radicand)
         return _rational(Fraction(num_a, lcm * den))
 
     # -- rendering ---------------------------------------------------------------
@@ -538,7 +553,7 @@ class MultiPoly:
             # a + b*sqrt(d) splits into a rational term and a surd term
             parts = [_rational(coeff.a)] if coeff.a else []
             if coeff.b:
-                parts.append(Scalar(0, coeff.b, coeff.d))
+                parts.append(_surd(_FRACTION_ZERO, coeff.b, coeff.d))
             for part in parts:
                 pieces.append(_term_text(part, mono, var_names))
         text = pieces[0]
@@ -605,6 +620,7 @@ class PolyParseError(ValueError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -619,29 +635,30 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, line: int, col: int) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise PolyParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
+            raise PolyParseError(f"unexpected character {text[pos]!r}", line, pos + col)
         if m.lastgroup != "ws":
             value = m.group()
             if m.lastgroup == "number" and len(value) - ("." in value) > MAX_LITERAL_DIGITS:
                 raise PolyParseError(
-                    f"numeric literal longer than {MAX_LITERAL_DIGITS} digits", line, pos + 1)
+                    f"numeric literal longer than {MAX_LITERAL_DIGITS} digits", line, pos + col)
             if m.lastgroup == "op" and value == "−":
                 value = "-"
-            tokens.append((m.lastgroup, value, pos + 1))
+            tokens.append((m.lastgroup, value, pos + col))
         pos = m.end()
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, line: int):
+    def __init__(self, tokens, line: int, end: int):
         self.tokens = tokens
         self.line = line
+        self.end = end  # the column just past the text
         self.i = 0
 
     def peek(self):
@@ -650,7 +667,7 @@ class _Parser:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise PolyParseError("unexpected end of input", self.line, 0)
+            raise PolyParseError("unexpected end of input", self.line, self.end)
         self.i += 1
         return tok
 
@@ -662,8 +679,7 @@ class _Parser:
 
     def error(self, message: str):
         tok = self.peek()
-        col = tok[2] if tok else 0
-        raise PolyParseError(message, self.line, col)
+        raise PolyParseError(message, self.line, tok[2] if tok else self.end)
 
 
 def _parse_number(parser: _Parser) -> Fraction:
@@ -729,12 +745,13 @@ def _parse_term(parser: _Parser, var_names: Sequence[str]) -> tuple[Scalar, Mono
     return coeff, tuple(exponents)
 
 
-def parse_polynomial(text: str, var_names: Sequence[str], line: int = 1) -> MultiPoly:
-    """Parse the polynomial grammar into a MultiPoly over the named variables."""
-    tokens = _tokenize(text, line)
+def parse_polynomial(text: str, var_names: Sequence[str], line: int = 1,
+                     col: int = 1) -> MultiPoly:
+    """Parse the polynomial grammar; errors put text's first character at (line, col)."""
+    tokens = _tokenize(text, line, col)
     if not tokens:
-        raise PolyParseError("empty polynomial", line, 1)
-    parser = _Parser(tokens, line)
+        raise PolyParseError("empty polynomial", line, col)
+    parser = _Parser(tokens, line, len(text) + col)
     terms: dict[Monomial, Scalar] = {}
     sign = 1
     tok = parser.peek()
@@ -764,7 +781,7 @@ def parse_polynomial(text: str, var_names: Sequence[str], line: int = 1) -> Mult
 _LITERAL_RE = re.compile(r"([-+−]?)([0-9]+)(?:\.([0-9]+))?(?:/([0-9]+))?(?:\*sqrt\(([0-9]+)\))?")
 
 
-def parse_scalar(text: str, line: int = 1) -> Scalar:
+def parse_scalar(text: str, line: int = 1, col: int = 1) -> Scalar:
     """Parse a single scalar entry, e.g. ``-7/10*sqrt(2)``, ``0.98`` or ``3``."""
     m = _LITERAL_RE.fullmatch(text)
     if m and len(text) <= MAX_LITERAL_DIGITS and int(m[4] or 1):
@@ -774,6 +791,6 @@ def parse_scalar(text: str, line: int = 1) -> Scalar:
                          int(den or 1) * 10 ** len(frac or ""))
         if radicand is None:
             return _rational(value)
-        if _is_square_free(int(radicand)):
+        with contextlib.suppress(ValueError):  # the grammar locates the error
             return Scalar(0, value, int(radicand))
-    return parse_polynomial(text, [], line=line).terms.get((), ZERO)
+    return parse_polynomial(text, [], line=line, col=col).terms.get((), ZERO)

@@ -13,12 +13,12 @@ alone and the exact charpoly is univariate.  The degree on a ray is never
 below the true one, and is above it only when y is a root of the
 coefficient's lowest homogeneous part (Schwartz-Zippel: probability at most
 deg / (2 * RAY_RANGE + 1) per ray); the reported degree is the minimum over
-RAYS independent rays.  On a ray the charpoly is taken with plain integers:
-G and U are scaled to entries A(t) + sqrt(d) B(t) of Z[sqrt(d)][t], which
-moves no degree, and the same memoised Laplace expansion as the multivariate
-``charpoly_coeffs`` runs on them.  ``verify`` checks that integer kernel
-against Jacobi eigenvalues; ``charpoly_coeffs`` on G(x) itself stays as the
-exact oracle that the tests compare against.
+RAYS independent rays.  On a ray the charpoly is taken with plain integers.
+G's coefficients are read once and scaled by their common denominator, and U
+by its own, which moves no degree; each ray entry is then an integer sum of
+A*y^e in Z[sqrt(d)][t], and the memoised Laplace expansion of
+``charpoly_coeffs`` runs on these.  ``verify`` checks that integer kernel
+against Jacobi eigenvalues; ``charpoly_coeffs`` on G(x) is the tests' oracle.
 
 Sign convention: the coefficients are those of det(lambda I - B), i.e.
 a_k = (-1)^k * (sum of all k x k principal minors), so that the elementary
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import INF_DEGREE, FieldMismatchError, MultiPoly, Scalar, _trusted_poly
+from .polycore import INF_DEGREE, FieldMismatchError, MultiPoly, Scalar, _surd
 from .restriction import (
     EchelonForm,
     PolyMatrix,
@@ -267,23 +267,6 @@ def charpoly_coeffs(B: PolyMatrix) -> CharPolyCoeffs:
     return CharPolyCoeffs(a=tuple(a), m=tuple(p.lowest_degree() for p in a))
 
 
-def _lift_graded(p: MultiPoly, drop: int, y: Sequence[int]) -> MultiPoly:
-    """Restrict p to the ray x = t*y and divide by t^drop: the univariate
-    polynomial t^{-drop} p(t*y).  Negative exponents mean the block degree
-    was wrong."""
-    terms: dict = {}
-    for mono, coeff in p.terms.items():
-        tdeg = sum(mono) - drop
-        if tdeg < 0:
-            raise NegativeTDegreeError(
-                f"monomial of degree {sum(mono)} under block scaling {drop}"
-            )
-        value = coeff * math.prod(yi**e for yi, e in zip(y, mono) if e)
-        key = (tdeg,)
-        terms[key] = terms[key] + value if key in terms else value
-    return _trusted_poly(1, terms)
-
-
 # -- Z[sqrt(d)][t]: the ring of the ray charpolys ----------------------------
 #
 # A ray entry is A(t) + sqrt(d) * B(t) with A, B dense lists of ints indexed by
@@ -369,28 +352,16 @@ def _dot(xs: Sequence[_RayPoly], ys: Sequence[_RayPoly], d: int) -> _RayPoly:
     return _RayPoly(_trim(a), _trim(b), d)
 
 
-def _integer_grid(grid: Sequence[Sequence[dict]], d: int) -> tuple[list[list[_RayPoly]], int]:
-    """Entries {t-degree: Scalar} times the lcm c of all their denominators,
-    as _RayPoly entries: returns (c * grid, c), exactly."""
-    c = math.lcm(*(x.denominator for row in grid for terms in row
-                   for s in terms.values() for x in (s.a, s.b)))
-    out = []
-    for row in grid:
-        new = []
-        for terms in row:
-            a = [0] * (max(terms, default=-1) + 1)
-            b = a[:]
-            for j, s in terms.items():
-                a[j] = s.a.numerator * (c // s.a.denominator)
-                b[j] = s.b.numerator * (c // s.b.denominator)
-            new.append(_RayPoly(_trim(a), _trim(b), d))
-        out.append(new)
-    return out, c
+def _scaled(x: Fraction, c: int) -> int:
+    """c * x as an int, for a multiple c of x's denominator."""
+    return x.numerator * (c // x.denominator)
 
 
-def _ray_ring(G: PolyMatrix, U: Covariance) -> tuple:
-    """What every ray of one (G, U) pair shares: (d, the columns of c_U * U
-    as _RayPoly entries, c_U, the ring's one), with d the one radicand."""
+def _ray_ring(G: PolyMatrix, U: Covariance, drops: Sequence[int]) -> tuple:
+    """What every ray of one (G, U, drops) set-up shares: (d, each term
+    a + b*sqrt(d) at x^e of row i of G as (|e| - drops[i], e, c_G*a, c_G*b),
+    the columns of c_U * U as _RayPoly entries, c = c_G^2 c_U, the ring's one),
+    with d the one radicand and c_G, c_U the lcms of G's and U's denominators."""
     if G.cols != U.p:
         raise ValueError(f"G has {G.cols} columns but U is {U.p} x {U.p}")
     _check_q(G.rows)
@@ -400,29 +371,49 @@ def _ray_ring(G: PolyMatrix, U: Covariance) -> tuple:
         raise FieldMismatchError("cannot mix " + " and ".join(
             f"sqrt({d})" for d in sorted(radicands)) + " coefficients")
     d = radicands.pop() if radicands else 0
-    u_grid, c_u = _integer_grid([[{0: v} for v in row] for row in U.entries], d)
-    return d, list(zip(*u_grid)), c_u, _RayPoly([1], [], d)
+    c_g = math.lcm(*(x.denominator for row in G.entries for p in row
+                     for c in p.terms.values() for x in (c.a, c.b)))
+    g_terms = []
+    for row, drop in zip(G.entries, drops):
+        low = next((sum(m) for p in row for m in p.terms if sum(m) < drop), None)
+        if low is not None:
+            raise NegativeTDegreeError(f"monomial of degree {low} under block scaling {drop}")
+        g_terms.append([[(sum(mono) - drop, mono, _scaled(c.a, c_g), _scaled(c.b, c_g))
+                         for mono, c in p.terms.items()] for p in row])
+    c_u = math.lcm(*(x.denominator for row in U.entries for v in row for x in (v.a, v.b)))
+    u_cols = [[_RayPoly(_trim([_scaled(v.a, c_u)]), _trim([_scaled(v.b, c_u)]), d)
+               for v in col] for col in zip(*U.entries)]
+    return d, g_terms, u_cols, c_g * c_g * c_u, _RayPoly([1], [], d)
 
 
-def _ray_charpoly(G: PolyMatrix, ring: tuple, y: Sequence[int],
-                  drops: Sequence[int]) -> tuple[list[_RayPoly], int]:
+def _on_ray(terms: list, y: Sequence[int], d: int) -> _RayPoly:
+    """The ray entry sum (A + sqrt(d) B) y^e t^j over the terms (j, e, A, B)."""
+    a = [0] * (max((j for j, *_ in terms), default=-1) + 1)
+    b = a[:]
+    for j, mono, ca, cb in terms:
+        v = math.prod(map(pow, y, mono))
+        a[j] += ca * v
+        b[j] += cb * v
+    return _RayPoly(_trim(a), _trim(b), d)
+
+
+def _ray_charpoly(ring: tuple, y: Sequence[int]) -> tuple[list[_RayPoly], int]:
     """Principal-minor sums e_1..e_q of the scaled ray matrix, and the scale.
 
-    Row i of G is restricted to x = t*y and divided by t^{drops[i]}.  With c_G
-    the common denominator of that, the matrix formed is c * B(t) for
-    B = G U G' on the ray and c = c_G^2 c_U, so a_k(B(t)) = (-1)^k e_k(t) / c^k.
+    Row i of G is restricted to x = t*y and divided by t^{drops[i]}.  The
+    matrix formed is c * B(t) for B = G U G' on the ray and the c of
+    ``_ray_ring``, so a_k(B(t)) = (-1)^k e_k(t) / c^k.
     """
-    d, u_cols, c_u, one = ring
-    g_rows, c_g = _integer_grid([[{m[0]: c for m, c in _lift_graded(p, drop, y).terms.items()}
-                                  for p in row] for row, drop in zip(G.entries, drops)], d)
+    d, g_terms, u_cols, c, one = ring
+    g_rows = [[_on_ray(terms, y, d) for terms in row] for row in g_terms]
     gu_rows = [[_dot(g_row, u_col, d) for u_col in u_cols] for g_row in g_rows]
-    B = [[None] * G.rows for _ in range(G.rows)]
+    B = [[None] * len(g_rows) for _ in g_rows]
     for i, gu_row in enumerate(gu_rows):
-        for j in range(i, G.rows):
+        for j in range(i, len(B)):
             B[i][j] = B[j][i] = _dot(gu_row, g_rows[j], d)
     memo: dict = {}
-    sums = [_minor_sum(B, k, memo, one) for k in range(1, G.rows + 1)]
-    return sums, c_g * c_g * c_u
+    sums = [_minor_sum(B, k, memo, one) for k in range(1, len(B) + 1)]
+    return sums, c
 
 
 def _ray_coeffs_at(sums: Sequence[_RayPoly], c: int, t0: Fraction) -> list[Scalar]:
@@ -436,7 +427,7 @@ def _ray_coeffs_at(sums: Sequence[_RayPoly], c: int, t0: Fraction) -> list[Scala
             for x in reversed(coeffs):
                 num, den = num * t0.numerator + x * den * t0.denominator, den * t0.denominator
             parts.append(Fraction((-1) ** k * num, den * c**k))
-        out.append(Scalar(*parts, s.d))
+        out.append(_surd(*parts, s.d))
     return out
 
 
@@ -456,13 +447,13 @@ def _ray_degrees(G: PolyMatrix, U: Covariance, rays: random.Random | None = None
     c^k it leaves on a_k is a nonzero constant, so the t-degrees are those
     of B's coefficients.
     """
-    ring = _ray_ring(G, U)
-    rays = random.Random(_RAY_SEED) if rays is None else rays
     drops = (0,) * G.rows if drops is None else drops
+    ring = _ray_ring(G, U, drops)
+    rays = random.Random(_RAY_SEED) if rays is None else rays
     best = [INF_DEGREE] * G.rows
     for _ in range(count):
         y = [rays.randint(-RAY_RANGE, RAY_RANGE) for _ in range(G.nvars)]
-        sums, _ = _ray_charpoly(G, ring, y, drops)
+        sums, _ = _ray_charpoly(ring, y)
         best = list(map(min, best, (s.lowest_degree() for s in sums)))
     return tuple(best)
 

@@ -29,28 +29,6 @@ ScalarMatrix = tuple  # tuple[tuple[Scalar, ...], ...]
 RANK_POINT_RANGE = 10**6
 
 
-def scalar_mat_det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Exact determinant by Gaussian elimination over Q(sqrt(d))."""
-    n = len(rows)
-    work = [[Scalar.coerce(v) for v in row] for row in rows]
-    det = Scalar(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            return Scalar(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv_row = work[col]
-        for r in range(col + 1, n):
-            if work[r][col].is_zero():
-                continue
-            f = work[r][col] / inv_row[col]
-            work[r] = [a - f * b for a, b in zip(work[r], inv_row)]
-    return det
-
-
 def scalar_mat_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank by Gaussian elimination over Q(sqrt(d))."""
     work = [[Scalar.coerce(v) for v in row] for row in rows]
@@ -129,21 +107,6 @@ class PolyMatrix:
                 acc = MultiPoly.zero(nv)
                 for k in range(self.cols):
                     acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-    def left_mul_scalars(self, S: Sequence[Sequence]) -> "PolyMatrix":
-        """S @ self for a constant matrix S of scalars."""
-        if len(S[0]) != self.rows:
-            raise ValueError("dimension mismatch in scalar product")
-        out = []
-        for srow in S:
-            row = []
-            for j in range(self.cols):
-                acc = MultiPoly.zero(self.nvars)
-                for k in range(self.rows):
-                    acc = acc + self.entries[k][j].scale(Scalar.coerce(srow[k]))
                 row.append(acc)
             out.append(row)
         return PolyMatrix(out)

@@ -67,7 +67,7 @@ def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
         U = Covariance.random_spd(system.p, rng)
         point = [_random_box_fraction(rng) for _ in range(system.p)]
         y = [int(x / t0) for x in point]
-        a = _ray_coeffs_at(*_ray_charpoly(G, _ray_ring(G, U), y, (0,) * system.q), t0)
+        a = _ray_coeffs_at(*_ray_charpoly(_ray_ring(G, U, (0,) * system.q), y), t0)
         G_x = G.evaluate(point)
         GU = [[sum(gk * U.entry(k, j) for k, gk in enumerate(g) if gk) for j in range(system.p)]
               for g in G_x]

@@ -21,7 +21,7 @@ from waldrates.cli import (
     scalar_to_json,
     spec_to_text,
 )
-from waldrates.polycore import MAX_LITERAL_DIGITS, Scalar, parse_polynomial
+from waldrates.polycore import MAX_LITERAL_DIGITS, MAX_RADICAND, Scalar, parse_polynomial
 from waldrates.rates import NonSpdError, _RayPoly
 from waldrates.restriction import RestrictionSystem
 from waldrates.systems import product_pairs_system
@@ -160,6 +160,20 @@ class TestParseSpec:
         assert time.perf_counter() - start < 1.0
         ok = write_spec(tmp_path, text.format(big=big[1:]), name="ok.spec")
         assert main(["analyze", ok]) == EXIT_OK
+
+    @pytest.mark.parametrize("line, text", [
+        (4, "vars x y\ntheta_bar 0 0\ng x*y\nV 1 {surd}\nV {surd} 1\n"),
+        (3, "vars x y\ntheta_bar 0 0\ng x*y + {surd}*x\nV identity\n"),
+    ])
+    def test_radicand_size_guard(self, tmp_path, capsys, line, text):
+        # a 31-digit radicand is rejected before the square-free test runs
+        path = write_spec(tmp_path, text.format(surd="sqrt(1000000000000000000000000000057)"))
+        start = time.perf_counter()
+        assert main(["analyze", path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ")
+        assert f"exceeds the limit of {MAX_RADICAND}" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_longest_literals_keep_the_null_residual_printable(self, tmp_path, capsys):
         # degree 16 at a surd null point, every literal at the digit limit
@@ -319,9 +333,9 @@ class TestCommands:
         assert main(["analyze", path]) == EXIT_VALIDATION
 
     @pytest.mark.parametrize("body, line, col", [
-        ("theta_bar 1/0 0\ng x*y\nV identity\n", 2, 3),
-        ("theta_bar 0 0\ng x*y + 1/0\nV identity\n", 3, 9),
-        ("theta_bar 0 0\ng x*y\nV 1 1/0\nV 0 1\n", 4, 3),
+        ("theta_bar 1/0 0\ng x*y\nV identity\n", 2, 13),
+        ("theta_bar 0 0\ng x*y + 1/0\nV identity\n", 3, 11),
+        ("theta_bar 0 0\ng x*y\nV 1 1/0\nV 0 1\n", 4, 7),
     ])
     def test_zero_denominator_exit_code_and_line(self, tmp_path, capsys, body, line, col):
         path = write_spec(tmp_path, "vars x y\n" + body)
@@ -329,6 +343,20 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line}: ")
         assert f"column {col}: denominator must be nonzero" in err
+
+    @pytest.mark.parametrize("body, message", [
+        ("theta_bar 0 1/0\ng x*y\nV identity\n",
+         "line 2: column 15: denominator must be nonzero"),
+        ("theta_bar 0 0\ng x*y + 1/0\nV identity\n",
+         "line 3: column 11: denominator must be nonzero"),
+        ("theta_bar 0 0\ng x*y\nV 0 2/0\nV 0 1\n",
+         "line 4: column 7: denominator must be nonzero"),
+    ])
+    def test_error_location_reported_once(self, tmp_path, capsys, body, message):
+        # the line is named once, and the column counts from the start of the line
+        path = write_spec(tmp_path, "vars x y\n" + body)
+        assert main(["analyze", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_rates_certifies_v_rows_once(self, tmp_path, monkeypatch, capsys):
         from waldrates import rates

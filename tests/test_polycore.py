@@ -76,6 +76,23 @@ class TestScalar:
     def test_radicand_one_folds(self):
         assert Scalar(1, 2, 1) == Scalar(3)
 
+    def test_radicand_size_limit(self):
+        # the bound is checked before the trial division
+        with patch.object(polycore, "_is_square_free", wraps=polycore._is_square_free) as check:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                Scalar(0, 1, polycore.MAX_RADICAND + 1)
+        assert check.call_count == 0
+        assert Scalar(0, 1, 9999999967).d == 9999999967  # square-free, at the bound
+
+    @pytest.mark.parametrize("text, col", [("sqrt(1000000000000000000000000000057)", 6),
+                                           ("2*sqrt(1000000000000000000000000000057)", 8)])
+    def test_radicand_size_limit_is_located(self, text, col):
+        for read in (lambda t: parse_scalar(t, line=5),
+                     lambda t: parse_polynomial(t + "*x", V4, line=5)):
+            with pytest.raises(PolyParseError, match="exceeds the limit") as err:
+                read(text)
+            assert (err.value.line, err.value.col) == (5, col)
+
 
 # -- operation examples --------------------------------------------------------
 
@@ -406,6 +423,24 @@ def test_mixed_operands_take_general_path(x, surd, op, rational_first):
     assert fast.call_count == 0
     assert (out.a, out.b, out.d) == _general(op, lhs, rhs)
     assert (neg.a, neg.b, neg.d) == (-surd.a, -surd.b, surd.d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(surds_st, fractions_st, fractions_st, st.sampled_from("+-*"))
+def test_surd_results_skip_the_radicand_test(x, a, b, op):
+    # the operands' radicand was tested when they were built, so surd results
+    # come from the trusted constructor; b = 0 still normalises d to 0
+    y, surd_part = Scalar(a, b, x.d), Scalar(0, x.b, x.d)
+    with patch.object(polycore, "_is_square_free", wraps=polycore._is_square_free) as check:
+        out = _apply(op, x, y)
+        quotient = x / x.conjugate()
+        norm = x * x.conjugate()
+        rational_part = x - surd_part
+    assert check.call_count == 0
+    assert (out.a, out.b, out.d) == _general(op, x, y)
+    assert quotient * x.conjugate() == x
+    assert (norm.a, norm.b, norm.d) == (x.a**2 - x.b**2 * x.d, 0, 0)
+    assert (rational_part.a, rational_part.b, rational_part.d) == (x.a, 0, 0)
 
 
 @settings(max_examples=150, deadline=None)

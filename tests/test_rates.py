@@ -17,6 +17,7 @@ import sympy
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from waldrates import polycore
 from waldrates.cli import parse_spec
 
 from waldrates.polycore import (
@@ -29,8 +30,7 @@ from waldrates.polycore import (
 from waldrates.rates import (
     RAY_RANGE,
     Covariance,
-    _integer_grid,
-    _lift_graded,
+    _RayPoly,
     _ray_charpoly,
     _ray_coeffs_at,
     _ray_degrees,
@@ -52,7 +52,7 @@ from waldrates.restriction import (
     echelonize,
     jacobian,
     recenter,
-    scalar_mat_det,
+    scalar_mat_rank,
     transform,
 )
 from waldrates.simulate import symmetric_eigenvalues
@@ -63,6 +63,19 @@ V4 = ["x", "y", "z", "w"]
 
 def poly(text, names=V4):
     return parse_polynomial(text, names)
+
+
+def _lift(p, drop, y):
+    """t^{-drop} p(t*y) as a MultiPoly in t, from public MultiPoly operations
+    only, so that it shares no code with the ray kernel."""
+    ray = [MultiPoly.variable(0, 1) * yi for yi in y]
+    out = MultiPoly.zero(1)
+    for mono, coeff in p.terms.items():
+        term = MultiPoly.constant(coeff, 1)
+        for x, e in zip(ray, mono):
+            term = term * x**e
+        out = out + term
+    return MultiPoly(1, {(j - drop,): c for (j,), c in out.terms.items()})
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +292,7 @@ class TestTGradedCoeffs:
         assert all(s == 0 for _, s in ech.blocks)
         U = Covariance.random_spd(3, random.Random(5))
         y = [3, -7, 11]
-        lifted = PolyMatrix([[_lift_graded(p, 0, y) for p in ech.full_matrix.row(i)]
+        lifted = PolyMatrix([[_lift(p, 0, y) for p in ech.full_matrix.row(i)]
                              for i in range(2)])
         assert lifted.nvars == 1
         assert lifted.evaluate([1]) == ech.full_matrix.evaluate(y)
@@ -452,7 +465,7 @@ def test_invariants_under_invertible_constant_transform(case, entries):
     sysd, U = case
     q = sysd.q
     S = [entries[i * q:(i + 1) * q] for i in range(q)]
-    assume(not scalar_mat_det(S).is_zero())
+    assume(scalar_mat_rank(S) == q)
     assert _invariants(transform(sysd, S), U) == _invariants(sysd, U)
 
 
@@ -464,6 +477,49 @@ class _FixedRay:
 
     def randint(self, lo, hi):
         return next(self._y)
+
+
+class _CountingRays:
+    """A ray stream of ones that counts the coordinates it hands out."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def randint(self, lo, hi):
+        self.draws += 1
+        return 1
+
+
+def test_wrong_block_degree_raises_before_any_ray(centered_jacobian):
+    # the ray set-up reads G once, so a block degree above a row's lowest
+    # degree fails before the first ray coordinate is drawn
+    ech = echelonize(centered_jacobian)
+    rays = _CountingRays()
+    with pytest.raises(NegativeTDegreeError,
+                       match="^monomial of degree 0 under block scaling 1$"):
+        _ray_degrees(ech.full_matrix, Covariance.identity(4), rays, drops=(1, 1, 2))
+    assert rays.draws == 0
+
+
+@pytest.mark.parametrize("coeff, surd", [("3/2", False), ("3/2*sqrt(2)", True)])
+def test_ray_kernel_does_no_scalar_arithmetic(monkeypatch, coeff, surd):
+    # G's coefficients are read into ints once; every ray then runs on ints,
+    # and the exact a_k are built without testing the radicand again
+    G = PolyMatrix([[poly(f"{coeff}*x*y + 1/3*z^2"), poly("y - 5/7"), poly("x*w"), poly("0")],
+                    [poly("x^2"), poly(f"{coeff}*z"), poly("2/5*y*z"), poly("w - 1/2")]])
+    U = surd_covariance() if surd else Covariance.random_spd(4, random.Random(1))
+    oracle = charpoly_coeffs(build_B(G, U))
+    y, t0 = [3, -1, 2, 5], Fraction(1, 100)
+    want_at = [a_k.evaluate([t0 * yi for yi in y]) for a_k in oracle.a]
+
+    def forbidden(*args):
+        raise AssertionError("Scalar arithmetic in the ray kernel")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Scalar, name, forbidden)
+    monkeypatch.setattr(polycore, "_is_square_free", forbidden)
+    assert _ray_degrees(G, U) == oracle.m
+    assert _ray_coeffs_at(*_ray_charpoly(_ray_ring(G, U, (0, 0)), y), t0) == want_at
 
 
 @st.composite
@@ -494,7 +550,7 @@ def ray_cases(draw):
 @given(ray_cases())
 def test_integer_ray_degrees_match_charpoly_on_the_same_ray(case):
     G, U, y, drops = case
-    lifted = PolyMatrix([[_lift_graded(e, drop, y) for e in row]
+    lifted = PolyMatrix([[_lift(e, drop, y) for e in row]
                          for row, drop in zip(G.entries, drops)])
     want = charpoly_coeffs(build_B(lifted, U)).m
     assert _ray_degrees(G, U, _FixedRay(y), count=1, drops=drops) == want
@@ -505,14 +561,20 @@ def test_integer_ray_degrees_match_charpoly_on_the_same_ray(case):
 def test_ray_coefficients_at_a_point_match_multivariate_oracle(case, t0):
     # what verify reads: a_k(t0*y) from the scaled integer ray charpoly
     G, U, y, _ = case
-    got = _ray_coeffs_at(*_ray_charpoly(G, _ray_ring(G, U), y, (0,) * G.rows), t0)
+    got = _ray_coeffs_at(*_ray_charpoly(_ray_ring(G, U, (0,) * G.rows), y), t0)
     want = [a_k.evaluate([t0 * yi for yi in y]) for a_k in charpoly_coeffs(build_B(G, U)).a]
     assert got == want
 
 
 def _ray_poly(terms):
     """{t-degree: Scalar} with integer parts, as a Z[sqrt(2)][t] entry."""
-    return _integer_grid([[terms]], 2)[0][0][0]
+    size = max(terms, default=-1) + 1
+    parts = [[int(getattr(terms.get(j, Scalar(0)), part)) for j in range(size)]
+             for part in "ab"]
+    for c in parts:
+        while c and not c[-1]:
+            c.pop()
+    return _RayPoly(*parts, 2)
 
 
 def _ray_terms(r):
@@ -587,7 +649,7 @@ def test_ray_coefficients_match_sympy_charpoly(name):
 
     spec = parse_spec(FIXTURES / name)
     G = jacobian(recenter(spec.to_restriction_system()))
-    on_ray = PolyMatrix([[_lift_graded(p, 0, y) for p in row] for row in G.entries])
+    on_ray = PolyMatrix([[_lift(p, 0, y) for p in row] for row in G.entries])
     got = charpoly_coeffs(build_B(on_ray, spec.to_covariance())).a
     assert len(got) == len(want)
     for a_k, w_k in zip(got, want):
