@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_non_negative_int, default=42,
                        help="seed for all randomness (default 42)")
         p.add_argument("--trials", type=_positive_int, default=3,
-                       help="random points for polynomial rank testing")
+                       help="at most this many random points for polynomial rank testing")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="write a JSON report to PATH")
 

@@ -454,13 +454,9 @@ class MultiPoly:
         if not 0 <= var < self.nvars:
             raise IndexError(f"variable index {var} out of range")
         out: dict[Monomial, Scalar] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[var]
-            if e == 0:
-                continue
-            new = list(mono)
-            new[var] = e - 1
-            out[tuple(new)] = coeff * e
+        for mono, c in self.terms.items():
+            if e := mono[var]:
+                out[mono[:var] + (e - 1,) + mono[var + 1:]] = _surd(c.a * e, c.b and c.b * e, c.d)
         return _trusted_poly(self.nvars, out)
 
     def shift_origin(self, theta_bar: Sequence) -> "MultiPoly":

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import INF_DEGREE, FieldMismatchError, MultiPoly, Scalar, _surd
+from .polycore import INF_DEGREE, FieldMismatchError, MultiPoly, Scalar, _rational, _surd
 from .restriction import (
     EchelonForm,
     PolyMatrix,
@@ -104,17 +104,32 @@ class Covariance:
 
     @classmethod
     def random_spd(cls, p: int, rng: random.Random) -> "Covariance":
-        """Random exact SPD matrix L D L' with unit-lower-triangular L, D > 0."""
-        L = [[Fraction(1) if i == j else Fraction(0) for j in range(p)] for i in range(p)]
-        for i in range(p):
-            for j in range(i):
-                L[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        """Random exact SPD L D L' (unit lower-triangular L, D > 0), certified by L, D."""
+        L = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if j < i else int(i == j)
+              for j in range(p)] for i in range(p)]
         D = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(p)]
-        rows = [[0] * p for _ in range(p)]
-        for i in range(p):
-            for j in range(i + 1):
-                rows[i][j] = rows[j][i] = sum(L[i][k] * D[k] * L[j][k] for k in range(j + 1))
-        return cls(rows)
+        return cls._from_factor(L, D)
+
+    @classmethod
+    def _from_factor(cls, L: Sequence[Sequence], D: Sequence) -> "Covariance":
+        """L D L' for rational L and D, certified by the factor: for a unit
+        lower-triangular L and every D_k > 0, x' L D L' x = sum_k D_k (L'x)_k^2
+        > 0 for x != 0.  This checks exactly that (NonSpdError otherwise)."""
+        p = len(D)
+        if len(L) != p or any(dk <= 0 for dk in D) or any(
+                len(row) != p or row[i] != 1 or any(row[i + 1:]) for i, row in enumerate(L)):
+            raise NonSpdError("not a unit lower-triangular L with every D_k > 0")
+        c_l = math.lcm(*(x.denominator for row in L for x in row))
+        c_d = math.lcm(*(x.denominator for x in D))
+        L = [[_scaled(x, c_l) for x in row] for row in L]
+        D = [_scaled(x, c_d) for x in D]
+        low = [[_rational(Fraction(sum(a * b * c for a, b, c in zip(L[i], D, L[j])),
+                                   c_l * c_l * c_d)) for j in range(i + 1)] for i in range(p)]
+        out = object.__new__(cls)
+        entries = tuple(tuple(low[max(i, j)][min(i, j)] for j in range(p)) for i in range(p))
+        for name, value in (("entries", entries), ("p", p), ("is_definite", True)):
+            object.__setattr__(out, name, value)
+        return out
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.entries[i][j]
@@ -357,20 +372,12 @@ def _scaled(x: Fraction, c: int) -> int:
     return x.numerator * (c // x.denominator)
 
 
-def _ray_ring(G: PolyMatrix, U: Covariance, drops: Sequence[int]) -> tuple:
-    """What every ray of one (G, U, drops) set-up shares: (d, each term
-    a + b*sqrt(d) at x^e of row i of G as (|e| - drops[i], e, c_G*a, c_G*b),
-    the columns of c_U * U as _RayPoly entries, c = c_G^2 c_U, the ring's one),
-    with d the one radicand and c_G, c_U the lcms of G's and U's denominators."""
-    if G.cols != U.p:
-        raise ValueError(f"G has {G.cols} columns but U is {U.p} x {U.p}")
+def _ray_g_half(G: PolyMatrix, drops: Sequence[int]) -> tuple:
+    """What every ray of G shares whatever U: (G's columns and radicands, c_G,
+    each term a + b*sqrt(d) at x^e of row i of G as (|e| - drops[i], e, c_G*a,
+    c_G*b)), with c_G the lcm of G's denominators."""
     _check_q(G.rows)
     radicands = {c.d for row in G.entries for p in row for c in p.terms.values() if c.d}
-    radicands |= {v.d for row in U.entries for v in row if v.d}
-    if len(radicands) > 1:
-        raise FieldMismatchError("cannot mix " + " and ".join(
-            f"sqrt({d})" for d in sorted(radicands)) + " coefficients")
-    d = radicands.pop() if radicands else 0
     c_g = math.lcm(*(x.denominator for row in G.entries for p in row
                      for c in p.terms.values() for x in (c.a, c.b)))
     g_terms = []
@@ -380,10 +387,30 @@ def _ray_ring(G: PolyMatrix, U: Covariance, drops: Sequence[int]) -> tuple:
             raise NegativeTDegreeError(f"monomial of degree {low} under block scaling {drop}")
         g_terms.append([[(sum(mono) - drop, mono, _scaled(c.a, c_g), _scaled(c.b, c_g))
                          for mono, c in p.terms.items()] for p in row])
+    return G.cols, radicands, c_g, g_terms
+
+
+def _ray_u_half(g_half: tuple, U: Covariance) -> tuple:
+    """The ring of one (G, U, drops) set-up from its G half: (d, G's integer
+    terms, the columns of c_U * U as _RayPoly entries, c = c_G^2 c_U, the
+    ring's one), with d the one radicand and c_U the lcm of U's denominators."""
+    cols, radicands, c_g, g_terms = g_half
+    if cols != U.p:
+        raise ValueError(f"G has {cols} columns but U is {U.p} x {U.p}")
+    radicands = radicands | {v.d for row in U.entries for v in row if v.d}
+    if len(radicands) > 1:
+        raise FieldMismatchError("cannot mix " + " and ".join(
+            f"sqrt({d})" for d in sorted(radicands)) + " coefficients")
+    d = radicands.pop() if radicands else 0
     c_u = math.lcm(*(x.denominator for row in U.entries for v in row for x in (v.a, v.b)))
     u_cols = [[_RayPoly(_trim([_scaled(v.a, c_u)]), _trim([_scaled(v.b, c_u)]), d)
                for v in col] for col in zip(*U.entries)]
     return d, g_terms, u_cols, c_g * c_g * c_u, _RayPoly([1], [], d)
+
+
+def _ray_ring(G: PolyMatrix, U: Covariance, drops: Sequence[int]) -> tuple:
+    """What every ray of one (G, U, drops) set-up shares (``_ray_u_half``)."""
+    return _ray_u_half(_ray_g_half(G, drops), U)
 
 
 def _on_ray(terms: list, y: Sequence[int], d: int) -> _RayPoly:
@@ -448,10 +475,14 @@ def _ray_degrees(G: PolyMatrix, U: Covariance, rays: random.Random | None = None
     of B's coefficients.
     """
     drops = (0,) * G.rows if drops is None else drops
-    ring = _ray_ring(G, U, drops)
     rays = random.Random(_RAY_SEED) if rays is None else rays
+    return _lowest_on_rays(G, [_ray_ring(G, U, drops)] * count, rays)
+
+
+def _lowest_on_rays(G: PolyMatrix, rings, rays: random.Random) -> tuple:
+    """The lowest t-degree of each e_k over one ray of G per ring."""
     best = [INF_DEGREE] * G.rows
-    for _ in range(count):
+    for ring in rings:
         y = [rays.randint(-RAY_RANGE, RAY_RANGE) for _ in range(G.nvars)]
         sums, _ = _ray_charpoly(ring, y)
         best = list(map(min, best, (s.lowest_degree() for s in sums)))
@@ -549,17 +580,15 @@ def min_degree_generic(G: PolyMatrix, samples: int = 5,
     ``G`` is the Jacobian of the recentered system.  Draws ``samples`` random
     exact SPD matrices (L D L' construction) from ``random.Random(rng_seed)``,
     builds one characteristic polynomial per draw on one random ray (from a
-    separate ray stream), and returns, for every k, the smallest degree
-    observed.  The estimate is one-sided: it is never below the true generic
-    minimum, and almost every (U, ray) pair attains that minimum, so a
-    handful of draws suffices.
+    separate ray stream; G is read into ints once, then each U is added),
+    and returns, for every k, the smallest degree observed.  The estimate is
+    one-sided: it is never below the true generic minimum, and almost every
+    (U, ray) pair attains that minimum, so a handful of draws suffices.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(rng_seed)
     rays = random.Random(_RAY_SEED + rng_seed)
-    best = [INF_DEGREE] * G.rows
-    for _ in range(samples):
-        U = Covariance.random_spd(G.cols, rng)
-        best = list(map(min, best, _ray_degrees(G, U, rays, count=1)))
-    return tuple(best)
+    g_half = _ray_g_half(G, (0,) * G.rows)
+    rings = (_ray_u_half(g_half, Covariance.random_spd(G.cols, rng)) for _ in range(samples))
+    return _lowest_on_rays(G, rings, rays)

@@ -287,25 +287,22 @@ def echelonize(G: PolyMatrix) -> EchelonForm:
 def poly_rank(M: PolyMatrix, trials: int = 3, rng: random.Random | None = None) -> int:
     """Probabilistic rank of a polynomial matrix.
 
-    Evaluates at ``trials`` random rational points (numerators uniform in
+    Evaluates at up to ``trials`` random rational points (numerators uniform in
     [-RANK_POINT_RANGE, RANK_POINT_RANGE], denominators in [1, RANK_POINT_RANGE])
-    and takes the maximum exact-arithmetic rank.  By Schwartz-Zippel the result
-    is the true rank except with probability vanishing in the range size.
+    and takes the maximum exact rank, stopping once it reaches min(rows, cols).
+    By Schwartz-Zippel the result is the true rank except with probability
+    vanishing in the range size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if rng is None:
-        rng = random.Random(0)
-    nvars = M.nvars
+    rng = random.Random(0) if rng is None else rng
     best = 0
     for _ in range(trials):
-        point = [
-            Fraction(rng.randint(-RANK_POINT_RANGE, RANK_POINT_RANGE),
-                     rng.randint(1, RANK_POINT_RANGE))
-            for _ in range(nvars)
-        ]
-        values = M.evaluate(point)
-        best = max(best, scalar_mat_rank(values))
+        point = [Fraction(rng.randint(-RANK_POINT_RANGE, RANK_POINT_RANGE),
+                          rng.randint(1, RANK_POINT_RANGE)) for _ in range(M.nvars)]
+        best = max(best, scalar_mat_rank(M.evaluate(point)))
+        if best == min(M.rows, M.cols):
+            break
     return best
 
 

@@ -9,13 +9,14 @@ the restrictions.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .rates import Covariance, _ray_charpoly, _ray_coeffs_at, _ray_ring
+from .rates import Covariance, _ray_charpoly, _ray_coeffs_at, _ray_g_half, _ray_u_half, _scaled
 from .restriction import RestrictionSystem, jacobian, recenter, transform
 from .simulate import (
     compile_system,
@@ -49,6 +50,25 @@ def _random_box_fraction(rng: random.Random) -> Fraction:
     return Fraction(sign * rng.randint(50, 200), 100)
 
 
+def _float_gug(G_x, U: Covariance) -> np.ndarray:
+    """G_x U G_x' for an exact G_x, summed in Python ints as A + B*sqrt(d)
+    over one denominator and rounded as ``float(Scalar)`` rounds
+    A/den + (B/den)*sqrt(d): an int / int quotient is correctly rounded."""
+    d = next((v.d for row in (*G_x, *U.entries) for v in row if v.d), 0)
+    (ga, gb, c_x), (ua, ub, c_u) = _int_parts(G_x), _int_parts(U.entries)
+    gua, gub = ga @ ua + d * gb @ ub, ga @ ub + gb @ ua
+    A, B = gua @ ga.T + d * gub @ gb.T, gua @ gb.T + gub @ ga.T
+    den = c_x * c_x * c_u
+    return (A / den + B / den * math.sqrt(d)).astype(float)
+
+
+def _int_parts(grid) -> tuple:
+    """(c * the a parts, c * the b parts, c) for c the lcm of grid's denominators."""
+    c = math.lcm(*(f.denominator for row in grid for v in row for f in (v.a, v.b)))
+    return *(np.array([[_scaled(getattr(v, part), c) for v in row] for row in grid],
+                      dtype=object) for part in "ab"), c
+
+
 def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
                                seed: int = 42, rtol: float = 1e-8) -> CheckResult:
     """P_k(eigenvalues of B) must equal (-1)^k a_k at random points/covariances.
@@ -61,18 +81,15 @@ def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
     """
     rng = random.Random(seed)
     G = jacobian(recenter(system))
+    g_half = _ray_g_half(G, (0,) * system.q)
     t0 = Fraction(1, 100)
     worst = 0.0
     for _ in range(npoints):
         U = Covariance.random_spd(system.p, rng)
         point = [_random_box_fraction(rng) for _ in range(system.p)]
         y = [int(x / t0) for x in point]
-        a = _ray_coeffs_at(*_ray_charpoly(_ray_ring(G, U, (0,) * system.q), y), t0)
-        G_x = G.evaluate(point)
-        GU = [[sum(gk * U.entry(k, j) for k, gk in enumerate(g) if gk) for j in range(system.p)]
-              for g in G_x]
-        B_num = np.array([[float(sum(u * v for u, v in zip(gu, g))) for g in G_x] for gu in GU])
-        lam = symmetric_eigenvalues(B_num)
+        a = _ray_coeffs_at(*_ray_charpoly(_ray_u_half(g_half, U), y), t0)
+        lam = symmetric_eigenvalues(_float_gug(G.evaluate(point), U))
         for k in range(1, system.q + 1):
             pk = _elementary_symmetric(lam, k)
             ak = (-1) ** k * float(a[k - 1])

@@ -1,11 +1,15 @@
 """Spec-file parsing, report serialisation, exit codes, and CLI pipelines."""
 
 import json
+import random
 import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waldrates import cli, verify
 from waldrates.cli import (
@@ -22,9 +26,9 @@ from waldrates.cli import (
     spec_to_text,
 )
 from waldrates.polycore import MAX_LITERAL_DIGITS, MAX_RADICAND, Scalar, parse_polynomial
-from waldrates.rates import NonSpdError, _RayPoly
+from waldrates.rates import Covariance, NonSpdError, _RayPoly
 from waldrates.restriction import RestrictionSystem
-from waldrates.systems import product_pairs_system
+from waldrates.systems import product_pairs_system, surd_covariance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCHEMA = json.loads(
@@ -497,3 +501,24 @@ class TestNegativeControl:
         self._shift_a_k(monkeypatch, system.q)
         result = verify.symmetric_polynomial_check(system)
         assert not result.passed, result.detail
+
+
+_box = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_integer_b_rounds_like_scalar_products(q, surd, data):
+    # verify's B(x) from integer pairs over one denominator, against the
+    # Scalar product it replaced, bit for bit
+    if surd:
+        U = surd_covariance()
+        entry = st.builds(lambda a, b: Scalar(a, b, 2), _box, _box)
+    else:
+        U = Covariance.random_spd(4, random.Random(data.draw(st.integers(0, 2**32))))
+        entry = _box.map(Scalar)
+    G_x = [[data.draw(entry) for _ in range(4)] for _ in range(q)]
+    GU = [[sum(gk * U.entry(k, j) for k, gk in enumerate(g) if gk) for j in range(4)]
+          for g in G_x]
+    want = np.array([[float(sum(u * v for u, v in zip(gu, g))) for g in G_x] for gu in GU])
+    assert np.array_equal(verify._float_gug(G_x, U), want)

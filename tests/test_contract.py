@@ -3,7 +3,7 @@
 waldbench drives waldrates from outside: it calls the CLI, the vanishing
 experiment and the demo systems, and it traces public functions by name.  A
 rename here would surface only as a failed benchmark run, so these tests pin
-the contract at tier 1.  ``verify`` and the tests read exact a_k through three
+the contract at tier 1.  ``verify`` and the tests read exact a_k through the
 private ray-kernel calls, whose signatures are pinned here too.
 """
 
@@ -57,9 +57,12 @@ def test_traced_and_counted_methods():
     ("_ray_ring", ["G", "U", "drops"]),
     ("_ray_charpoly", ["ring", "y"]),
     ("_ray_coeffs_at", ["sums", "c", "t0"]),
+    ("_ray_g_half", ["G", "drops"]),
+    ("_ray_u_half", ["g_half", "U"]),
 ])
 def test_ray_kernel_entry_points(name, params):
-    # verify and the tests read exact a_k through these three calls
+    # verify and the tests read exact a_k through these calls; verify and
+    # min_degree_generic read G once through the G half and add each U
     assert list(inspect.signature(getattr(rates, name)).parameters) == params
 
 

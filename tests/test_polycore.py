@@ -153,6 +153,19 @@ class TestPartialDerivative:
         with pytest.raises(IndexError):
             poly("x").partial_derivative(4)
 
+    @pytest.mark.parametrize("text, var, want", [
+        ("3/4*x^3*y - 2/3*y*z^2 + w", 0, "9/4*x^2*y"),
+        ("3/4*x^3*y - 2/3*y*z^2 + w", 2, "-4/3*y*z"),
+        ("sqrt(2)*x^2*y + 1/2*x*y - 1/3*sqrt(2)*z^4 + z^2 - sqrt(2)*z^2", 2,
+         "-4/3*sqrt(2)*z^3 + 2*z - 2*sqrt(2)*z"),
+    ], ids=["rational-x", "rational-z", "surd-z"])
+    def test_multiplies_coefficient_parts_by_the_exponent(self, text, var, want):
+        # the int exponent scales a and b; no Scalar product is formed
+        p, expected = poly(text), poly(want)
+        with patch.object(Scalar, "__mul__", side_effect=AssertionError):
+            got = p.partial_derivative(var)
+        assert got == expected
+
 
 class TestShiftOrigin:
     def test_product_with_unit_shift(self):
@@ -289,6 +302,22 @@ def polys(draw, nvars=3, max_deg=4, coeffs=fractions_st):
         if coeff:
             terms[mono] = coeff
     return MultiPoly(nvars, terms)
+
+
+_surd_coeffs = st.builds(lambda a, b: Scalar(a, b, 2), fractions_st, fractions_st)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(coeffs=st.one_of(fractions_st, _surd_coeffs)), st.integers(0, 2))
+def test_partial_derivative_matches_scalar_products(p, var):
+    want = {}
+    for mono, coeff in p.terms.items():
+        if mono[var]:
+            down = mono[:var] + (mono[var] - 1,) + mono[var + 1:]
+            want[down] = coeff * mono[var]
+    got = p.partial_derivative(var)
+    assert got.terms == want
+    assert all(c.d == (2 if c.b else 0) for c in got.terms.values())
 
 
 @settings(max_examples=150, deadline=None)

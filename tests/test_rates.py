@@ -17,7 +17,7 @@ import sympy
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from waldrates import polycore
+from waldrates import polycore, rates
 from waldrates.cli import parse_spec
 
 from waldrates.polycore import (
@@ -28,6 +28,7 @@ from waldrates.polycore import (
     parse_polynomial,
 )
 from waldrates.rates import (
+    _RAY_SEED,
     RAY_RANGE,
     Covariance,
     _RayPoly,
@@ -112,21 +113,45 @@ class TestCovariance:
             assert Covariance.random_spd(3, rng).is_definite
 
     @pytest.mark.parametrize("p", range(2, 7))
-    def test_random_spd_equals_full_ldl_sum(self, p):
-        # L[i][k] = 0 for k > i, so summing k <= min(i, j) drops only zeros
-        for seed in range(50):
-            rng = random.Random(seed)
-            L = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
-            for i in range(p):
-                for j in range(i):
-                    L[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-            D = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(p)]
-            full = [[sum(L[i][k] * D[k] * L[j][k] for k in range(p)) for j in range(p)]
-                    for i in range(p)]
-            entries = Covariance.random_spd(p, random.Random(seed)).entries
-            assert entries == Covariance(full).entries
+    def test_random_spd_equals_full_ldl_sum(self, p, monkeypatch):
+        # L[i][k] = 0 for k > i, so summing k <= min(i, j) drops only zeros;
+        # the drawn factor certifies the result, so the LDL' check never runs
+        fulls = [_full_ldl_rows(p, random.Random(seed)) for seed in range(50)]
+        checked = [Covariance(full) for full in fulls]
+        monkeypatch.setattr(rates, "_assert_positive_semidefinite", _forbidden)
+        for seed, U in enumerate(checked):
+            got = Covariance.random_spd(p, random.Random(seed))
+            assert got.entries == U.entries
+            assert got.is_definite == U.is_definite
+            entries = got.entries
             assert all(entries[i][j] is entries[j][i] or entries[i][j] == entries[j][i]
                        for i in range(p) for j in range(i))
+
+    @pytest.mark.parametrize("L, D", [
+        ([[1, 0], [Fraction(1, 2), 1]], [1, 0]),                # D_k = 0
+        ([[1, 0], [3, 1]], [Fraction(-1, 3), 2]),               # D_k < 0
+        ([[1, 0], [3, 2]], [1, 1]),                             # L_kk != 1
+        ([[1, 1], [0, 1]], [1, 1]),                             # not lower-triangular
+    ])
+    def test_factor_that_certifies_nothing_rejected(self, L, D):
+        with pytest.raises(NonSpdError):
+            Covariance._from_factor(L, D)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def _full_ldl_rows(p, rng):
+    """L D L' summed over every k in Fractions, from the L and D that
+    ``Covariance.random_spd`` draws from ``rng``, in its order."""
+    L = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+    for i in range(p):
+        for j in range(i):
+            L[i][j] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    D = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(p)]
+    return [[sum(L[i][k] * D[k] * L[j][k] for k in range(p)) for j in range(p)]
+            for i in range(p)]
 
 
 class TestBuildB:
@@ -351,6 +376,27 @@ class TestMinDegreeGeneric:
             U = Covariance.random_spd(4, rng)
             best = min(best, charpoly_coeffs(build_B(G, U)).m[1])
         assert min_degree_generic(G, samples=5, rng_seed=21)[1] == best
+
+    def test_reads_g_once_per_call(self, centered_jacobian, monkeypatch):
+        calls = []
+        g_half = rates._ray_g_half
+        monkeypatch.setattr(rates, "_ray_g_half",
+                            lambda *args: calls.append(args) or g_half(*args))
+        min_degree_generic(centered_jacobian, samples=5, rng_seed=3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", [0, 3, 24])
+    def test_equals_one_ray_per_fully_checked_covariance(self, seed):
+        # the same draws, each U through the public constructor's LDL' check
+        g = tuple(poly(text) for text in ("sqrt(2)*x*y + z^2", "x*w - 1/3*sqrt(2)*y^2",
+                                          "y*z + 2/5*w^3 + sqrt(2)*x"))
+        G = jacobian(recenter(RestrictionSystem(V4, (0, 0, 0, 0), g)))
+        rng, rays = random.Random(seed), random.Random(_RAY_SEED + seed)
+        best = [INF_DEGREE] * G.rows
+        for _ in range(5):
+            U = Covariance(_full_ldl_rows(G.cols, rng))
+            best = list(map(min, best, _ray_degrees(G, U, rays, count=1)))
+        assert min_degree_generic(G, samples=5, rng_seed=seed) == tuple(best)
 
     def test_generic_degree_is_lower_bound(self):
         # m_k(U) >= generic m_k, with equality for >= 90% of random draws

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waldrates.polycore import MultiPoly, Scalar, parse_polynomial
 from waldrates.restriction import (
@@ -14,6 +17,7 @@ from waldrates.restriction import (
     echelonize,
     frald_check,
     jacobian,
+    RANK_POINT_RANGE,
     poly_rank,
     recenter,
     scalar_mat_rank,
@@ -225,6 +229,21 @@ class TestPolyRank:
         ech = echelonize(jacobian(recenter(product_pairs_system())))
         assert poly_rank(ech.low_matrix, trials=3, rng=random.Random(1)) == 2
 
+    def test_full_rank_stops_after_one_point(self):
+        # rank 2 of a 2 x 3 matrix is the largest there is: no later point can raise it
+        M = poly_matrix([["1", "x", "y"], ["y", "1", "0"]], ["x", "y"])
+        with patch.object(PolyMatrix, "evaluate", autospec=True,
+                          side_effect=PolyMatrix.evaluate) as evaluate:
+            assert poly_rank(M, trials=3, rng=random.Random(0)) == 2
+        assert evaluate.call_count == 1
+
+    def test_rank_deficient_uses_every_point(self):
+        M = poly_matrix([["y", "0"], ["y^2", "0"]], ["x", "y"])
+        with patch.object(PolyMatrix, "evaluate", autospec=True,
+                          side_effect=PolyMatrix.evaluate) as evaluate:
+            assert poly_rank(M, trials=3, rng=random.Random(0)) == 1
+        assert evaluate.call_count == 3
+
     def test_invariant_under_nondegenerate_transform(self):
         ech = echelonize(jacobian(recenter(product_pairs_system())))
         rng = random.Random(9)
@@ -288,3 +307,22 @@ class TestTransform:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             transform(product_pairs_system(), [[1, 0], [0, 1]])
+
+
+_entries = st.sampled_from(["0", "1", "x", "y", "x*y", "x^2 - y", "2*x + 3*y", "x - x"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data(), st.integers(1, 4),
+       st.integers(0, 2**32))
+def test_poly_rank_is_the_maximum_over_its_draws(rows, cols, data, trials, seed):
+    # every point is drawn as before; stopping at full rank leaves the maximum
+    M = poly_matrix([[data.draw(_entries) for _ in range(cols)] for _ in range(rows)],
+                    ["x", "y"])
+    draws = random.Random(seed)
+    best = 0
+    for _ in range(trials):
+        point = [Fraction(draws.randint(-RANK_POINT_RANGE, RANK_POINT_RANGE),
+                          draws.randint(1, RANK_POINT_RANGE)) for _ in range(2)]
+        best = max(best, scalar_mat_rank(M.evaluate(point)))
+    assert poly_rank(M, trials=trials, rng=random.Random(seed)) == best
