@@ -187,19 +187,8 @@ class Scalar:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d): -1, 0 or +1."""
-        if self.b == 0:
-            return -1 if self.a < 0 else (1 if self.a > 0 else 0)
-        if self.a == 0:
-            return -1 if self.b < 0 else 1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 against d b^2
-        lhs, rhs = self.a * self.a, self.b * self.b * self.d
-        if self.a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if lhs < rhs else -1  # a < 0, b > 0; ties impossible
+        a, b = self.a, self.b
+        return _ZSqrt(a.numerator * b.denominator, b.numerator * a.denominator, self.d).sign()
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -273,6 +262,69 @@ def _surd(a: Fraction, b: Fraction, d: int) -> Scalar:
     object.__setattr__(out, "b", b)
     object.__setattr__(out, "d", d if b else 0)
     return out
+
+
+# -- Z and Z[sqrt(d)]: the rings of fraction-free elimination -----------------
+#
+# poly_rank's points and the LDL' of a covariance run on ints scaled by a common
+# denominator: plain ints when every coefficient is rational, _ZSqrt otherwise.
+# Both are integral domains, so a Bareiss quotient, a minor of the input, is
+# the one exact quotient.
+
+
+def _scaled(x: Fraction, c: int) -> int:
+    """c * x as an int, for a multiple c of x's denominator."""
+    return x.numerator * (c // x.denominator)
+
+
+def _one_radicand(radicands: set) -> int:
+    """The single radicand of a set of them, 0 for none."""
+    if len(radicands) > 1:
+        raise FieldMismatchError("cannot mix " + " and ".join(
+            f"sqrt({d})" for d in sorted(radicands)) + " coefficients")
+    return radicands.pop() if radicands else 0
+
+
+class _ZSqrt:
+    """a + b*sqrt(d) in Z[sqrt(d)] for a square-free d > 1 (or d = 0 with
+    b = 0), with the ring operations fraction-free elimination needs.  It is
+    zero only when a and b both are, since sqrt(d) is irrational."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int, d: int):
+        self.a, self.b, self.d = a, b, d
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def __sub__(self, other: _ZSqrt) -> _ZSqrt:
+        return _ZSqrt(self.a - other.a, self.b - other.b, self.d)
+
+    def __mul__(self, other: _ZSqrt) -> _ZSqrt:
+        return _ZSqrt(self.a * other.a + self.d * self.b * other.b,
+                      self.a * other.b + self.b * other.a, self.d)
+
+    def __floordiv__(self, other: _ZSqrt) -> _ZSqrt:
+        """The quotient x / y for a y that divides x in Z[sqrt(d)]: x times the
+        conjugate of y, over the norm a^2 - d b^2 of y, a nonzero int."""
+        norm = other.a * other.a - self.d * other.b * other.b
+        return _ZSqrt((self.a * other.a - self.d * self.b * other.b) // norm,
+                      (self.b * other.a - self.a * other.b) // norm, self.d)
+
+    def sign(self) -> int:
+        """Exact sign of a + b*sqrt(d) as a real number: -1, 0 or +1."""
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
+        if sa == sb or not sb:
+            return sa
+        if not sa or self.a * self.a < self.d * self.b * self.b:
+            return sb
+        return sa
+
+
+def _zsqrt(a: int, b: int, d: int):
+    """a + b*sqrt(d) as an int when d = 0, else as a _ZSqrt."""
+    return _ZSqrt(a, b, d) if d else a
 
 
 def _fraction_text(x: Fraction) -> str:

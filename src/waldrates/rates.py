@@ -35,13 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import INF_DEGREE, FieldMismatchError, MultiPoly, Scalar, _rational, _surd
-from .restriction import (
-    EchelonForm,
-    PolyMatrix,
-    RestrictionSystem,
-    frald_check,
-)
+from .polycore import (INF_DEGREE, MultiPoly, Scalar, _one_radicand, _rational, _scaled,
+                       _surd, _zsqrt)
+from .restriction import EchelonForm, PolyMatrix, RestrictionSystem, _integer_terms, frald_check
 
 #: Principal-minor enumeration is exponential; stay exact and small.
 MAX_Q = 8
@@ -154,36 +150,41 @@ def _assert_positive_semidefinite(grid) -> bool:
     """Exact LDL' certification; returns True when strictly definite.
 
     Raises NonSpdError on a negative pivot or on a zero pivot whose column is
-    not identically zero (both mean the matrix is not PSD).  Generic over the
-    entry type: a rational grid runs on plain Fractions, a surd one on Scalars.
+    not identically zero (both mean the matrix is not PSD).  Fraction-free:
+    the grid is scaled by the lcm of its denominators and eliminated
+    symmetrically in Z or Z[sqrt(d)].  After the nonzero pivots P so far,
+    entry (i, j) is det(V_PP) > 0 times the Schur complement entry that the
+    LDL' over Q(sqrt(d)) would hold, so it has that entry's sign and zeros,
+    and every division by the previous pivot det(V_PP) is exact (Bareiss).
     """
-    if not any(v.b for row in grid for v in row):
-        grid = [[v.a for v in row] for row in grid]
-    p = len(grid)
-    L = [[0] * p for _ in range(p)]
-    D = []
+    low = [row[:i + 1] for i, row in enumerate(grid)]  # V is symmetric
+    d = _one_radicand({v.d for row in low for v in row if v.d})
+    if d:
+        c = math.lcm(*(x.denominator for row in low for v in row for x in (v.a, v.b)))
+        work = [[_zsqrt(_scaled(v.a, c), _scaled(v.b, c), d) for v in row] for row in low]
+    else:
+        c = math.lcm(*(v.a.denominator for row in low for v in row))
+        work = [[_scaled(v.a, c) for v in row] for row in low]
+    prev = _zsqrt(1, 0, d)
     definite = True
-    for j in range(p):
-        pivot = grid[j][j]
-        for k in range(j):
-            pivot = pivot - L[j][k] * L[j][k] * D[k]
-        sign = (pivot > 0) - (pivot < 0)
+    for j, row_j in enumerate(work):
+        pivot = row_j[j]
+        sign = pivot.sign() if d else (pivot > 0) - (pivot < 0)
         if sign < 0:
             raise NonSpdError(f"pivot {j} of the LDL' factorisation is negative")
-        D.append(pivot)
-        for i in range(j + 1, p):
-            acc = grid[i][j]
-            for k in range(j):
-                acc = acc - L[i][k] * L[j][k] * D[k]
-            if sign == 0:
-                if acc:
-                    raise NonSpdError(
-                        f"zero pivot {j} with a nonzero column entry: not PSD"
-                    )
-            else:
-                L[i][j] = acc / pivot
+        below = work[j + 1:]
         if sign == 0:
+            if any(row[j] for row in below):
+                raise NonSpdError(
+                    f"zero pivot {j} with a nonzero column entry: not PSD"
+                )
             definite = False
+            continue
+        for row in below:
+            f = row[j]
+            row[j + 1:] = [(pivot * x - f * work[k][j]) // prev
+                           for k, x in enumerate(row[j + 1:], j + 1)]
+        prev = pivot
     return definite
 
 
@@ -367,26 +368,19 @@ def _dot(xs: Sequence[_RayPoly], ys: Sequence[_RayPoly], d: int) -> _RayPoly:
     return _RayPoly(_trim(a), _trim(b), d)
 
 
-def _scaled(x: Fraction, c: int) -> int:
-    """c * x as an int, for a multiple c of x's denominator."""
-    return x.numerator * (c // x.denominator)
-
-
 def _ray_g_half(G: PolyMatrix, drops: Sequence[int]) -> tuple:
     """What every ray of G shares whatever U: (G's columns and radicands, c_G,
     each term a + b*sqrt(d) at x^e of row i of G as (|e| - drops[i], e, c_G*a,
     c_G*b)), with c_G the lcm of G's denominators."""
     _check_q(G.rows)
-    radicands = {c.d for row in G.entries for p in row for c in p.terms.values() if c.d}
-    c_g = math.lcm(*(x.denominator for row in G.entries for p in row
-                     for c in p.terms.values() for x in (c.a, c.b)))
+    radicands, c_g, int_terms = _integer_terms(G)
     g_terms = []
-    for row, drop in zip(G.entries, drops):
-        low = next((sum(m) for p in row for m in p.terms if sum(m) < drop), None)
+    for row, drop in zip(int_terms, drops):
+        low = next((sum(m) for terms in row for m, _, _ in terms if sum(m) < drop), None)
         if low is not None:
             raise NegativeTDegreeError(f"monomial of degree {low} under block scaling {drop}")
-        g_terms.append([[(sum(mono) - drop, mono, _scaled(c.a, c_g), _scaled(c.b, c_g))
-                         for mono, c in p.terms.items()] for p in row])
+        g_terms.append([[(sum(mono) - drop, mono, a, b) for mono, a, b in terms]
+                        for terms in row])
     return G.cols, radicands, c_g, g_terms
 
 
@@ -397,11 +391,7 @@ def _ray_u_half(g_half: tuple, U: Covariance) -> tuple:
     cols, radicands, c_g, g_terms = g_half
     if cols != U.p:
         raise ValueError(f"G has {cols} columns but U is {U.p} x {U.p}")
-    radicands = radicands | {v.d for row in U.entries for v in row if v.d}
-    if len(radicands) > 1:
-        raise FieldMismatchError("cannot mix " + " and ".join(
-            f"sqrt({d})" for d in sorted(radicands)) + " coefficients")
-    d = radicands.pop() if radicands else 0
+    d = _one_radicand(radicands | {v.d for row in U.entries for v in row if v.d})
     c_u = math.lcm(*(x.denominator for row in U.entries for v in row for x in (v.a, v.b)))
     u_cols = [[_RayPoly(_trim([_scaled(v.a, c_u)]), _trim([_scaled(v.b, c_u)]), d)
                for v in col] for col in zip(*U.entries)]

@@ -7,12 +7,13 @@ an explicit ``random.Random`` so callers control reproducibility.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .polycore import INF_DEGREE, ONE, ZERO, MultiPoly, Scalar, _grlex_key
+from .polycore import (INF_DEGREE, ONE, ZERO, MultiPoly, Scalar, _grlex_key, _one_radicand,
+                       _scaled, _zsqrt)
 
 
 class NullViolatedError(ValueError):
@@ -25,31 +26,30 @@ class RankDeficientError(ValueError):
 
 ScalarMatrix = tuple  # tuple[tuple[Scalar, ...], ...]
 
-#: poly_rank's point coordinates are n/d with |n|, d <= RANK_POINT_RANGE.
+#: poly_rank's point coordinates are integers y_i with |y_i| <= RANK_POINT_RANGE;
+#: a point misses the rank with probability at most deg / (2 * RANK_POINT_RANGE + 1).
 RANK_POINT_RANGE = 10**6
 
 
-def scalar_mat_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank by Gaussian elimination over Q(sqrt(d))."""
-    work = [[Scalar.coerce(v) for v in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if not work[r][col].is_zero()), None)
+def _bareiss_rank(grid: list, one) -> int:
+    """Exact rank of a grid over Z or Z[sqrt(d)] (``one`` the ring's unit) by
+    fraction-free elimination with row pivoting (Bareiss, Math. Comp. 22,
+    1968).  After k pivots every entry below them is a (k+1)-minor of the
+    grid, so the division by the previous pivot is exact.  Consumes grid."""
+    nrows, rank, prev = len(grid), 0, one
+    for col in range(len(grid[0]) if grid else 0):
+        pivot = next((r for r in range(rank, nrows) if grid[r][col]), None)
         if pivot is None:
             continue
-        work[row], work[pivot] = work[pivot], work[row]
-        piv = work[row]
-        for r in range(row + 1, nrows):
-            if work[r][col].is_zero():
-                continue
-            f = work[r][col] / piv[col]
-            work[r] = [a - f * b for a, b in zip(work[r], piv)]
+        grid[rank], grid[pivot] = grid[pivot], grid[rank]
+        top = grid[rank]
+        p = top[col]
+        for row in grid[rank + 1:]:
+            f = row[col]
+            row[col + 1:] = [(p * x - f * t) // prev for x, t in zip(row[col + 1:], top[col + 1:])]
+        prev = p
         rank += 1
-        row += 1
-        if row == nrows:
+        if rank == nrows:
             break
     return rank
 
@@ -284,23 +284,51 @@ def echelonize(G: PolyMatrix) -> EchelonForm:
     )
 
 
+def _integer_terms(M: PolyMatrix) -> tuple[set, int, list]:
+    """M's coefficients read into ints once: (M's radicands, c the lcm of its
+    denominators, each entry's terms a + b*sqrt(d) at x^e as (e, c*a, c*b),
+    row by row)."""
+    coeffs = [[p.terms.items() for p in row] for row in M.entries]
+    radicands = {v.d for row in coeffs for terms in row for _, v in terms if v.d}
+    c = math.lcm(*(x.denominator for row in coeffs for terms in row
+                   for _, v in terms for x in (v.a, v.b)))
+    return radicands, c, [[[(mono, _scaled(v.a, c), _scaled(v.b, c)) for mono, v in terms]
+                           for terms in row] for row in coeffs]
+
+
+def _at_point(terms: list, y: Sequence[int], d: int):
+    """The entry sum (A + sqrt(d) B) y^e over its integer terms (e, A, B)."""
+    a = b = 0
+    for mono, ca, cb in terms:
+        v = math.prod(map(pow, y, mono))
+        a += ca * v
+        b += cb * v
+    return _zsqrt(a, b, d)
+
+
 def poly_rank(M: PolyMatrix, trials: int = 3, rng: random.Random | None = None) -> int:
     """Probabilistic rank of a polynomial matrix.
 
-    Evaluates at up to ``trials`` random rational points (numerators uniform in
-    [-RANK_POINT_RANGE, RANK_POINT_RANGE], denominators in [1, RANK_POINT_RANGE])
-    and takes the maximum exact rank, stopping once it reaches min(rows, cols).
-    By Schwartz-Zippel the result is the true rank except with probability
-    vanishing in the range size.
+    Evaluates at up to ``trials`` random integer points (coordinates uniform
+    in [-RANK_POINT_RANGE, RANK_POINT_RANGE]) and takes the maximum exact
+    rank, stopping once it reaches min(rows, cols).  A point never gives more
+    than the true rank r, and gives less only at a root of a nonzero r x r
+    minor: by Schwartz-Zippel, with probability at most
+    deg / (2 * RANK_POINT_RANGE + 1) per point, deg that minor's total degree.
+    M's coefficients are read into ints once, scaled by the lcm of their
+    denominators (which moves no rank), and each point is ranked by
+    fraction-free elimination in Z or Z[sqrt(d)].
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(0) if rng is None else rng
+    radicands, _, terms = _integer_terms(M)
+    d = _one_radicand(radicands)
     best = 0
     for _ in range(trials):
-        point = [Fraction(rng.randint(-RANK_POINT_RANGE, RANK_POINT_RANGE),
-                          rng.randint(1, RANK_POINT_RANGE)) for _ in range(M.nvars)]
-        best = max(best, scalar_mat_rank(M.evaluate(point)))
+        y = [rng.randint(-RANK_POINT_RANGE, RANK_POINT_RANGE) for _ in range(M.nvars)]
+        grid = [[_at_point(entry, y, d) for entry in row] for row in terms]
+        best = max(best, _bareiss_rank(grid, _zsqrt(1, 0, d)))
         if best == min(M.rows, M.cols):
             break
     return best

@@ -26,7 +26,6 @@ from waldrates.restriction import (
     frald_check,
     jacobian,
     recenter,
-    scalar_mat_rank,
     transform,
 )
 from waldrates.simulate import (
@@ -38,6 +37,8 @@ from waldrates.simulate import (
     wald_statistic,
 )
 from waldrates.systems import linear_system, product_pairs_system, surd_covariance
+
+from oracle import scalar_mat_rank
 
 from pathlib import Path
 

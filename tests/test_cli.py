@@ -1,5 +1,6 @@
 """Spec-file parsing, report serialisation, exit codes, and CLI pipelines."""
 
+import hashlib
 import json
 import random
 import time
@@ -468,6 +469,90 @@ class TestCommands:
             code = exc.code
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().out == ""
+
+
+class TestSurdRank:
+    """``analyze`` on low matrices with surd entries, which rank in Z[sqrt(d)];
+    stdout and the --json digest are those the Fraction-point rank printed."""
+
+    SPECS = {
+        "rank_deficient_sqrt2": (
+            "vars x y z w\ntheta_bar 0 0 1 1\ng sqrt(2)*x*y\ng x*w\ng y*z\nV identity\n",
+            "system: 3 restrictions in 4 parameters (seed 42, rank trials 3)\n"
+            "echelon transformation S (rows):\n"
+            "  [0, 1, 0]\n  [0, 0, 1]\n  [1, 0, 0]\n"
+            "lowest-degree rows of S*G (deviation coordinates):\n"
+            "  deg 0: [1, 0, 0, 0]\n"
+            "  deg 0: [0, 1, 0, 0]\n"
+            "  deg 1: [1*sqrt(2)*y, 1*sqrt(2)*x, 0, 0]\n"
+            "rank of the lowest-degree matrix: r = 2 (q = 3)\n"
+            "FRALD-T: FAILS, r = 2, blocks (2 rows deg 0)(1 row deg 1)\n",
+            "46684ab78e33b5191bad7ae9812f9a3ab29fbc58816d70f9865e5c2739282578"),
+        "sqrt_9999999967": (
+            "vars x y z w\ntheta_bar 0 0 0 0\ng sqrt(9999999967)*x*y + z^2\n"
+            "g x*w - 1/3*y^2\ng y*z + 2*w^3 + x\nV identity\n",
+            "system: 3 restrictions in 4 parameters (seed 42, rank trials 3)\n"
+            "echelon transformation S (rows):\n"
+            "  [0, 0, 1]\n  [1, 0, 0]\n  [0, 1, 0]\n"
+            "lowest-degree rows of S*G (deviation coordinates):\n"
+            "  deg 0: [1, 0, 0, 0]\n"
+            "  deg 1: [1*sqrt(9999999967)*y, 1*sqrt(9999999967)*x, 2*z, 0]\n"
+            "  deg 1: [w, -2/3*y, 0, x]\n"
+            "rank of the lowest-degree matrix: r = 3 (q = 3)\n"
+            "FRALD-T: HOLDS, r = 3, blocks (1 row deg 0)(2 rows deg 1)\n",
+            "8453b3658f39a4072111df007d393955530823dca9a3e383753d5d889cffc60a"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_analyze_output_is_pinned(self, name, tmp_path, monkeypatch, capsys):
+        text, stdout, digest = self.SPECS[name]
+        monkeypatch.chdir(tmp_path)  # the report records the spec path as given
+        write_spec(tmp_path, text)
+        assert main(["analyze", "case.spec", "--json", "report.json"]) == EXIT_OK
+        assert capsys.readouterr().out == stdout
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+
+#: SHA-256 of the --json report of (fixture, seed, command) run from the
+#: repository root on ``fixtures/<name>.spec``; ``rates`` runs with --samples 2.
+REPORT_DIGESTS = {
+    ("linear_q1", 7, "analyze"): "4b54032453ae6a01666aadcf9c07cd79a6783e94333cecf0764e43e36f306f93",
+    ("linear_q1", 7, "rates"): "4d30ac5459833d0435a51d5add7600ca4f49ebe973da0b84c5757a179853220f",
+    ("linear_q1", 11, "analyze"): "6cd256852b81407b28b03991245d06812cf23cecf48b022bf8c1927dd4e166c8",
+    ("linear_q1", 11, "rates"): "72a83aa6bd3813944386a4672e7fdf72049776653d79c712b47a0323f9b50bc9",
+    ("linear_q2", 7, "analyze"): "3b57c1d8d5306302f9c67dad6280228a32c8848ea88bf6ae9bddb2e8c163d895",
+    ("linear_q2", 7, "rates"): "55deef13090772ad36b920493d551b61d0d4bd31f7c6b6dca09080f1fa148e78",
+    ("linear_q2", 11, "analyze"): "481b689d9fa8b58c3eb7e862c16bb2524238ec2047730fe15947f48326c1b8b0",
+    ("linear_q2", 11, "rates"): "e45b4168c727d1888200759d37d95b92b5ba358abcf03fa60deaa06efd25d872",
+    ("product_pairs", 7, "analyze"):
+        "edc5a8dbdf6ba013b815ea06fdb4911abdeefe639be246d36296a98e7fdf32cf",
+    ("product_pairs", 7, "rates"):
+        "af4fe9b55a1be4817817f81aeab1bc3104342a1b5593f9f99b2a076f0e3d1d4a",
+    ("product_pairs", 11, "analyze"):
+        "f4f26dba801cfb00d95c8dd32485857b057d98e1d8be4792fed372b5031cdd80",
+    ("product_pairs", 11, "rates"):
+        "70e257249586a83358fe571f78c0bb4f2f40077eb13a269654b6f575e453e2c1",
+    ("product_pairs_cov98", 7, "analyze"):
+        "09f7fe7bc5419daa9c0814712771ee79b64b873cff7f18097d414b770e849c98",
+    ("product_pairs_cov98", 7, "rates"):
+        "7f7e85da7ace240036f464fde0d2bca34ee4e6a0af39887e7305f92f0c92a2c0",
+    ("product_pairs_cov98", 11, "analyze"):
+        "ca077068d4dc504171f1e0217b62183dae0a46cf529c2d0d47c61daeaff8389b",
+    ("product_pairs_cov98", 11, "rates"):
+        "84e61870997ae0d75828a2861e1b14eb74c5bdb0ba925bf3964e8c4212fbefb3",
+}
+
+
+@pytest.mark.parametrize("name, seed, command", sorted(REPORT_DIGESTS))
+def test_fixture_report_bytes_are_pinned(name, seed, command, tmp_path, monkeypatch, capsys):
+    # a change to any report byte, wanted or not, has to update this pin
+    monkeypatch.chdir(FIXTURES.parent)  # spec_path reads fixtures/<name>.spec
+    out = tmp_path / "report.json"
+    extra = ["--samples", "2"] if command == "rates" else []
+    assert main([command, f"fixtures/{name}.spec", *extra, "--seed", str(seed),
+                 "--json", str(out)]) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == REPORT_DIGESTS[name, seed, command]
 
 
 class TestNegativeControl:

@@ -53,11 +53,12 @@ from waldrates.restriction import (
     echelonize,
     jacobian,
     recenter,
-    scalar_mat_rank,
     transform,
 )
 from waldrates.simulate import symmetric_eigenvalues
 from waldrates.systems import linear_system, product_pairs_system, surd_covariance
+
+from oracle import scalar_ldl_is_definite, scalar_mat_rank
 
 V4 = ["x", "y", "z", "w"]
 
@@ -152,6 +153,56 @@ def _full_ldl_rows(p, rng):
     D = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(p)]
     return [[sum(L[i][k] * D[k] * L[j][k] for k in range(p)) for j in range(p)]
             for i in range(p)]
+
+
+_SURDS = {d: Scalar(0, 1, d) for d in (2, 3)}
+_LDL_PARTS = [Fraction(n, k) for n in range(-3, 4) for k in (1, 2) if n or k == 1]
+_LDL_ENTRIES = {0: [Scalar(a) for a in _LDL_PARTS]}
+_LDL_ENTRIES.update({d: [Scalar(a) + Scalar(b) * root for a in _LDL_PARTS for b in _LDL_PARTS[::2]]
+                     for d, root in _SURDS.items()})
+_LDL_PIVOTS = [Scalar(Fraction(n, k)) for n in range(1, 9) for k in (1, 2, 4)]
+
+
+def _certified(certify, grid):
+    """is_definite, or the NonSpdError text."""
+    try:
+        return certify(grid)
+    except NonSpdError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((0, 2, 3)), st.integers(1, 5),
+       st.sampled_from(("psd", "singular", "indefinite", "zero_pivot", "symmetric")),
+       st.integers(0, 4), st.integers(0, 2**32))
+def test_integer_ldl_matches_the_field_oracle(d, p, kind, k, seed):
+    # V = L D L' with L unit lower-triangular over Q(sqrt(d)): pivots D > 0
+    # (psd), D_k = 0 (singular), D_k < 0 (indefinite), D_k = 0 under a
+    # column made nonzero (zero_pivot); or any symmetric grid
+    rng, k = random.Random(seed), k % p
+    L = [[rng.choice(_LDL_ENTRIES[d]) if j < i else Scalar(int(i == j)) for j in range(p)]
+         for i in range(p)]
+    D = [rng.choice(_LDL_PIVOTS) for _ in range(p)]
+    if kind in ("singular", "zero_pivot"):
+        D[k] = Scalar(0)
+    elif kind == "indefinite":
+        D[k] = -D[k]
+    V = [[sum((L[i][m] * D[m] * L[j][m] for m in range(p)), Scalar(0)) for j in range(p)]
+         for i in range(p)]
+    if kind == "zero_pivot" and k + 1 < p:
+        i = rng.randrange(k + 1, p)
+        V[i][k] = V[k][i] = V[i][k] + rng.choice(_LDL_PIVOTS)
+    elif kind == "symmetric":
+        V = [[rng.choice(_LDL_ENTRIES[d]) for _ in range(p)] for _ in range(p)]
+        V = [[V[max(i, j)][min(i, j)] for j in range(p)] for i in range(p)]
+    want = _certified(scalar_ldl_is_definite, V)
+    assert _certified(lambda grid: Covariance(grid).is_definite, V) == want
+    if kind == "zero_pivot" and k + 1 < p:
+        assert want == f"zero pivot {k} with a nonzero column entry: not PSD"
+    elif kind in ("psd", "singular", "zero_pivot"):
+        assert want is (kind == "psd")
+    elif kind == "indefinite":
+        assert want == f"pivot {k} of the LDL' factorisation is negative"
 
 
 class TestBuildB:

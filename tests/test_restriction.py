@@ -2,10 +2,10 @@
 
 import random
 from fractions import Fraction
-from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from waldrates.polycore import MultiPoly, Scalar, parse_polynomial
@@ -14,16 +14,18 @@ from waldrates.restriction import (
     PolyMatrix,
     RankDeficientError,
     RestrictionSystem,
+    _bareiss_rank,
     echelonize,
     frald_check,
     jacobian,
     RANK_POINT_RANGE,
     poly_rank,
     recenter,
-    scalar_mat_rank,
     transform,
 )
 from waldrates.systems import linear_system, product_pairs_system
+
+from oracle import scalar_mat_rank
 
 V4 = ["x", "y", "z", "w"]
 
@@ -216,6 +218,18 @@ class TestEchelonize:
             assert echelonize(shuffled).blocks == reference
 
 
+class _CountingRandom(random.Random):
+    """A seeded stream that counts the integers drawn from it."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return super().randint(a, b)
+
+
 class TestPolyRank:
     def test_dependent_polynomial_rows(self):
         M = poly_matrix([["y", "0"], ["y^2", "0"]], ["x", "y"])
@@ -232,17 +246,15 @@ class TestPolyRank:
     def test_full_rank_stops_after_one_point(self):
         # rank 2 of a 2 x 3 matrix is the largest there is: no later point can raise it
         M = poly_matrix([["1", "x", "y"], ["y", "1", "0"]], ["x", "y"])
-        with patch.object(PolyMatrix, "evaluate", autospec=True,
-                          side_effect=PolyMatrix.evaluate) as evaluate:
-            assert poly_rank(M, trials=3, rng=random.Random(0)) == 2
-        assert evaluate.call_count == 1
+        rng = _CountingRandom(0)
+        assert poly_rank(M, trials=3, rng=rng) == 2
+        assert rng.draws / M.nvars == 1  # points drawn
 
     def test_rank_deficient_uses_every_point(self):
         M = poly_matrix([["y", "0"], ["y^2", "0"]], ["x", "y"])
-        with patch.object(PolyMatrix, "evaluate", autospec=True,
-                          side_effect=PolyMatrix.evaluate) as evaluate:
-            assert poly_rank(M, trials=3, rng=random.Random(0)) == 1
-        assert evaluate.call_count == 3
+        rng = _CountingRandom(0)
+        assert poly_rank(M, trials=3, rng=rng) == 1
+        assert rng.draws / M.nvars == 3  # points drawn
 
     def test_invariant_under_nondegenerate_transform(self):
         ech = echelonize(jacobian(recenter(product_pairs_system())))
@@ -316,13 +328,112 @@ _entries = st.sampled_from(["0", "1", "x", "y", "x*y", "x^2 - y", "2*x + 3*y", "
 @given(st.integers(1, 3), st.integers(1, 3), st.data(), st.integers(1, 4),
        st.integers(0, 2**32))
 def test_poly_rank_is_the_maximum_over_its_draws(rows, cols, data, trials, seed):
-    # every point is drawn as before; stopping at full rank leaves the maximum
+    # the integer points poly_rank draws, in its order; stopping at full rank
+    # leaves the maximum of the oracle's ranks there
     M = poly_matrix([[data.draw(_entries) for _ in range(cols)] for _ in range(rows)],
                     ["x", "y"])
     draws = random.Random(seed)
     best = 0
     for _ in range(trials):
-        point = [Fraction(draws.randint(-RANK_POINT_RANGE, RANK_POINT_RANGE),
-                          draws.randint(1, RANK_POINT_RANGE)) for _ in range(2)]
+        point = [draws.randint(-RANK_POINT_RANGE, RANK_POINT_RANGE) for _ in range(2)]
         best = max(best, scalar_mat_rank(M.evaluate(point)))
     assert poly_rank(M, trials=trials, rng=random.Random(seed)) == best
+
+
+# -- the integer rank against the Q(sqrt(d)) oracle ---------------------------
+
+_RADICANDS = (0, 2, 3, 9999999967)
+_ROOTS = {d: Scalar(0, 1, d) for d in _RADICANDS[1:]}  # built once: 9999999967 is slow to check
+
+
+def _field(d):
+    """Scalars a + b*sqrt(d) for small a, b, about one in four of them zero."""
+    parts = [Fraction(n, k) for n in range(-3, 4) for k in (1, 2, 3) if n or k == 1]
+    pool = [Scalar(a) + (Scalar(b) * _ROOTS[d] if d else Scalar(b))
+            for a in parts for b in parts[::3]]
+    return st.sampled_from(pool + [Scalar(0)] * (len(pool) // 3))
+
+
+_FIELDS = {d: _field(d) for d in _RADICANDS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_RADICANDS), st.integers(1, 6), st.integers(1, 6), st.integers(1, 5),
+       st.data())
+def test_rank_of_planted_constant_matrices_matches_oracle(d, rows, cols, r, data):
+    # (rows x r) @ (r x cols) has rank at most r; a constant matrix takes the
+    # same value at every point, so poly_rank ranks exactly this grid.  Up to
+    # six rows: a wrong divisor at pivot k shows only through pivot k + 1
+    flat = data.draw(st.lists(_FIELDS[d], min_size=r * (rows + cols), max_size=r * (rows + cols)))
+    A = [flat[i * r:(i + 1) * r] for i in range(rows)]
+    B = [flat[r * rows + i * cols:r * rows + (i + 1) * cols] for i in range(r)]
+    grid = [[sum((a * b for a, b in zip(row, col)), Scalar(0)) for col in zip(*B)] for row in A]
+    M = PolyMatrix([[MultiPoly.constant(v, 1) for v in row] for row in grid])
+    want = scalar_mat_rank(grid)
+    assert want <= r
+    assert poly_rank(M, trials=1, rng=random.Random(0)) == want
+
+
+_SURD_ENTRIES = {d: [MultiPoly.zero(2), poly("1", ["x", "y"]), poly("x", ["x", "y"]),
+                     poly("y", ["x", "y"])]
+                 + [poly(text, ["x", "y"]) + poly("x*y", ["x", "y"]).scale(_ROOTS[d])
+                    for text in ("0", "x", "1/2*y^2 - x")]
+                 + [poly("x - y", ["x", "y"]).scale(_ROOTS[d] + Scalar(2, 0))]
+                 for d in _RADICANDS[1:]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_RADICANDS[1:]), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+       st.integers(1, 3), st.integers(0, 2**32), st.data())
+def test_poly_rank_matches_oracle_at_its_surd_points(d, rows, cols, r, trials, seed, data):
+    # a planted rank in Q(sqrt(d))[x, y], ranked at the integer points
+    # poly_rank draws, in its order, by the field elimination
+    entry = st.sampled_from(_SURD_ENTRIES[d])
+    A = PolyMatrix([[data.draw(entry) for _ in range(r)] for _ in range(rows)])
+    B = PolyMatrix([[data.draw(entry) for _ in range(cols)] for _ in range(r)])
+    M = A @ B
+    draws = random.Random(seed)
+    best = 0
+    for _ in range(trials):
+        point = [draws.randint(-RANK_POINT_RANGE, RANK_POINT_RANGE) for _ in range(2)]
+        best = max(best, scalar_mat_rank(M.evaluate(point)))
+    assert best <= r
+    assert poly_rank(M, trials=trials, rng=random.Random(seed)) == best
+
+
+class _Logged:
+    """An int under fraction-free elimination: each quotient must be exact,
+    and is logged."""
+
+    def __init__(self, value, log):
+        self.value, self.log = value, log
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __mul__(self, other):
+        return _Logged(self.value * other.value, self.log)
+
+    def __sub__(self, other):
+        return _Logged(self.value - other.value, self.log)
+
+    def __floordiv__(self, other):
+        quotient, rest = divmod(self.value, other.value)
+        assert rest == 0, "inexact division"
+        self.log.append(quotient)
+        return _Logged(quotient, self.log)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_bareiss_divides_exactly_down_to_the_determinant(rows):
+    # Bareiss's last entry of a nonsingular square grid is its determinant up
+    # to the sign of the row swaps; dividing by any other pivot breaks that
+    det = sympy.Matrix(rows).det()
+    assume(det != 0)
+    log = []
+    grid = [[_Logged(x, log) for x in row] for row in rows]
+    assert _bareiss_rank(grid, _Logged(1, log)) == len(rows)
+    assert abs(log[-1]) == abs(det)
