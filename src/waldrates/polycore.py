@@ -223,10 +223,12 @@ class Scalar:
     # -- rendering ---------------------------------------------------------
 
     def to_text(self) -> str:
-        """Render in the scalar grammar, e.g. ``7/10*sqrt(2)`` or ``-1/3``."""
+        """Render in the scalar grammar, e.g. ``7/10*sqrt(2)``, ``1-sqrt(2)``
+        or ``-1/3``; a unit surd coefficient is written without ``1*``."""
         if self.b == 0:
             return _fraction_text(self.a)
-        surd = f"{_fraction_text(self.b)}*sqrt({self.d})"
+        coeff = {1: "", -1: "-"}.get(self.b, f"{_fraction_text(self.b)}*")
+        surd = f"{coeff}sqrt({self.d})"
         if self.a == 0:
             return surd
         sep = "+" if self.b > 0 else ""
@@ -297,6 +299,9 @@ class _ZSqrt:
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
+
+    def __add__(self, other: _ZSqrt) -> _ZSqrt:
+        return _ZSqrt(self.a + other.a, self.b + other.b, self.d)
 
     def __sub__(self, other: _ZSqrt) -> _ZSqrt:
         return _ZSqrt(self.a - other.a, self.b - other.b, self.d)

@@ -16,8 +16,10 @@ deg / (2 * RAY_RANGE + 1) per ray); the reported degree is the minimum over
 RAYS independent rays.  On a ray the charpoly is taken with plain integers.
 G's coefficients are read once and scaled by their common denominator, and U
 by its own, which moves no degree; each ray entry is then an integer sum of
-A*y^e in Z[sqrt(d)][t], and the memoised Laplace expansion of
-``charpoly_coeffs`` runs on these.  ``verify`` checks that integer kernel
+A*y^e in Z[sqrt(d)][t].  Each entry is packed into one value by setting
+t = 2^K, with K large enough that every coefficient of the result reads back
+from its base-2^K digits, and Berkowitz's division-free algorithm takes the
+charpoly of the packed matrix.  ``verify`` checks that integer kernel
 against Jacobi eigenvalues; ``charpoly_coeffs`` on G(x) is the tests' oracle.
 
 Sign convention: the coefficients are those of det(lambda I - B), i.e.
@@ -33,10 +35,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .polycore import (INF_DEGREE, MultiPoly, Scalar, _one_radicand, _rational, _scaled,
-                       _surd, _zsqrt)
+                       _surd, _ZSqrt, _zsqrt)
 from .restriction import EchelonForm, PolyMatrix, RestrictionSystem, _integer_terms, frald_check
 
 #: Principal-minor enumeration is exponential; stay exact and small.
@@ -283,89 +286,68 @@ def charpoly_coeffs(B: PolyMatrix) -> CharPolyCoeffs:
     return CharPolyCoeffs(a=tuple(a), m=tuple(p.lowest_degree() for p in a))
 
 
-# -- Z[sqrt(d)][t]: the ring of the ray charpolys ----------------------------
+# -- the ray charpoly on packed integers --------------------------------------
 #
-# A ray entry is A(t) + sqrt(d) * B(t) with A, B dense lists of ints indexed by
-# t-degree and trimmed of trailing zeros.  A t^j coefficient is zero only when
-# both of its ints are, because sqrt(d) is irrational for the square-free d > 1
-# that Scalar admits; d = 0 keeps every B empty.
+# A ray entry is a polynomial in t over Z[sqrt(d)].  Setting t = 2^K is a ring
+# homomorphism onto Z[sqrt(d)], so B and its charpoly are formed exactly on
+# single values: ints, or _ZSqrt pairs of them when d > 0.  When every t^j
+# coefficient c_j is below 2^(K-1) in magnitude, the c_j are the balanced
+# base-2^K digits of the value; ``_ray_charpoly`` takes K from a bound that
+# ensures it.  a_j + b_j sqrt(d) is zero only when a_j = b_j = 0, because
+# sqrt(d) is irrational for the square-free d > 1 that Scalar admits.
 
 
-def _trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
+def _pack(coeffs: Sequence[int], K: int) -> int:
+    """sum_j coeffs[j] * 2^(K j): the polynomial's value at t = 2^K."""
+    return sum(x << K * j for j, x in enumerate(coeffs))
 
 
-def _add(f: list, g: list) -> list:
-    if len(f) < len(g):
-        f, g = g, f
-    out = f[:]
-    for i, x in enumerate(g):
-        out[i] += x
-    return _trim(out) if len(f) == len(g) else out
+def _digits(x: int, K: int) -> list[int]:
+    """The balanced base-2^K digits of x, lowest first."""
+    out, half = [], 1 << (K - 1)
+    while x:
+        out.append((x + half) % (2 * half) - half)
+        x = (x - out[-1]) >> K
+    return out
 
 
-def _sub(f: list, g: list) -> list:
-    out = f + [0] * (len(g) - len(f))
-    for i, x in enumerate(g):
-        out[i] -= x
-    return _trim(out)
+def _parts(v) -> tuple:
+    """(a, b, d) of a packed value a + b*sqrt(d): an int (d = 0) or a _ZSqrt."""
+    return (v.a, v.b, v.d) if isinstance(v, _ZSqrt) else (v, 0, 0)
 
 
-def _mul_into(out: list, f: list, g: list, scale: int = 1) -> None:
-    """out += scale * f * g, growing out as needed (it may end in zeros)."""
-    if not f or not g:
-        return
-    if len(out) < len(f) + len(g) - 1:
-        out.extend([0] * (len(f) + len(g) - 1 - len(out)))
-    for j, gj in enumerate(g):
-        if gj:
-            gj *= scale
-            for i, fi in enumerate(f, j):
-                out[i] += fi * gj
+def _low_degree(v, K: int) -> int | float:
+    """Lowest t-degree of a packed value, INF_DEGREE for zero: its lowest
+    nonzero digit is below 2^(K-1), so the lowest set bit of a | b is in its slot."""
+    a, b, _ = _parts(v)
+    low = a | b
+    return ((low & -low).bit_length() - 1) // K if low else INF_DEGREE
 
 
-class _RayPoly:
-    """An entry A(t) + sqrt(d) * B(t) of Z[sqrt(d)][t]; see above."""
+def _berkowitz(B: Sequence[Sequence], zero, one) -> list:
+    """c_1..c_q of det(lambda I - B) = lambda^q + c_1 lambda^(q-1) + ... + c_q
+    for a symmetric B, division-free, so it runs in Z and Z[sqrt(d)]
+    (S. J. Berkowitz, Inf. Process. Lett. 18(3), 1984).
 
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: list, b: list, d: int):
-        self.a, self.b, self.d = a, b, d
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
-
-    def __add__(self, other: _RayPoly) -> _RayPoly:
-        b = _add(self.b, other.b) if self.b or other.b else []
-        return _RayPoly(_add(self.a, other.a), b, self.d)
-
-    def __sub__(self, other: _RayPoly) -> _RayPoly:
-        b = _sub(self.b, other.b) if self.b or other.b else []
-        return _RayPoly(_sub(self.a, other.a), b, self.d)
-
-    def __mul__(self, other: _RayPoly) -> _RayPoly:
-        return _dot((self,), (other,), self.d)
-
-    def lowest_degree(self) -> int | float:
-        for j, (x, y) in enumerate(itertools.zip_longest(self.a, self.b, fillvalue=0)):
-            if x or y:
-                return j
-        return INF_DEGREE
-
-
-def _dot(xs: Sequence[_RayPoly], ys: Sequence[_RayPoly], d: int) -> _RayPoly:
-    """sum_k xs[k] * ys[k], accumulated in one pair of lists."""
-    a: list = []
-    b: list = []
-    for x, y in zip(xs, ys):
-        _mul_into(a, x.a, y.a)
-        if x.b or y.b:
-            _mul_into(a, x.b, y.b, d)
-            _mul_into(b, x.a, y.b)
-            _mul_into(b, x.b, y.a)
-    return _RayPoly(_trim(a), _trim(b), d)
+    The charpoly of the leading (r+1) x (r+1) block is T_r times that of the
+    leading r x r block A_r, with T_r lower-triangular Toeplitz of first column
+    (1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C), where a = B[r][r] and R and
+    C are row r and column r of B left of and above the diagonal.  B is
+    symmetric, so R = C' and R A_r^m C = w_i . w_j for w_i = A_r^i C and any
+    i + j = m: half the matrix-vector products suffice.
+    """
+    cs = [one]
+    for r, row in enumerate(B):
+        ws = [row[:r]]  # w_0 = C
+        col = [row[r]]  # a, R C, R A_r C, ...: T_r's first column, negated
+        for m in range(r):
+            i, j = m // 2, (m + 1) // 2
+            if j == len(ws):
+                ws.append([sum(map(mul, B[k], ws[-1]), zero) for k in range(r)])
+            col.append(sum(map(mul, ws[i], ws[j]), zero))
+        cs = [one] + [x - sum(map(mul, col[i::-1], cs), zero)
+                      for i, x in enumerate(cs[1:] + [zero])]
+    return cs[1:]
 
 
 def _ray_g_half(G: PolyMatrix, drops: Sequence[int]) -> tuple:
@@ -385,17 +367,20 @@ def _ray_g_half(G: PolyMatrix, drops: Sequence[int]) -> tuple:
 
 
 def _ray_u_half(g_half: tuple, U: Covariance) -> tuple:
-    """The ring of one (G, U, drops) set-up from its G half: (d, G's integer
-    terms, the columns of c_U * U as _RayPoly entries, c = c_G^2 c_U, the
-    ring's one), with d the one radicand and c_U the lcm of U's denominators."""
+    """The ring of one (G, U, drops) set-up from its G half: (d, s, G's integer
+    terms, the columns of c_U * U as ints or _ZSqrt, mu, c = c_G^2 c_U), with
+    d the one radicand, c_U the lcm of U's denominators, s = isqrt(d) + 1 and
+    mu the largest N(a + b sqrt(d)) = |a| + s|b| over the entries of c_U * U."""
     cols, radicands, c_g, g_terms = g_half
     if cols != U.p:
         raise ValueError(f"G has {cols} columns but U is {U.p} x {U.p}")
     d = _one_radicand(radicands | {v.d for row in U.entries for v in row if v.d})
+    s = math.isqrt(d) + 1
     c_u = math.lcm(*(x.denominator for row in U.entries for v in row for x in (v.a, v.b)))
-    u_cols = [[_RayPoly(_trim([_scaled(v.a, c_u)]), _trim([_scaled(v.b, c_u)]), d)
-               for v in col] for col in zip(*U.entries)]
-    return d, g_terms, u_cols, c_g * c_g * c_u, _RayPoly([1], [], d)
+    u_cols = [[_zsqrt(_scaled(v.a, c_u), _scaled(v.b, c_u), d) for v in col]
+              for col in zip(*U.entries)]
+    mu = max(abs(a) + s * abs(b) for col in u_cols for a, b, _ in map(_parts, col))
+    return d, s, g_terms, u_cols, mu, c_g * c_g * c_u
 
 
 def _ray_ring(G: PolyMatrix, U: Covariance, drops: Sequence[int]) -> tuple:
@@ -403,48 +388,63 @@ def _ray_ring(G: PolyMatrix, U: Covariance, drops: Sequence[int]) -> tuple:
     return _ray_u_half(_ray_g_half(G, drops), U)
 
 
-def _on_ray(terms: list, y: Sequence[int], d: int) -> _RayPoly:
-    """The ray entry sum (A + sqrt(d) B) y^e t^j over the terms (j, e, A, B)."""
+def _on_ray(terms: list, y: Sequence[int]) -> tuple[list, list]:
+    """The ray entry's t-coefficients, sum A y^e and sum B y^e at each t^j over
+    the terms (j, e, A, B), as two dense lists."""
     a = [0] * (max((j for j, *_ in terms), default=-1) + 1)
     b = a[:]
     for j, mono, ca, cb in terms:
         v = math.prod(map(pow, y, mono))
         a[j] += ca * v
         b[j] += cb * v
-    return _RayPoly(_trim(a), _trim(b), d)
+    return a, b
 
 
-def _ray_charpoly(ring: tuple, y: Sequence[int]) -> tuple[list[_RayPoly], int]:
-    """Principal-minor sums e_1..e_q of the scaled ray matrix, and the scale.
+def _ray_charpoly(ring: tuple, y: Sequence[int]) -> tuple[tuple[int, list], int]:
+    """The charpoly coefficients c_1..c_q of the scaled ray matrix packed at
+    t = 2^K, as (K, [c_1(2^K), ..., c_q(2^K)]), and the scale c.
 
     Row i of G is restricted to x = t*y and divided by t^{drops[i]}.  The
     matrix formed is c * B(t) for B = G U G' on the ray and the c of
-    ``_ray_ring``, so a_k(B(t)) = (-1)^k e_k(t) / c^k.
+    ``_ray_ring``, so a_k(B(t)) = c_k(t) / c^k.
+
+    K comes from a bound on every t-coefficient of every c_k.  Size a ray
+    entry by the sum of N (``_ray_u_half``) over its t-coefficients; N is
+    submultiplicative because s^2 > d, so the sum is too.  With gamma the
+    largest size of a ray entry of G, an entry of c B, a sum of p^2 products
+    G c_U U G', has size at most p^2 gamma^2 mu; c_k sums C(q, k) k! <= q^k
+    products of k entries, so its coefficients are at most (q p^2 gamma^2
+    mu)^k <= (q p^2 gamma^2 mu)^q < 2^(K-1) in magnitude.
     """
-    d, g_terms, u_cols, c, one = ring
-    g_rows = [[_on_ray(terms, y, d) for terms in row] for row in g_terms]
-    gu_rows = [[_dot(g_row, u_col, d) for u_col in u_cols] for g_row in g_rows]
-    B = [[None] * len(g_rows) for _ in g_rows]
+    d, s, g_terms, u_cols, mu, c = ring
+    coeffs = [[_on_ray(terms, y) for terms in row] for row in g_terms]
+    gamma = max(sum(map(abs, a)) + s * sum(map(abs, b)) for row in coeffs for a, b in row)
+    q, p = len(coeffs), len(u_cols)
+    K = ((q * p * p * gamma * gamma * mu) ** q).bit_length() + 1
+    zero, one = _zsqrt(0, 0, d), _zsqrt(1, 0, d)
+    g_rows = [[_zsqrt(_pack(a, K), _pack(b, K), d) for a, b in row] for row in coeffs]
+    gu_rows = [[sum(map(mul, g_row, u_col), zero) for u_col in u_cols] for g_row in g_rows]
+    B = [[zero] * q for _ in range(q)]
     for i, gu_row in enumerate(gu_rows):
-        for j in range(i, len(B)):
-            B[i][j] = B[j][i] = _dot(gu_row, g_rows[j], d)
-    memo: dict = {}
-    sums = [_minor_sum(B, k, memo, one) for k in range(1, len(B) + 1)]
-    return sums, c
+        for j in range(i, q):
+            B[i][j] = B[j][i] = sum(map(mul, gu_row, g_rows[j]), zero)
+    return (K, _berkowitz(B, zero, one)), c
 
 
-def _ray_coeffs_at(sums: Sequence[_RayPoly], c: int, t0: Fraction) -> list[Scalar]:
-    """a_1..a_q of B(t0) exactly: (-1)^k e_k(t0) / c^k from the sums e_k and
-    the scale c that ``_ray_charpoly`` returns."""
+def _ray_coeffs_at(sums: tuple[int, list], c: int, t0: Fraction) -> list[Scalar]:
+    """a_1..a_q of B(t0) exactly: c_k(t0) / c^k from the packed charpoly
+    (K, [c_k(2^K)]) and the scale c that ``_ray_charpoly`` returns."""
+    K, packed = sums
     out = []
-    for k, s in enumerate(sums, 1):
+    for k, v in enumerate(packed, 1):
+        a, b, d = _parts(v)
         parts = []
-        for coeffs in (s.a, s.b):
-            num, den = 0, 1  # Horner in ints: e(t0) = num / den
-            for x in reversed(coeffs):
-                num, den = num * t0.numerator + x * den * t0.denominator, den * t0.denominator
-            parts.append(Fraction((-1) ** k * num, den * c**k))
-        out.append(_surd(*parts, s.d))
+        for x in (a, b):
+            num, den = 0, 1  # Horner in ints over the digits: c_k(t0) = num / den
+            for digit in reversed(_digits(x, K)):
+                num, den = num * t0.numerator + digit * den * t0.denominator, den * t0.denominator
+            parts.append(Fraction(num, den * c**k))
+        out.append(_surd(*parts, d))
     return out
 
 
@@ -474,8 +474,8 @@ def _lowest_on_rays(G: PolyMatrix, rings, rays: random.Random) -> tuple:
     best = [INF_DEGREE] * G.rows
     for ring in rings:
         y = [rays.randint(-RAY_RANGE, RAY_RANGE) for _ in range(G.nvars)]
-        sums, _ = _ray_charpoly(ring, y)
-        best = list(map(min, best, (s.lowest_degree() for s in sums)))
+        (K, packed), _ = _ray_charpoly(ring, y)
+        best = list(map(min, best, (_low_degree(v, K) for v in packed)))
     return tuple(best)
 
 

@@ -1,11 +1,19 @@
-"""Test-only oracles: exact elimination over Q(sqrt(d)) on Fractions and Scalars.
+"""Test-only oracles: exact elimination over Q(sqrt(d)) on Fractions and Scalars,
+and the ray charpoly on coefficient lists.
 
 The program ranks and certifies with fraction-free elimination on ints; these
 are the field versions it replaced, one Fraction or Scalar operation at a time.
+It takes the ray charpoly by Berkowitz on values packed at t = 2^K; the list
+ring below is the one it replaced, with the memoised Laplace expansion of the
+principal minors, one coefficient at a time.
 """
 
-from waldrates.polycore import Scalar
-from waldrates.rates import NonSpdError
+import itertools
+import math
+from fractions import Fraction
+
+from waldrates.polycore import INF_DEGREE, Scalar, _one_radicand, _scaled, _surd
+from waldrates.rates import NonSpdError, _minor_sum, _ray_g_half
 
 
 def scalar_mat_rank(rows):
@@ -66,3 +74,133 @@ def scalar_ldl_is_definite(grid):
         if sign == 0:
             definite = False
     return definite
+
+
+# -- Z[sqrt(d)][t] on dense coefficient lists ----------------------------------
+#
+# A ray entry is A(t) + sqrt(d) * B(t) with A, B dense lists of ints indexed by
+# t-degree and trimmed of trailing zeros.  A t^j coefficient is zero only when
+# both of its ints are, because sqrt(d) is irrational for the square-free d > 1
+# that Scalar admits; d = 0 keeps every B empty.
+
+
+def _trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _add(f: list, g: list) -> list:
+    if len(f) < len(g):
+        f, g = g, f
+    out = f[:]
+    for i, x in enumerate(g):
+        out[i] += x
+    return _trim(out) if len(f) == len(g) else out
+
+
+def _sub(f: list, g: list) -> list:
+    out = f + [0] * (len(g) - len(f))
+    for i, x in enumerate(g):
+        out[i] -= x
+    return _trim(out)
+
+
+def _mul_into(out: list, f: list, g: list, scale: int = 1) -> None:
+    """out += scale * f * g, growing out as needed (it may end in zeros)."""
+    if not f or not g:
+        return
+    if len(out) < len(f) + len(g) - 1:
+        out.extend([0] * (len(f) + len(g) - 1 - len(out)))
+    for j, gj in enumerate(g):
+        if gj:
+            gj *= scale
+            for i, fi in enumerate(f, j):
+                out[i] += fi * gj
+
+
+class RayPoly:
+    """An entry A(t) + sqrt(d) * B(t) of Z[sqrt(d)][t]; see above."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: list, b: list, d: int):
+        self.a, self.b, self.d = a, b, d
+
+    def is_zero(self) -> bool:
+        return not self.a and not self.b
+
+    def __add__(self, other):
+        b = _add(self.b, other.b) if self.b or other.b else []
+        return RayPoly(_add(self.a, other.a), b, self.d)
+
+    def __sub__(self, other):
+        b = _sub(self.b, other.b) if self.b or other.b else []
+        return RayPoly(_sub(self.a, other.a), b, self.d)
+
+    def __mul__(self, other):
+        return _dot((self,), (other,), self.d)
+
+    def lowest_degree(self):
+        for j, (x, y) in enumerate(itertools.zip_longest(self.a, self.b, fillvalue=0)):
+            if x or y:
+                return j
+        return INF_DEGREE
+
+
+def _dot(xs, ys, d: int) -> RayPoly:
+    """sum_k xs[k] * ys[k], accumulated in one pair of lists."""
+    a: list = []
+    b: list = []
+    for x, y in zip(xs, ys):
+        _mul_into(a, x.a, y.a)
+        if x.b or y.b:
+            _mul_into(a, x.b, y.b, d)
+            _mul_into(b, x.a, y.b)
+            _mul_into(b, x.b, y.a)
+    return RayPoly(_trim(a), _trim(b), d)
+
+
+def _on_ray(terms: list, y, d: int) -> RayPoly:
+    """The ray entry sum (A + sqrt(d) B) y^e t^j over the terms (j, e, A, B)."""
+    a = [0] * (max((j for j, *_ in terms), default=-1) + 1)
+    b = a[:]
+    for j, mono, ca, cb in terms:
+        v = math.prod(map(pow, y, mono))
+        a[j] += ca * v
+        b[j] += cb * v
+    return RayPoly(_trim(a), _trim(b), d)
+
+
+def ray_charpoly(G, U, drops, y) -> tuple[list, int]:
+    """Principal-minor sums e_1..e_q of c * B(t) on the ray x = t*y, row i of
+    G divided by t^{drops[i]}, as RayPoly entries, and the scale c = c_G^2 c_U,
+    so that a_k(B(t)) = (-1)^k e_k(t) / c^k."""
+    _, radicands, c_g, g_terms = _ray_g_half(G, drops)
+    d = _one_radicand(radicands | {v.d for row in U.entries for v in row if v.d})
+    c_u = math.lcm(*(x.denominator for row in U.entries for v in row for x in (v.a, v.b)))
+    u_cols = [[RayPoly(_trim([_scaled(v.a, c_u)]), _trim([_scaled(v.b, c_u)]), d)
+               for v in col] for col in zip(*U.entries)]
+    g_rows = [[_on_ray(terms, y, d) for terms in row] for row in g_terms]
+    gu_rows = [[_dot(g_row, u_col, d) for u_col in u_cols] for g_row in g_rows]
+    B = [[None] * len(g_rows) for _ in g_rows]
+    for i, gu_row in enumerate(gu_rows):
+        for j in range(i, len(B)):
+            B[i][j] = B[j][i] = _dot(gu_row, g_rows[j], d)
+    memo: dict = {}
+    one = RayPoly([1], [], d)
+    return [_minor_sum(B, k, memo, one) for k in range(1, len(B) + 1)], c_g * c_g * c_u
+
+
+def ray_coeffs_at(sums, c: int, t0: Fraction) -> list:
+    """a_1..a_q of B(t0) exactly: (-1)^k e_k(t0) / c^k from ``ray_charpoly``."""
+    out = []
+    for k, s in enumerate(sums, 1):
+        parts = []
+        for coeffs in (s.a, s.b):
+            num, den = 0, 1  # Horner in ints: e(t0) = num / den
+            for x in reversed(coeffs):
+                num, den = num * t0.numerator + x * den * t0.denominator, den * t0.denominator
+            parts.append(Fraction((-1) ** k * num, den * c**k))
+        out.append(_surd(*parts, s.d))
+    return out

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -26,8 +27,9 @@ from waldrates.cli import (
     scalar_to_json,
     spec_to_text,
 )
-from waldrates.polycore import MAX_LITERAL_DIGITS, MAX_RADICAND, Scalar, parse_polynomial
-from waldrates.rates import Covariance, NonSpdError, _RayPoly
+from waldrates.polycore import (MAX_LITERAL_DIGITS, MAX_RADICAND, Scalar, _zsqrt,
+                                parse_polynomial)
+from waldrates.rates import Covariance, NonSpdError, _parts, _ray_coeffs_at
 from waldrates.restriction import RestrictionSystem
 from waldrates.systems import product_pairs_system, surd_covariance
 
@@ -473,7 +475,8 @@ class TestCommands:
 
 class TestSurdRank:
     """``analyze`` on low matrices with surd entries, which rank in Z[sqrt(d)];
-    stdout and the --json digest are those the Fraction-point rank printed."""
+    stdout and the --json digest are those the Fraction-point rank printed,
+    but for the unit surd coefficients, written `sqrt(d)` without `1*`."""
 
     SPECS = {
         "rank_deficient_sqrt2": (
@@ -484,10 +487,10 @@ class TestSurdRank:
             "lowest-degree rows of S*G (deviation coordinates):\n"
             "  deg 0: [1, 0, 0, 0]\n"
             "  deg 0: [0, 1, 0, 0]\n"
-            "  deg 1: [1*sqrt(2)*y, 1*sqrt(2)*x, 0, 0]\n"
+            "  deg 1: [sqrt(2)*y, sqrt(2)*x, 0, 0]\n"
             "rank of the lowest-degree matrix: r = 2 (q = 3)\n"
             "FRALD-T: FAILS, r = 2, blocks (2 rows deg 0)(1 row deg 1)\n",
-            "46684ab78e33b5191bad7ae9812f9a3ab29fbc58816d70f9865e5c2739282578"),
+            "8e0e255148bdfe435732ac748dc673468fdc457018130278198ba87abe14b4b6"),
         "sqrt_9999999967": (
             "vars x y z w\ntheta_bar 0 0 0 0\ng sqrt(9999999967)*x*y + z^2\n"
             "g x*w - 1/3*y^2\ng y*z + 2*w^3 + x\nV identity\n",
@@ -496,11 +499,11 @@ class TestSurdRank:
             "  [0, 0, 1]\n  [1, 0, 0]\n  [0, 1, 0]\n"
             "lowest-degree rows of S*G (deviation coordinates):\n"
             "  deg 0: [1, 0, 0, 0]\n"
-            "  deg 1: [1*sqrt(9999999967)*y, 1*sqrt(9999999967)*x, 2*z, 0]\n"
+            "  deg 1: [sqrt(9999999967)*y, sqrt(9999999967)*x, 2*z, 0]\n"
             "  deg 1: [w, -2/3*y, 0, x]\n"
             "rank of the lowest-degree matrix: r = 3 (q = 3)\n"
             "FRALD-T: HOLDS, r = 3, blocks (1 row deg 0)(2 rows deg 1)\n",
-            "8453b3658f39a4072111df007d393955530823dca9a3e383753d5d889cffc60a"),
+            "7fa2edefe2b6d51c03234b8c761165ff8d9a780a5108962042a90dffdfe507a0"),
     }
 
     @pytest.mark.parametrize("name", sorted(SPECS))
@@ -560,15 +563,19 @@ class TestNegativeControl:
 
     @staticmethod
     def _shift_a_k(monkeypatch, k):
-        # a_k = (-1)^k e_k(t0) / c^k, so adding (-1)^k c^k to e_k's constant
-        # term shifts a_k by exactly +1
+        # a_k = c_k(t0) / c^k, so adding c^k to c_k's constant term, the lowest
+        # digit of its value packed at t = 2^K, shifts a_k by exactly +1
         kernel = verify._ray_charpoly
 
         def corrupted(*args):
-            sums, c = kernel(*args)
-            shift = _RayPoly([(-1) ** k * c**k], [], sums[k - 1].d)
-            sums[k - 1] = sums[k - 1] + shift
-            return sums, c
+            (K, packed), c = kernel(*args)
+            shifted = packed[:]
+            shifted[k - 1] = packed[k - 1] + _zsqrt(c**k, 0, _parts(packed[k - 1])[2])
+            t0 = Fraction(1, 100)
+            want = _ray_coeffs_at((K, packed), c, t0)
+            want[k - 1] += 1
+            assert _ray_coeffs_at((K, shifted), c, t0) == want
+            return (K, shifted), c
 
         monkeypatch.setattr(verify, "_ray_charpoly", corrupted)
 

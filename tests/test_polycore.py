@@ -555,6 +555,17 @@ def test_parse_scalar_reads_literals_without_the_grammar():
 q_sqrt2_st = st.one_of(fractions_st, st.builds(Scalar, fractions_st, fractions_st, st.just(2)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(fractions_st, st.one_of(st.sampled_from((1, -1)), fractions_st),
+       st.sampled_from((2, 3, 9999999967)))
+def test_scalar_text_round_trips(a, b, d):
+    # b = +-1 is written sqrt(d) or -sqrt(d), after a when a is nonzero
+    s = Scalar(a, b, d)
+    text = s.to_text()
+    assert parse_scalar(text) == s
+    assert (f"*sqrt({d})" in text) == (s.b not in (0, 1, -1))
+
+
 def _shift_by_powers(p, theta):
     """Test oracle: p(theta + u) as a sum of products of (u_k + theta_k)^e."""
     out = MultiPoly.zero(p.nvars)

@@ -6,7 +6,9 @@ minimal degree 4; with the surd covariance every printed coefficient matches
 to 1e-4 and the minimal degree jumps to 6.
 """
 
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -25,13 +27,16 @@ from waldrates.polycore import (
     FieldMismatchError,
     MultiPoly,
     Scalar,
+    _ZSqrt,
     parse_polynomial,
 )
 from waldrates.rates import (
     _RAY_SEED,
     RAY_RANGE,
     Covariance,
-    _RayPoly,
+    _digits,
+    _low_degree,
+    _pack,
     _ray_charpoly,
     _ray_coeffs_at,
     _ray_degrees,
@@ -58,7 +63,7 @@ from waldrates.restriction import (
 from waldrates.simulate import symmetric_eigenvalues
 from waldrates.systems import linear_system, product_pairs_system, surd_covariance
 
-from oracle import scalar_ldl_is_definite, scalar_mat_rank
+from oracle import RayPoly, ray_charpoly, ray_coeffs_at, scalar_ldl_is_definite, scalar_mat_rank
 
 V4 = ["x", "y", "z", "w"]
 
@@ -664,14 +669,14 @@ def test_ray_coefficients_at_a_point_match_multivariate_oracle(case, t0):
 
 
 def _ray_poly(terms):
-    """{t-degree: Scalar} with integer parts, as a Z[sqrt(2)][t] entry."""
+    """{t-degree: Scalar} with integer parts, as a Z[sqrt(2)][t] list entry."""
     size = max(terms, default=-1) + 1
     parts = [[int(getattr(terms.get(j, Scalar(0)), part)) for j in range(size)]
              for part in "ab"]
     for c in parts:
         while c and not c[-1]:
             c.pop()
-    return _RayPoly(*parts, 2)
+    return RayPoly(*parts, 2)
 
 
 def _ray_terms(r):
@@ -688,8 +693,8 @@ _univariate = st.dictionaries(st.integers(0, 4),
 @settings(max_examples=300, deadline=None)
 @given(_univariate, _univariate)
 def test_ray_ring_matches_scalar_polynomials(f, g):
-    # the integer entries of the ray path against MultiPoly over Q(sqrt(2)),
-    # including pure-surd lowest coefficients and exact cancellation
+    # the oracle's list entries against MultiPoly over Q(sqrt(2)), including
+    # pure-surd lowest coefficients and exact cancellation
     x, y = _ray_poly(f), _ray_poly(g)
     mf = MultiPoly(1, {(j,): c for j, c in f.items()})
     mg = MultiPoly(1, {(j,): c for j, c in g.items()})
@@ -699,6 +704,123 @@ def test_ray_ring_matches_scalar_polynomials(f, g):
         assert got.lowest_degree() == want.lowest_degree()
         assert got.is_zero() == want.is_zero()
         assert all(not c or c[-1] for c in (got.a, got.b))  # no trailing zeros
+
+
+#: Slot width for _univariate products: each coefficient of f * g is at most
+#: 4 * (9 + 2 * 9) = 108 < 2^8 in magnitude, so 9 bits hold it in balanced digits.
+_K = 9
+
+
+def _packed(terms):
+    """{t-degree: Scalar} with integer parts, packed at t = 2^_K in Z[sqrt(2)]."""
+    size = max(terms, default=-1) + 1
+    return _ZSqrt(*(_pack([int(getattr(terms.get(j, Scalar(0)), part)) for j in range(size)],
+                          _K) for part in "ab"), 2)
+
+
+def _packed_terms(v):
+    return {(j,): Scalar(a, b, 2)
+            for j, (a, b) in enumerate(itertools.zip_longest(_digits(v.a, _K), _digits(v.b, _K),
+                                                             fillvalue=0))
+            if a or b}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_univariate, _univariate)
+def test_packed_ring_matches_scalar_polynomials(f, g):
+    # the kernel's packed values against MultiPoly over Q(sqrt(2)): +, - and *
+    # at t = 2^K, read back by digits and by the valuation, negative digits,
+    # pure-surd lowest coefficients and exact cancellation included
+    x, y = _packed(f), _packed(g)
+    mf = MultiPoly(1, {(j,): c for j, c in f.items()})
+    mg = MultiPoly(1, {(j,): c for j, c in g.items()})
+    for got, want in ((x, mf), (x + y, mf + mg), (x - y, mf - mg), (x * y, mf * mg),
+                      (x - x, mf - mf)):
+        assert _packed_terms(got) == want.terms
+        assert _low_degree(got, _K) == want.lowest_degree()
+        assert (not got) == want.is_zero()
+
+
+def _scalars(d):
+    """Coefficients over Q, or over Q(sqrt(d)) for d > 0, small and large."""
+    rational = [-3, -1, 1, 2, Fraction(2, 3), Fraction(-5, 4), Fraction(999_983, 7)]
+    if not d:
+        return rational
+    return rational + [Scalar(0, 1, d), Scalar(1, Fraction(-1, 2), d), Scalar(-7, 3, d)]
+
+
+def _surd_u(p, d):
+    """The identity with a surd pair b*sqrt(d) at (0, 1), |b sqrt(d)| < 1/2."""
+    s = Scalar(0, Fraction(1, 2 * (math.isqrt(d) + 1)), d)
+    return Covariance([[1 if i == j else s if {i, j} == {0, 1} else 0 for j in range(p)]
+                       for i in range(p)])
+
+
+@functools.cache
+def _monos(p):
+    """Monomials of total degree <= 3 in p variables."""
+    return [m for m in itertools.product(range(4), repeat=p) if sum(m) <= 3]
+
+
+@st.composite
+def full_size_rays(draw):
+    """A q x p matrix G (q <= 6, p = q or q + 1) of polynomials of degree <= 3
+    over Q, Q(sqrt(2)) or Q(sqrt(9999999967)), a random exact SPD U or a surd
+    one, a ray with |y_i| <= RAY_RANGE and row drops up to each row's lowest
+    degree, so every ray entry has t-degree <= 3."""
+    q = draw(st.integers(1, 6))
+    p = draw(st.integers(q, q + 1))
+    d = draw(st.sampled_from((0, 2, 9999999967)))
+    coeffs = st.sampled_from(_scalars(d))
+    G = PolyMatrix([[MultiPoly(p, draw(st.dictionaries(st.sampled_from(_monos(p)), coeffs,
+                                                       max_size=3)))
+                     for _ in range(p)] for _ in range(q)])
+    drops = [draw(st.integers(0, min(min(e.lowest_degree() for e in row), 2)))
+             for row in G.entries]
+    if d and p >= 2 and draw(st.booleans()):
+        U = _surd_u(p, d)
+    else:
+        U = Covariance.random_spd(p, random.Random(draw(st.integers(0, 2**32))))
+    y = draw(st.lists(st.integers(-RAY_RANGE, RAY_RANGE), min_size=p, max_size=p))
+    return G, U, y, drops
+
+
+def _dense_case(q, d, seed):
+    """A q x (q + 1) G with three terms of degree <= 3 in every entry over
+    Q(sqrt(d)), a random exact SPD U and a ray at full range."""
+    rng = random.Random(seed)
+    p = q + 1
+    monos, scalars = _monos(p), _scalars(d)
+    G = PolyMatrix([[MultiPoly(p, {rng.choice(monos): rng.choice(scalars) for _ in range(3)})
+                     for _ in range(p)] for _ in range(q)])
+    y = [rng.randint(-RAY_RANGE, RAY_RANGE) for _ in range(p)]
+    return G, Covariance.random_spd(p, rng), y, [0] * q
+
+
+def _pure_surd_case():
+    """B = x^2 sqrt(2)/2 + ... + y^4 on G = [x + y^2, -x], U = [[1, u], [u, 1]]
+    with u = 1 - sqrt(2)/4: the rational part cancels below t^4, the surd part
+    starts at t^2."""
+    u = Scalar(1, Fraction(-1, 4), 2)
+    G = PolyMatrix([[MultiPoly(2, {(1, 0): 1, (0, 2): 1}), MultiPoly(2, {(1, 0): -1})]])
+    return G, Covariance([[1, u], [u, 1]]), [3, -2], [0]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(full_size_rays())
+@example(_dense_case(8, 9999999967, 8))
+@example(_pure_surd_case())
+def test_packed_kernel_matches_the_list_kernel_on_the_same_ray(case):
+    # the packed Berkowitz kernel against the list ring's Laplace expansion on
+    # the same ray: the bound on K, the Toeplitz steps and the valuation
+    G, U, y, drops = case
+    (K, packed), c = _ray_charpoly(_ray_ring(G, U, drops), y)
+    sums, c_want = ray_charpoly(G, U, drops, y)
+    assert c == c_want
+    assert _ray_degrees(G, U, _FixedRay(y), count=1, drops=drops) == \
+        tuple(s.lowest_degree() for s in sums)
+    for t0 in (Fraction(1), Fraction(1, 100)):
+        assert _ray_coeffs_at((K, packed), c, t0) == ray_coeffs_at(sums, c_want, t0)
 
 
 def test_ray_degrees_reject_two_radicands():

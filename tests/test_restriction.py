@@ -78,7 +78,7 @@ class TestRecenter:
         with pytest.raises(NullViolatedError) as err:
             recenter(bad)
         assert str(err.value) == \
-            "restrictions [1, 2] are nonzero at the null point: 1+1*sqrt(2), -1*sqrt(2)"
+            "restrictions [1, 2] are nonzero at the null point: 1+sqrt(2), -sqrt(2)"
 
 
 class TestJacobian:
