@@ -212,54 +212,97 @@ def draw_estimate(model: EstimatorModel, T: int, rng) -> tuple[np.ndarray, np.nd
     raise CholeskyFailureError("perturbed V_hat stayed non-SPD after 10 retries")
 
 
+def _by_position(lists: list[list[tuple]]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """For each position s, the indices of the lists longer than s and the
+    fields of their s-th elements, as arrays."""
+    depth = max(map(len, lists), default=0)
+    return tuple(tuple(np.array(field) for field in
+                       zip(*[(i, *items[s]) for i, items in enumerate(lists) if len(items) > s]))
+                 for s in range(depth))
+
+
 class CompiledSystem:
     """Float evaluators for g and its Jacobian, compiled once per system.
 
     The Jacobian is the exact symbolic derivative converted to floats, so
-    simulation carries no finite-difference error.  g and G share one table
-    of distinct monomials, and each of their q + q*p entries is a row of
-    float coefficients over that table.  Both evaluators accept one point
-    (shape (p,)) or a stack of points (shape (N, p)); the terms are summed
-    in the same order either way, so a point gives the same bits alone as
-    inside a stack.
+    simulation carries no finite-difference error.  Both evaluators accept
+    one point (shape (p,)) or a stack of points (shape (N, p)) and run a
+    plan compiled here, one for g and one for G, whose every step is a numpy
+    operation over the whole stack.  A monomial is the product of its
+    factors in variable order: x_j itself for a variable whose exponents in
+    the block are 0 or 1, else the column of the power table
+    ``stack[:, j:j+1] ** exps[:, j]`` over the monomials of g and G.  Each
+    entry starts at its constant term and adds its other nonzero terms in
+    monomial order.  Every float is therefore the one the dense sum of
+    every coefficient over every monomial gives, wherever that sum is
+    finite, and a point gives the same bits alone as inside a stack.  A
+    monomial that overflows reaches only the entries where it has a nonzero
+    coefficient.
     """
 
-    __slots__ = ("system", "p", "q", "_exps", "_coeffs")
+    __slots__ = ("system", "p", "q", "_exps", "_g_plan", "_G_plan")
 
     def __init__(self, system: RestrictionSystem):
         self.system = system
         self.p = system.p
         self.q = system.q
         G = jacobian(system)
-        polys = list(system.g) + [G.entry(i, j)
-                                  for i in range(self.q) for j in range(self.p)]
-        monos = sorted({mono for poly in polys for mono in poly.terms})
-        column = {mono: k for k, mono in enumerate(monos)}
+        G_polys = [G.entry(i, j) for i in range(self.q) for j in range(self.p)]
+        monos = sorted({mono for poly in (*system.g, *G_polys) for mono in poly.terms})
         self._exps = np.array(monos, dtype=np.int64).reshape(len(monos), self.p)
-        self._coeffs = np.zeros((len(polys), len(monos)))
-        for row, poly in enumerate(polys):
-            for mono, coeff in poly.terms.items():
-                self._coeffs[row, column[mono]] = float(coeff)
+        column = {mono: k for k, mono in enumerate(monos)}
+        self._g_plan = self._plan(system.g, column)
+        self._G_plan = self._plan(G_polys, column)
 
-    def _evaluate(self, theta, rows: slice) -> np.ndarray:
+    def _plan(self, polys: Sequence, column: dict) -> tuple:
+        """The steps that evaluate one block of entries (g, or G row by row):
+        the variables with an exponent >= 2, whose factors come from the
+        power table; each monomial's first factor, as a column of the
+        sources; per later factor, the monomials and their source columns;
+        each entry's constant term; and per term position, the entries,
+        their monomials and their coefficients."""
+        constant = (0,) * self.p
+        entries = [[(mono, float(coeff)) for mono, coeff in sorted(poly.terms.items())]
+                   for poly in polys]
+        # 0.0 + c, as the entry's sum starts: an underflowed -0.0 becomes 0.0
+        const = np.array([0.0 + dict(terms).get(constant, 0.0) for terms in entries])
+        entries = [[(mono, coeff) for mono, coeff in terms if mono != constant and coeff != 0.0]
+                   for terms in entries]
+        used = sorted({mono for terms in entries for mono, _ in terms})
+        powered = tuple(sorted({j for mono in used for j, e in enumerate(mono) if e >= 2}))
+        table = {j: self.p + slot * len(column) for slot, j in enumerate(powered)}
+        factors = [[(table[j] + column[mono],) if j in table else (j,)
+                    for j, e in enumerate(mono) if e] for mono in used]
+        local = {mono: k for k, mono in enumerate(used)}
+        return (powered, np.array([f[0][0] for f in factors], dtype=np.intp),
+                _by_position([f[1:] for f in factors]), const,
+                _by_position([[(local[mono], coeff) for mono, coeff in terms]
+                              for terms in entries]))
+
+    def _evaluate(self, theta, plan: tuple) -> np.ndarray:
+        powered, first, factors, const, terms = plan
         points = np.asarray(theta, dtype=float)
         stack = points.reshape(-1, self.p)
-        monos = np.ones((stack.shape[0], self._exps.shape[0]))
-        for j in range(self.p):
-            monos *= stack[:, j:j + 1] ** self._exps[:, j]
-        coeffs = self._coeffs[rows]
-        out = np.zeros((stack.shape[0], coeffs.shape[0]))
-        for k in range(coeffs.shape[1]):
-            out += monos[:, k:k + 1] * coeffs[:, k]
+        sources = stack
+        if powered:
+            sources = np.concatenate([stack] + [stack[:, j:j + 1] ** self._exps[:, j]
+                                                for j in powered], axis=1)
+        monos = sources[:, first]
+        for k, column in factors:
+            monos[:, k] *= sources[:, column]
+        out = np.empty((stack.shape[0], const.size))
+        out[:] = const
+        for rows, k, coeff in terms:
+            out[:, rows] += monos[:, k] * coeff
         return out if points.ndim == 2 else out[0]
 
     def g_at(self, theta: np.ndarray) -> np.ndarray:
         """g at one point, shape (q,), or at a stack of points, shape (N, q)."""
-        return self._evaluate(theta, slice(0, self.q))
+        return self._evaluate(theta, self._g_plan)
 
     def jacobian_at(self, theta: np.ndarray) -> np.ndarray:
         """G at one point, shape (q, p), or at a stack, shape (N, q, p)."""
-        values = self._evaluate(theta, slice(self.q, None))
+        values = self._evaluate(theta, self._G_plan)
         return values.reshape(values.shape[:-1] + (self.q, self.p))
 
 

@@ -1,19 +1,24 @@
 """Test-only oracles: exact elimination over Q(sqrt(d)) on Fractions and Scalars,
-and the ray charpoly on coefficient lists.
+the ray charpoly on coefficient lists, and the dense float evaluation of g and G.
 
 The program ranks and certifies with fraction-free elimination on ints; these
 are the field versions it replaced, one Fraction or Scalar operation at a time.
 It takes the ray charpoly by Berkowitz on values packed at t = 2^K; the list
 ring below is the one it replaced, with the memoised Laplace expansion of the
-principal minors, one coefficient at a time.
+principal minors, one coefficient at a time.  It evaluates g and G by a plan
+of their nonzero terms; ``DenseSystem`` is the loop it replaced, every
+coefficient over every monomial.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from waldrates.polycore import INF_DEGREE, Scalar, _one_radicand, _scaled, _surd
 from waldrates.rates import NonSpdError, _minor_sum, _ray_g_half
+from waldrates.restriction import jacobian
 
 
 def scalar_mat_rank(rows):
@@ -204,3 +209,41 @@ def ray_coeffs_at(sums, c: int, t0: Fraction) -> list:
             parts.append(Fraction((-1) ** k * num, den * c**k))
         out.append(_surd(*parts, s.d))
     return out
+
+
+class DenseSystem:
+    """g and G at one point or a stack: one table of every monomial of g and G,
+    and every entry summed over every column of it in monomial order."""
+
+    def __init__(self, system):
+        self.p = system.p
+        self.q = system.q
+        G = jacobian(system)
+        polys = list(system.g) + [G.entry(i, j)
+                                  for i in range(self.q) for j in range(self.p)]
+        monos = sorted({mono for poly in polys for mono in poly.terms})
+        column = {mono: k for k, mono in enumerate(monos)}
+        self._exps = np.array(monos, dtype=np.int64).reshape(len(monos), self.p)
+        self._coeffs = np.zeros((len(polys), len(monos)))
+        for row, poly in enumerate(polys):
+            for mono, coeff in poly.terms.items():
+                self._coeffs[row, column[mono]] = float(coeff)
+
+    def _evaluate(self, theta, rows: slice) -> np.ndarray:
+        points = np.asarray(theta, dtype=float)
+        stack = points.reshape(-1, self.p)
+        monos = np.ones((stack.shape[0], self._exps.shape[0]))
+        for j in range(self.p):
+            monos *= stack[:, j:j + 1] ** self._exps[:, j]
+        coeffs = self._coeffs[rows]
+        out = np.zeros((stack.shape[0], coeffs.shape[0]))
+        for k in range(coeffs.shape[1]):
+            out += monos[:, k:k + 1] * coeffs[:, k]
+        return out if points.ndim == 2 else out[0]
+
+    def g_at(self, theta):
+        return self._evaluate(theta, slice(0, self.q))
+
+    def jacobian_at(self, theta):
+        values = self._evaluate(theta, slice(self.q, None))
+        return values.reshape(values.shape[:-1] + (self.q, self.p))

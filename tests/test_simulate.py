@@ -5,15 +5,16 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waldrates import simulate
-from waldrates.polycore import parse_polynomial
+from waldrates.polycore import MultiPoly, Scalar, parse_polynomial
 from waldrates.rates import Covariance, rate_report
 from waldrates.restriction import RestrictionSystem, transform
 from waldrates.simulate import (
@@ -40,6 +41,8 @@ from waldrates.simulate import (
     wald_statistic,
 )
 from waldrates.systems import linear_system, product_pairs_system, surd_covariance
+
+from oracle import DenseSystem
 
 PP_THETA = np.array([0.0, 0.0, 1.0, 1.0])
 EPS = np.finfo(float).eps
@@ -355,6 +358,20 @@ def _block_scaling(report, T):
     return S, T ** (np.array(ech.row_degrees, dtype=float) / 2.0)
 
 
+@st.composite
+def _float_systems(draw):
+    """p <= 6 variables and q <= p restrictions of up to six terms, exponents
+    0-5, with rational coefficients or, in some systems, coefficients in Q(sqrt(2))."""
+    p = draw(st.integers(1, 6))
+    surd = draw(st.booleans())
+    ratio = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    coeff = (st.builds(lambda a, b: Scalar(a, b, 2), ratio, ratio) if surd
+             else ratio.filter(bool))
+    mono = st.tuples(*[st.integers(0, 5)] * p)
+    terms = st.dictionaries(mono, coeff, min_size=1, max_size=6)
+    return p, draw(st.lists(terms, min_size=1, max_size=p))
+
+
 class TestKernel:
     """The batched kernel against the per-draw oracles it replaced."""
 
@@ -420,8 +437,45 @@ class TestKernel:
         g_stack, G_stack = comp.g_at(thetas), comp.jacobian_at(thetas)
         assert g_stack.shape == (50, 3) and G_stack.shape == (50, 3, 3)
         for theta, g_row, G_row in zip(thetas, g_stack, G_stack):
-            np.testing.assert_array_max_ulp(g_row, comp.g_at(theta), maxulp=4)
-            np.testing.assert_array_max_ulp(G_row, comp.jacobian_at(theta), maxulp=4)
+            assert np.array_equal(g_row, comp.g_at(theta))
+            assert np.array_equal(G_row, comp.jacobian_at(theta))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_float_systems(), st.integers(1, 400), st.integers(0, 2**32 - 1))
+    @example((2, [{(2, 1): Scalar(1, 1, 2), (0, 1): Scalar(Fraction(-1, 3), 0, 2),
+                   (1, 0): Scalar(0, Fraction(5, 7), 2), (0, 0): Scalar(2, -1, 2)},
+                  {(3, 0): Scalar(Fraction(1, 9), 1, 2), (1, 2): Scalar(-4, 0, 2)}]), 5, 0)
+    def test_plan_matches_dense_oracle(self, spec, n, seed):
+        p, terms = spec
+        system = RestrictionSystem([f"x{j}" for j in range(p)], [0] * p,
+                                   [MultiPoly(p, t) for t in terms])
+        comp, dense = compile_system(system), DenseSystem(system)
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(-4.0, 4.0, size=(n, p))
+        pick = rng.random((n, p))
+        stack[pick < 0.1] = 0.0
+        stack[(pick >= 0.1) & (pick < 0.15)] = -0.0
+        stack[(pick >= 0.15) & (pick < 0.2)] = 1.0
+        for theta in (stack, stack[0]):
+            for got, want in ((comp.g_at(theta), dense.g_at(theta)),
+                              (comp.jacobian_at(theta), dense.jacobian_at(theta))):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_overflowing_monomial_stays_in_its_entries(self):
+        names = ["x", "y"]
+        system = RestrictionSystem(names, [0, 0], [parse_polynomial(text, names)
+                                                   for text in ("x^5*y + y", "x + 2*y")])
+        comp = compile_system(system)
+        theta = np.array([1e70, 1.0])  # x^5 overflows; x^4*y = 1e280 does not
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, G = comp.g_at(theta), comp.jacobian_at(theta)
+            # the dense sum multiplies the inf monomial by every zero coefficient too
+            assert np.isnan(DenseSystem(system).g_at(theta)[1])
+        assert g[0] == np.inf and g[1] == 1e70 + 2.0
+        assert G[0, 0] == pytest.approx(5e280, rel=1e-12) and G[0, 1] == np.inf
+        assert np.array_equal(G[1], [1.0, 2.0])
 
     @pytest.mark.parametrize("mode", ["exact", "perturbed"])
     def test_draws_match_draw_estimate(self, mode):
