@@ -5,10 +5,13 @@ T^{-1/2} L z with L the Cholesky factor of V and z standard normal.  Every
 (T, replication) pair draws from its own substream, the stream of
 ``np.random.default_rng([seed, T, rep])``, so results are bit-identical
 across runs and independent of scheduling.  The draw stage runs NumPy's
-SeedSequence hash for every rep of a T at once and hands each rep's seed
-words to NumPy's own PCG64 seeding, which gives the same streams bit for
-bit (NumPy's stream-compatibility policy, NEP 19, freezes the hash; the
-tests compare against ``default_rng``).
+SeedSequence hash, PCG64 and the fast path of its ziggurat normal sampler
+for every rep of a T at once, on arrays.  A rep with a sample off that fast
+path refills its row from NumPy's own generator, seeded from the same
+words, and one fast-path rep per call is drawn by NumPy as well and
+compared, so the draws are ``default_rng``'s bit for bit (NumPy's
+stream-compatibility policy, NEP 19, freezes the hash and PCG64 but not the
+sampler; the tests compare against ``default_rng``).
 
 All three experiments run one batched kernel per T over every replication:
 draw each replication from its substream; evaluate g and the exact symbolic
@@ -25,6 +28,7 @@ compare against.
 
 from __future__ import annotations
 
+import binascii
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -187,6 +191,147 @@ def _stream(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
+# PCG64's LCG multiplier (numpy/random/src/pcg64/pcg64.h), as uint64 limbs,
+# the low limb also in 32-bit halves for the high word of a 64 x 64 product
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_PCG_MULT_LO_HALVES = (np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32))
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+
+# NumPy's 256-layer ziggurat tables ki_double (uint64) and wi_double (float64)
+# from numpy/random/src/distributions/ziggurat_constants.h, as base64 of
+# their little-endian bytes; TestSubstreams pins both against the installed
+# NumPy's sampler.
+_ZIGGURAT_KI = np.frombuffer(binascii.a2b_base64(
+    "au8lgD3zDgAAAAAAAAAAAKjG+5i+CAwAQoG9+lSjDQDq7sF+9lEOAH730+lVsg4Aucp+gUvvDgCqRPoKRxkPABjL"
+    "/2HtNw8AXCVhlUZPDwCWoxvkpWEPAKSWU3V6cA8AmkQo7LJ8DwDTV2MM8YYPAN4lg1emjw8A2tBNxySXDwAJ9dsH"
+    "qZ0PAHT6gfVgow8A+Etb3m+oDwDcVNNg8awPAA+5GGf7sA8AxnRTjZ+0DwB3/mYj7LcPAA7loensug8A7QsEnau9"
+    "DwBXbP9gMMAPAEiiNxCCwg8A0VvieqbEDwAx7nqXosYPAKSWKKl6yA8Ahd5LXjLKDwAaIwLpzMsPAMQ5+BJNzQ8A"
+    "meyPTbXODwAwyR2/B9APAObE1k1G0Q8AUPTiqHLSDwAeyfBPjtMPAHi0kJma1A8AUw+SuJjVDwDsmY7AidYPADLo"
+    "yKlu1w8A6Ah7VEjYDwCMLK2LF9kPANKtpwfd2Q8AjF4QcJnaDwAgLsBdTdsPAND8W1z52w8AfZq5653cDwCdchiB"
+    "O90PAJAvNIjS3Q8AZJ82ZGPeDwBOUY1w7t4PAC60pgF03w8AQO2ZZfTfDwDyJLzkb+APAFiiJcLm4A8ATLgoPFnh"
+    "DwCZP7yMx+EPAKoc2+kx4g8AkRvahZjiDwCGQbWP++IPAEqNVTNb4w8AKgDQmbfjDwB/rZ7pEOQPADR31EZn5A8A"
+    "XAlM07rkDwAkldKuC+UPAHi8TvdZ5Q8AEhLkyKXlDwCJhhM+7+UPAHgQ2W825g8AeNXGdXvmDwCqER5mvuYPAPL0"
+    "5VX/5g8AAqcAWT7nDwA5nj6Ce+cPAKJwcOO25w8AQ0J3jfDnDwCM8FOQKOgPADoXNfte6A8AZAiE3JPoDwC8zvBB"
+    "x+gPAPZOfTj56A8AHZuHzCnpDwDqiNMJWekPAKKak/uG6Q8AZkhxrLPpDwDVtpQm3+kPAHzmq3MJ6g8ApGbxnDLq"
+    "DwAslTKrWuoPABp01aaB6g8A8Bzel6fqDwAg2fOFzOoPADzmZXjw6g8AE+wvdhPrDwBKKv6FNesPALRiMa5W6w8A"
+    "+oTi9HbrDwAUIOZflusPAHydz/S06w8A0En0uNLrDwA+Lm6x7+sPAOi9HuML7A8AFVqxUifsDwDTr50EQuwPAJbx"
+    "Kf1b7A8A9O5sQHXsDwC0DFDSjewPABIfkbal7A8A/ifE8LzsDwAV+1SE0+wPALPIiHTp7A8At5F/xP7sDwAohTV3"
+    "E+0PAANJhI8n7Q8ATC8kEDvtDwBuWK37Te0PAN3DmFRg7Q8A6E9BHXLtDwCCqeRXg+0PAMgspAaU7Q8ABLeFK6Tt"
+    "DwC0anTIs+0PAFJmQd/C7Q8AUm6kcdHtDwDTijyB3+0PAICZkA/t7Q8AFNQPHvrtDwDESxKuBu4PAAZa2cAS7g8A"
+    "4AaQVx7uDwAkZUtzKe4PALzkChU07g8APJu4PT7uDwD0ginuR+4PAIawHSdR7g8AQX9A6VnuDwAutCg1Yu4PAPGX"
+    "WAtq7g8Aegc+bHHuDwCCezJYeO4PALoGe89+7g8AskpI0oTuDwBDY7Zgiu4PAFHIzHqP7g8A2iV+IJTuDwDqKahR"
+    "mO4PAFxIEw6c7g8A9HNyVZ/uDwCuzGInou4PAKxCa4Ok7g8AcS38aKbuDwD61m7Xp+4PAAr6BM6o7g8AOzPoS6nu"
+    "DwAQZClQqe4PAF4HwNmo7g8AVHaJ56fuDwAkHUh4pu4PAIOeooqk7g8A2uQiHaLuDwAkIDUun+4PAC6vJryb7g8A"
+    "5PIkxZfuDwA6CjxHk+4PABZ1VUCO7g8Aepw2rojuDwD9PX+Ogu4PAIi4p9577g8A/zf/m3TuDwBevanDbO4PAH4A"
+    "nlJk7g8AiCijRVvuDwC2V06ZUe4PAM8GAEpH7g8AUCzhUzzuDwDYKuCyMO4PAAWCrWIk7g8AWjy4XhfuDwBHFCqi"
+    "Ce4PAMxJ4yf77Q8AbCF26uvtDwB+BCLk2+0PANM5zg7L7Q8A9CwEZLntDwDJOOncpu0PAI3pN3KT7Q8ANqg4HH/t"
+    "DwArwLnSae0PAACuBo1T7Q8AIqTeQTztDwDYL2rnI+0PAETmL3MK7Q8ANP4H2u/sDwC4tw4Q1OwPALRulQi37A8A"
+    "wTAStpjsDwB4qQ0KeewPAP4xD/VX7A8AYsmGZjXsDwA1s7RMEewPANBvjpTr6w8AkragKcTrDwDcDO71musPAEKF"
+    "yeFv6w8Anh+t00LrDwBLLQuwE+sPAOkCGlni6g8AVyKZrq7qDwAm446NeOoPAOVz/c8/6g8A9tmNTATqDwA7Vi/W"
+    "xekPAKRHqTuE6Q8AKEcdRz/pDwDWxXa99ugPAOboxF2q6A8A6rF64FnoDwBAqZD2BOgPAMAzgkir5w8ApWofdUzn"
+    "DwACoioQ6OYPANirtqB95g8AfjA4nwzmDwBC9zhzlOUPAIByl3AU5Q8AWPQ21IvkDwA3Hv2/+eMPAJyx7jVd4w8A"
+    "/uQvErXiDwBXVZkDAOIPABSDeII84Q8AsGfuxGjgDwCqcSuwgt8PAKr+fsWH3g8A/TvGCXXdDwATvynlRtwPAIIC"
+    "Lvj42g8Adbqy4YXZDwAEz0jv5tcPAAtlva0T1g8AEvDiSQHUDwCsx7SnodEPAJ4fdgTizg8AshFe2KjLDwAiLc1u"
+    "0scPAO0iHi8rww8AOrjAgWW9DwA0VADEBrYPAHQoKlhArA8AmEUBHpeeDwD8HaRI+okPACww8PfFZg8AShwzS1oa"
+    "DwA="), dtype="<u8")
+_ZIGGURAT_WI = np.frombuffer(binascii.a2b_base64(
+    "edkVeDtJzzzG9v3jC42LPLRbLDyvUJI8YTtEOLl8lTwMpy/o/AGYPLzQTC4MI5o892E4L00AnDx0cnRaL6ydPMPV"
+    "TC1IMp88rbuOJzJNoDxDXQI7BfWgPHc2QZemkqE89Rp6j6InojyA2GM4LrWiPPWRV8A/PKM8L7GiwZ69ozxVm/+N"
+    "7zmkPKf+PTa7saQ8dNMaYnUlpTyWzgengJWlPOp+2c8xAqY8PXyjYdJrpjxwBQCSotKmPKb4RtPaNqc8dyqzEK2Y"
+    "pzxD9UatRfinPHcKQ1PMVag8mnZ7nmSxqDyYz06pLgupPOoeLIJHY6k8RsU4jsm5qTwsp6TczA6qPFnNd21nYqo8"
+    "MBYQbq20qjycbBNtsQWrPCl6QoeEVas8Op9Sjjakqzwygr8q1vGrPPNOWflwPqw8YTsypROKrDyLJnL+ydSsPEi3"
+    "gA6fHq08EB/kKZ1nrTzDuCMAzq+tPFN28ak69608/u3Stes9rjwAb3oz6YOuPM6C+b06ya48JmLwhOcNrzyI9thU"
+    "9lGvPK7Xh55tla88rC76fVPYrzzsNELgVg2wPJqPOfVALrA8/KUWnupOsDwQoHJbVm+wPAv0cZCGj7A8E2G8hH2v"
+    "sDx/zEtmPc+wPGsIFkvI7rA87hWVMiAOsTy+DzEHRy2xPEGRjp8+TLE8HiDEvwhrsTw02ngap4mxPIht7lEbqLE8"
+    "yyr4+GbGsTwu1OCTi+SxPJ+gQJmKArI86cbEcmUgsjwfw+l9HT6yPPtrqQy0W7I8f9MdZip5sjwb1xnHgZayPNou"
+    "uGK7s7I8U7jhYtjQsjyOqcvo2e2yPNdIbg3BCrM8MLn04Y4nszyhXiZwRESzPNVSyrriYLM8algFvmp9szxksrJv"
+    "3ZmzPAM9uL87trM84B1WmIbSszyDWnLevu6zPHSe4HHlCrQ8XXSmLfsmtDykMDzoAEO0PF3HynP3XrQ8NsNmnt96"
+    "tDwvj0gyupa0PF1BAvaHsrQ83BGzrEnOtDwFpjgWAOq0PGJVXu+rBbU8WosK8k0htTxPZmrV5jy1PMiyG053WLU8"
+    "eF9VDgB0tTwUhQ7GgY+1PFkbJCP9qrU8PXN90XLGtTzTjC974+G1PDhen8hP/bU8wx+jYLgYtjyisKLoHTS2PAsm"
+    "twSBT7Y8cpbJV+Jqtjw3MbGDQoa2PLGyUCmiobY8u0Oz6AG9tjxS0yhhYti2PFT4YTHE87Y862iL9ycPtzzGFGlR"
+    "jiq3PNzucNz3Rbc8H3PlNWVhtzxJ9O/61ny3PJO9ushNmLc8CRSLPMqztzz7ItvzTM+3POfec4zW6rc8H+qGpGcG"
+    "uDx2hsjaACK4PBWfic6iPbg8vfXRH05ZuDzFfnpvA3W4PC33R1/DkLg8Q8AFko6suDycDKGrZci4PCdqRFFJ5Lg8"
+    "j7VzKToAuTxHgyjcOBy5PPwK7xJGOLk8iqIDeWJUuTzu1XC7jnC5PDEqLonLjLk8v5k/kxmpuTws2dWMecW5PBF0"
+    "byvs4bk8StL6JnL+uTySNvk5DBu6PFvIoiG7N7o8iLsLnn9UujykqUpyWnG6PD0xoGRMjro8CPGfPlarujzO9VrN"
+    "eMi6PDazi+G05bo8GqHDTwsDuzxbmJrwfCC7PAAM4KAKPrs8Az3OQbVbuzwniT+5fXm7PDz35fFkl7s8biWF22u1"
+    "uzyiwC5rk9O7PIOugZvc8bs8oBbsbEgQvDwtevDl1y68PBwNbhOMTbw8BYfsCGZsvDwXpuvgZou8PKuiNr2Pqrw8"
+    "kNY7x+HJvDw34GgwXum8PG6PizIGCb08IO83ENsovTxHxjMV3ki9PCPx55YQab08pfvX9HOJvTxwbiCZCaq9PA5J"
+    "/PjSyr08Ny5SldHrvTwc0kn7Bg2+PPZG6sR0Lr48iNHBmRxQvjwl/pcvAHK+PAq/KkshlL48CG/3wIG2vjw6pxB2"
+    "I9m+PKnsAWEI/L48IVPCijIfvzxtTbcPpEK/PGgBySBfZr88gpeJBGaKvzy/InEYu66/PIXnL9Jg0788C/YYwVn4"
+    "vzx1oNNH1A7APEfJjwKoIcA8qwKpg6k0wDzH9T5O2kfAPH6zrfY7W8A8aCanI9BuwDwXLmOPmILAPFSi6AiXlsA8"
+    "xMBxdc2qwDxI1O7RPb/APDA9qjTq08A8k2URz9TowDy2n6bv//3APEFwIARuE8E8NV27myEpwTxtCcRpHT/BPDsu"
+    "YEhkVcE88+6dO/lrwTxhEtJ034LBPKzrTlYamsE8ji9/d62xwTyUpnGpnMnBPDmu5Pvr4cE8Adniwp/6wTyBzASd"
+    "vBPCPO7Tb3pHLcI8JJyspEVHwjzgWHbHvGHCPC5ZqPqyfMI8eA53zS6YwjxSCipTN7TCPJfbljHU0MI89XipsQ3u"
+    "wjzurlbS7AvDPKOkaF57KsM8oxKuBcRJwzxAqDN60mnDPApBVpKzisM8+oiucHWswzymBBezJ8/DPHX0YKrb8sM8"
+    "2uW5nKQXxDyUXlQVmD3EPBU6p0TOZMQ8vEOcdWKNxDwnWmudc7fEPAKJzQ0l48Q8QazpU58QxTxCfjpSEUDFPBvk"
+    "SqmxccU82Y1xi8ClxTz+0DokitzFPEwehs9pFsY86moAe85TxjzD5Z++QJXGPDLiCY1r28Y8NHpf8CgnxzxzBglW"
+    "lXnHPIzO1vQt1Mc8NPIpBQM5yDwUfKq/D6vIPJZEb5TgLsk8q1dAAe7LyTxad5R43I/KPLH9eDgfmMs8M60JgrQ7"
+    "zTw="), dtype="<f8")
+
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+                inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step, state * MULT + inc mod 2^128, on uint64 limbs."""
+    # the high word of lo * MULT_LO, from the products of 32-bit halves
+    a0, a1 = lo & _LOW32, lo >> _SHIFT32
+    b0, b1 = _PCG_MULT_LO_HALVES
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _SHIFT32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    product_hi = a1 * b1 + (cross0 >> _SHIFT32) + (cross1 >> _SHIFT32) + (mid >> _SHIFT32)
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    # (new_lo < inc_lo) is the carry out of the low word
+    new_hi = product_hi + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _pcg64_seed(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """PCG64's ``srandom`` for every row of ``seeds``: (state_hi, state_lo,
+    inc_hi, inc_lo) as uint64 arrays.
+
+    A row is the ``generate_state(4, uint64)`` answer PCG64 seeds itself
+    from: words 0-1 the initial state, words 2-3 the stream selector, high
+    word first.  inc = 2 * selector + 1, and the state is
+    (inc + initial state) * MULT + inc.
+    """
+    s_hi, s_lo, sel_hi, sel_lo = seeds.T
+    inc_hi = sel_hi << np.uint64(1) | sel_lo >> np.uint64(63)
+    inc_lo = sel_lo << np.uint64(1) | np.uint64(1)
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < s_lo)
+    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _pcg64_words(state: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """The next n ``next_uint64`` outputs of every rep's PCG64, shape (reps, n).
+
+    Each output steps the state, then returns XSL-RR of it: the xor of its
+    two halves rotated right by its top six bits.
+    """
+    hi, lo, inc_hi, inc_lo = state
+    words = np.empty((hi.size, n), dtype=np.uint64)
+    for k in range(n):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        words[:, k] = x >> rot | x << (-rot & np.uint64(63))
+    return words
+
+
+def _ziggurat_fast_path(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``random_standard_normal``'s fast path on each word, and where it accepts.
+
+    The low 8 bits pick the layer idx, bit 8 is the sign and bits 9-60 are
+    rabs; the sample is +-rabs * wi[idx], accepted iff rabs < ki[idx].
+    NumPy turns a rejected word into a sample through more words, which
+    this does not follow.
+    """
+    idx = words & np.uint64(0xFF)
+    rabs = words >> np.uint64(9) & np.uint64(0xFFFFFFFFFFFFF)
+    x = rabs * _ZIGGURAT_WI[idx]
+    return np.where(words & np.uint64(0x100), -x, x), rabs < _ZIGGURAT_KI[idx]
+
+
 def _perturbed_vhat(model: EstimatorModel, T: int, W: np.ndarray) -> np.ndarray:
     """V + scale T^{-1/2} (W + W')/2 for one p x p W or a stack of them."""
     W = (W + np.swapaxes(W, -1, -2)) / 2.0
@@ -231,7 +376,8 @@ class CompiledSystem:
     operation over the whole stack.  A monomial is the product of its
     factors in variable order: x_j itself for a variable whose exponents in
     the block are 0 or 1, else the column of the power table
-    ``stack[:, j:j+1] ** exps[:, j]`` over the monomials of g and G.  Each
+    ``stack[:, j:j+1] ** exps[:, j]`` over the monomials of g and G, which
+    ``power_tables`` builds once for both evaluators.  Each
     entry starts at its constant term and adds its other nonzero terms in
     monomial order.  Every float is therefore the one the dense sum of
     every coefficient over every monomial gives, wherever that sum is
@@ -240,7 +386,7 @@ class CompiledSystem:
     coefficient.
     """
 
-    __slots__ = ("system", "p", "q", "_exps", "_g_plan", "_G_plan")
+    __slots__ = ("system", "p", "q", "_exps", "_g_plan", "_G_plan", "_powered")
 
     def __init__(self, system: RestrictionSystem):
         self.system = system
@@ -253,6 +399,7 @@ class CompiledSystem:
         column = {mono: k for k, mono in enumerate(monos)}
         self._g_plan = self._plan(system.g, column)
         self._G_plan = self._plan(G_polys, column)
+        self._powered = tuple(sorted({*self._g_plan[0], *self._G_plan[0]}))
 
     def _plan(self, polys: Sequence, column: dict) -> tuple:
         """The steps that evaluate one block of entries (g, or G row by row):
@@ -279,14 +426,22 @@ class CompiledSystem:
                 _by_position([[(local[mono], coeff) for mono, coeff in terms]
                               for terms in entries]))
 
-    def _evaluate(self, theta, plan: tuple) -> np.ndarray:
+    def power_tables(self, stack: np.ndarray, powered=None) -> dict[int, np.ndarray]:
+        """The power table of each variable g or G raises to a power >= 2
+        (or of each in ``powered``), for an (N, p) stack: pass it to
+        ``g_at`` and ``jacobian_at`` of the same stack to build it once."""
+        return {j: stack[:, j:j + 1] ** self._exps[:, j]
+                for j in (self._powered if powered is None else powered)}
+
+    def _evaluate(self, theta, plan: tuple, tables: dict | None) -> np.ndarray:
         powered, first, factors, const, terms = plan
         points = np.asarray(theta, dtype=float)
         stack = points.reshape(-1, self.p)
         sources = stack
         if powered:
-            sources = np.concatenate([stack] + [stack[:, j:j + 1] ** self._exps[:, j]
-                                                for j in powered], axis=1)
+            if tables is None:
+                tables = self.power_tables(stack, powered)
+            sources = np.concatenate([stack] + [tables[j] for j in powered], axis=1)
         monos = sources[:, first]
         for k, column in factors:
             monos[:, k] *= sources[:, column]
@@ -296,13 +451,13 @@ class CompiledSystem:
             out[:, rows] += monos[:, k] * coeff
         return out if points.ndim == 2 else out[0]
 
-    def g_at(self, theta: np.ndarray) -> np.ndarray:
+    def g_at(self, theta: np.ndarray, tables: dict | None = None) -> np.ndarray:
         """g at one point, shape (q,), or at a stack of points, shape (N, q)."""
-        return self._evaluate(theta, self._g_plan)
+        return self._evaluate(theta, self._g_plan, tables)
 
-    def jacobian_at(self, theta: np.ndarray) -> np.ndarray:
+    def jacobian_at(self, theta: np.ndarray, tables: dict | None = None) -> np.ndarray:
         """G at one point, shape (q, p), or at a stack, shape (N, q, p)."""
-        values = self._evaluate(theta, self._G_plan)
+        values = self._evaluate(theta, self._G_plan, tables)
         return values.reshape(values.shape[:-1] + (self.q, self.p))
 
 
@@ -562,10 +717,14 @@ def _draw_stack(model: EstimatorModel, T: int, reps: int, seed: int,
     Rep ``rep`` draws from the stream of ``np.random.default_rng([seed, T,
     rep])`` exactly what ``draw_estimate`` draws from it, in the same order:
     z, then in perturbed mode the first W, then normals of shape ``tail``
-    (none by default).  theta_hat and the perturbed V_hat are formed for the
-    whole stack; only the reps whose V_hat fails Cholesky replay their stream
-    through ``draw_estimate``'s retries, then draw their tail.  Returns
-    (thetas, V_hat, tails), V_hat being ``model.V`` itself in exact mode.
+    (none by default).  Every rep's PCG64 runs on arrays, one word per
+    normal, through the ziggurat's fast path; a rep with any word off that
+    path refills its row from its own generator.  One rep on the fast path
+    is drawn by NumPy as well, and if the two differ every rep refills.
+    theta_hat and the perturbed V_hat are formed for the whole stack; only
+    the reps whose V_hat fails Cholesky replay their stream through
+    ``draw_estimate``'s retries, then draw their tail.  Returns (thetas,
+    V_hat, tails), V_hat being ``model.V`` itself in exact mode.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -573,9 +732,14 @@ def _draw_stack(model: EstimatorModel, T: int, reps: int, seed: int,
     perturbed = model.vhat_mode == "perturbed"
     seeds = _substream_seeds(seed, T, reps)
     n_w = p * p if perturbed else 0
-    normals = np.empty((reps, p + n_w + math.prod(tail)))
-    for row, words in zip(normals, seeds):
-        _stream(words).standard_normal(out=row)
+    n = p + n_w + math.prod(tail)
+    normals, accepted = _ziggurat_fast_path(_pcg64_words(_pcg64_seed(seeds), n))
+    fast = accepted.all(axis=1)
+    for rep in np.flatnonzero(fast)[:1]:  # the certificate: the first fast-path rep
+        if _stream(seeds[rep]).standard_normal(n).tobytes() != normals[rep].tobytes():
+            fast[:] = False
+    for rep in np.flatnonzero(~fast):
+        _stream(seeds[rep]).standard_normal(out=normals[rep])
     z, W, tails = np.split(normals, [p, p + n_w], axis=1)
     thetas = model.theta_bar + (model._chol @ z[..., None])[..., 0] / math.sqrt(T)
     tails = tails.reshape((reps,) + tuple(tail))
@@ -599,10 +763,11 @@ def _batch(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray, T: int,
     ``scalings``, take the descending eigenvalues of diag(d) S G V_hat G'
     S' diag(d) by batched LAPACK, NaN on the singular draws.
     """
-    G = comp.jacobian_at(thetas)
+    tables = comp.power_tables(thetas) if wald else None
+    G = comp.jacobian_at(thetas, tables)
     g = W = singular = None
     if wald:
-        g = comp.g_at(thetas)
+        g = comp.g_at(thetas, tables)
         W, singular = _wald_stack(g, G, covs, T)
     SG = S @ G
     inner = SG @ covs @ np.swapaxes(SG, -1, -2)
@@ -613,6 +778,14 @@ def _batch(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray, T: int,
             lam[singular] = np.nan
         eigs.append(lam)
     return _Batch(g, W, singular, tuple(eigs))
+
+
+def _block_scaling(report: RateReport) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The report's echelon transform S, row degrees s and rates beta, as floats."""
+    ech = report.echelon
+    return (np.array([[float(v) for v in row] for row in ech.S]),
+            np.array(ech.row_degrees, dtype=float),
+            np.array([float(b) for b in report.beta]))
 
 
 def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
@@ -628,13 +801,9 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
     """
     grid = _validate_grid(t_grid, reps)
     comp = compile_system(sys)
-    ech = report.echelon
-    q = sys.q
-    S_float = np.array([[float(v) for v in row] for row in ech.S])
-    s_deg = np.array(ech.row_degrees, dtype=float)
-    beta = np.array([float(b) for b in report.beta])
+    S_float, s_deg, beta = _block_scaling(report)
     beta_bar = float(report.beta_bar)
-    degenerate = report.rank_r < q
+    degenerate = report.rank_r < sys.q
 
     wald_all: list[np.ndarray] = []
     eig_medians: list[np.ndarray] = []
@@ -703,12 +872,8 @@ def scaled_eigen_trajectory(sys: RestrictionSystem, model: EstimatorModel,
     """
     grid = tuple(int(t) for t in t_grid)
     comp = compile_system(sys)
-    ech = report.echelon
-    q = sys.q
-    S_float = np.array([[float(v) for v in row] for row in ech.S])
-    s_deg = np.array(ech.row_degrees, dtype=float)
-    beta = np.array([float(b) for b in report.beta])
-    raw = np.empty((len(grid), q))
+    S_float, s_deg, beta = _block_scaling(report)
+    raw = np.empty((len(grid), sys.q))
     for ti, T in enumerate(grid):
         thetas, covs, _ = _draw_stack(model, T, reps, seed)
         batch = _batch(comp, thetas, covs if vhat is None else vhat, T, S_float,

@@ -19,16 +19,20 @@ from waldrates.rates import Covariance, rate_report
 from waldrates.restriction import RestrictionSystem, transform
 from waldrates.simulate import (
     CholeskyFailureError,
+    CompiledSystem,
     EstimatorModel,
     GenericCovarianceError,
     SingularMetricError,
     _batch,
     _cholesky_stack,
     _draw_stack,
+    _pcg64_seed,
+    _pcg64_words,
     _perturbed_vhat,
     _stream,
     _substream_seeds,
     _wald_stack,
+    _ziggurat_fast_path,
     chi_square_median,
     compile_system,
     divergence_experiment,
@@ -352,10 +356,18 @@ class TestVanishingRateExperiment:
         assert 0.5 <= scaled[-1] / scaled[-2] <= 2.0
 
 
+def _cubic_system():
+    names = ["x", "y", "z"]
+    return RestrictionSystem(names, [0, 0, 0], [parse_polynomial(text, names) for text in (
+        "x^2*y + 3*x*y*z - y^3 + 2*z - 1/3",
+        "x*z^2 - 5*y^2*z + x^3 - z + 7/5*x*y",
+        "x^2*y^2*z - 2*x*y + 4*z^3 - y",
+    )])
+
+
 def _block_scaling(report, T):
-    ech = report.echelon
-    S = np.array([[float(v) for v in row] for row in ech.S])
-    return S, T ** (np.array(ech.row_degrees, dtype=float) / 2.0)
+    S, s_deg, _ = simulate._block_scaling(report)
+    return S, T ** (s_deg / 2.0)
 
 
 @st.composite
@@ -426,19 +438,38 @@ class TestKernel:
             wald_statistic(stack, np.eye(4), comp, 1000)
 
     def test_stacked_evaluation_matches_per_draw(self):
-        names = ["x", "y", "z"]
-        g = [parse_polynomial(text, names) for text in (
-            "x^2*y + 3*x*y*z - y^3 + 2*z - 1/3",
-            "x*z^2 - 5*y^2*z + x^3 - z + 7/5*x*y",
-            "x^2*y^2*z - 2*x*y + 4*z^3 - y",
-        )]
-        comp = compile_system(RestrictionSystem(names, [0, 0, 0], g))
+        comp = compile_system(_cubic_system())
         thetas = np.random.default_rng(11).uniform(-2.0, 2.0, size=(50, 3))
         g_stack, G_stack = comp.g_at(thetas), comp.jacobian_at(thetas)
         assert g_stack.shape == (50, 3) and G_stack.shape == (50, 3, 3)
         for theta, g_row, G_row in zip(thetas, g_stack, G_stack):
             assert np.array_equal(g_row, comp.g_at(theta))
             assert np.array_equal(G_row, comp.jacobian_at(theta))
+
+    def test_batch_builds_one_power_table_for_g_and_G(self, monkeypatch):
+        comp = compile_system(_cubic_system())
+        thetas = np.random.default_rng(11).uniform(-2.0, 2.0, size=(50, 3))
+        builds = []
+        power_tables = CompiledSystem.power_tables
+
+        def counting_power_tables(self, *args):
+            builds.append(args)
+            return power_tables(self, *args)
+
+        monkeypatch.setattr(CompiledSystem, "power_tables", counting_power_tables)
+        g, G = comp.g_at(thetas), comp.jacobian_at(thetas)
+        assert len(builds) == 2
+        V, S, d = np.diag([1.0, 2.0, 3.0]), np.eye(3), np.array([1.0, 10.0, 100.0])
+        batch = _batch(comp, thetas, V, 1000, S, (d,), wald=True)
+        assert len(builds) == 3
+        W, singular = _wald_stack(g, G, V, 1000)
+        SG = S @ G
+        lam = np.linalg.eigvalsh(d[:, None] * (SG @ V @ np.swapaxes(SG, -1, -2)) * d)[:, ::-1]
+        lam[singular] = np.nan
+        assert np.array_equal(batch.g, g)
+        assert np.array_equal(batch.wald, W, equal_nan=True)
+        assert np.array_equal(batch.singular, singular)
+        assert np.array_equal(batch.eigs[0], lam, equal_nan=True)
 
     @settings(max_examples=200, deadline=None)
     @given(_float_systems(), st.integers(1, 400), st.integers(0, 2**32 - 1))
@@ -535,6 +566,19 @@ def _oracle_draws(model, T, reps, seed, tail=(0,)):
     return np.array(thetas), np.array(covs), np.array(tails)
 
 
+@pytest.fixture
+def streams(monkeypatch):
+    """The seed words of every NumPy generator that ``_draw_stack`` builds."""
+    calls = []
+
+    def counting_stream(words):
+        calls.append(words)
+        return _stream(words)
+
+    monkeypatch.setattr(simulate, "_stream", counting_stream)
+    return calls
+
+
 class TestSubstreams:
     """The vectorised seeding and the one-pass draw stage against default_rng."""
 
@@ -544,9 +588,47 @@ class TestSubstreams:
     def test_states_match_default_rng(self, seed, T, reps):
         # fails if NumPy's SeedSequence hash or its seeding of PCG64 ever changes
         seeds = _substream_seeds(seed, T, reps)
+        generators = [np.random.default_rng([seed, T, rep]).bit_generator
+                      for rep in range(reps)]
         assert [_stream(words).bit_generator.state for words in seeds] == [
-            np.random.default_rng([seed, T, rep]).bit_generator.state
-            for rep in range(reps)]
+            bg.state for bg in generators]
+        # the array PCG64: state and inc after srandom, then 70 raw words, in
+        # which the rotation by 0 (1 word in 64) occurs
+        state = _pcg64_seed(seeds)
+        hi, lo, inc_hi, inc_lo = (limb.tolist() for limb in state)
+        assert [{"state": h << 64 | l, "inc": ih << 64 | il}
+                for h, l, ih, il in zip(hi, lo, inc_hi, inc_lo)] == [
+            bg.state["state"] for bg in generators]
+        assert _pcg64_words(state, 70).tolist() == [bg.random_raw(70).tolist()
+                                                     for bg in generators]
+
+    def test_ziggurat_tables_pinned_by_numpy_sampler(self):
+        # Feed NumPy's standard_normal chosen words through PCG64's public
+        # state setter: a state whose high half is 0 outputs its low half
+        # unrotated, so the state before it is (word - inc) / MULT.
+        bit_generator = np.random.PCG64()
+        rng = np.random.Generator(bit_generator)
+        inverse = pow(simulate._PCG_MULT, -1, 2**128)
+
+        def numpy_sample(word):
+            bit_generator.state = {
+                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": (word - 1) * inverse % 2**128, "inc": 1}}
+            value = rng.standard_normal()
+            return value, bit_generator.state["state"]["state"] == word
+
+        ki, wi = simulate._ZIGGURAT_KI.tolist(), simulate._ZIGGURAT_WI
+        for idx in range(256):
+            for rabs in {1, ki[idx] - 1, ki[idx]} - {-1}:
+                for sign in (0, 1):
+                    word = rabs << 9 | sign << 8 | idx
+                    value, one_word = numpy_sample(word)
+                    x, accepted = _ziggurat_fast_path(np.array([word], dtype=np.uint64))
+                    assert accepted[0] == one_word == (rabs < ki[idx]), (idx, rabs)
+                    if one_word:
+                        assert x[0] == value and np.signbit(x[0]) == bool(sign)
+                    if rabs == 1:
+                        assert value == (-wi[idx] if sign else wi[idx])
 
     def test_import_does_not_load_numpy_random(self):
         code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
@@ -598,6 +680,50 @@ class TestSubstreams:
         assert np.array_equal(thetas, oracle_thetas)
         assert np.array_equal(covs, oracle_covs)
         assert np.array_equal(tails, oracle_tails)
+
+    @pytest.mark.parametrize("tail", [(0,), (4, 4)])
+    def test_only_off_path_reps_refill(self, streams, tail):
+        model = EstimatorModel(PP_THETA, np.eye(4))
+        T, reps, seed = 1000, 400, 21
+        n = 4 + math.prod(tail)
+        off_path = 0
+        for rep in range(reps):
+            # a sample off the fast path takes more than its one word
+            rng, raw = (np.random.default_rng([seed, T, rep]) for _ in range(2))
+            rng.standard_normal(n)
+            raw.bit_generator.random_raw(n)
+            off_path += rng.bit_generator.state != raw.bit_generator.state
+        assert 0 < off_path < reps
+        thetas, _, tails = _draw_stack(model, T, reps, seed, tail)
+        assert len(streams) == off_path + 1  # and the certificate's rep
+        oracle_thetas, _, oracle_tails = _oracle_draws(model, T, reps, seed, tail)
+        assert np.array_equal(thetas, oracle_thetas)
+        assert np.array_equal(tails, oracle_tails)
+
+    @pytest.mark.parametrize("table", ["wi", "ki"])
+    def test_certificate_sends_every_rep_to_numpy(self, monkeypatch, streams, table):
+        model = EstimatorModel(PP_THETA, np.eye(4))
+        T, reps = 1000, 300
+        for seed in range(1000):
+            words = _pcg64_words(_pcg64_seed(_substream_seeds(seed, T, reps)), 4)
+            accepted = _ziggurat_fast_path(words)[1]
+            # ki: rep 0 with one word off the fast path, not its last
+            if table == "wi" or (~accepted[0]).sum() == 1 and accepted[0, -1]:
+                break
+        if table == "wi":
+            # the first word of the first fast-path rep, which the certificate draws
+            word = words[np.flatnonzero(accepted.all(axis=1))[0], 0]
+            corrupt = simulate._ZIGGURAT_WI.copy()
+            corrupt[word & 0xFF] = np.nextafter(corrupt[word & 0xFF], 1.0)
+        else:
+            # accept the word NumPy rejects, making rep 0 the certified rep
+            word = words[0, np.flatnonzero(~accepted[0])[0]]
+            corrupt = simulate._ZIGGURAT_KI.copy()
+            corrupt[word & 0xFF] = (word >> 9 & 0xFFFFFFFFFFFFF) + 1
+        monkeypatch.setattr(simulate, f"_ZIGGURAT_{table.upper()}", corrupt)
+        thetas, _, _ = _draw_stack(model, T, reps, seed)
+        assert len(streams) == reps + 1
+        assert np.array_equal(thetas, _oracle_draws(model, T, reps, seed)[0])
 
     def test_ten_failed_retries_raise(self):
         model = EstimatorModel(PP_THETA, np.eye(4), "perturbed", 1e6)
