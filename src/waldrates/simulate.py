@@ -15,15 +15,19 @@ sampler; the tests compare against ``default_rng``).
 
 All three experiments run one batched kernel per T over every replication:
 draw each replication from its substream; evaluate g and the exact symbolic
-Jacobian, compiled to floats once per system, for the whole stack; solve the
-q x q inner matrices through a batched Cholesky factorisation, never
-inverting them explicitly, and report a draw whose matrix fails
-factorisation rather than regularise it away; take eigenvalues with batched
-LAPACK ``eigvalsh``.  Its absolute error is about eps * ||A||, so a small
-eigenvalue carries a relative error of about eps * lambda_max / lambda_min.
-The cyclic Jacobi solver ``symmetric_eigenvalues``, more accurate for small
-eigenvalues, stays as the independent oracle that ``verify`` and the tests
-compare against.
+Jacobian, compiled to floats once per system, for the whole stack; form each
+draw's q x q inner matrix G V_hat G' once; solve it through a batched
+Cholesky factorisation, never inverting it explicitly, and report a draw
+whose matrix fails factorisation rather than regularise it away; take
+eigenvalues of its block-scaled copies with batched LAPACK ``eigvalsh``,
+whose absolute error is about eps * ||A||, so a small eigenvalue carries a
+relative error of about eps * lambda_max / lambda_min.  The divergence and
+eigenvalue-trajectory experiments compile the echelonized restrictions S g,
+with the report's exact S applied before any float is formed, so the
+cancellation between rows that S performs is exact; W is the same for S g
+as for g.  The cyclic Jacobi solver ``symmetric_eigenvalues``, more accurate
+for small eigenvalues, stays as the independent oracle that ``verify`` and
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .rates import Covariance, RateReport, _ray_degrees, min_degree_generic
-from .restriction import RestrictionSystem, jacobian, recenter
+from .restriction import RestrictionSystem, jacobian, recenter, transform
 
 
 class CholeskyFailureError(ValueError):
@@ -490,15 +494,13 @@ def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factors, failed
 
 
-def _wald_stack(g: np.ndarray, G: np.ndarray, V: np.ndarray,
-                T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Solve stage: W = T ||L^{-1} g||^2 per draw, with L L' = G V G'.
+def _wald_stack(g: np.ndarray, A: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve stage: W = T ||L^{-1} g||^2 per draw, with L L' = A = G V G'.
 
-    ``g`` is (N, q), ``G`` is (N, q, p) and ``V`` is (p, p) or (N, p, p).
+    ``g`` is (N, q) and ``A`` the (N, q, q) stack of inner matrices.
     Returns W, NaN on the draws whose inner matrix fails Cholesky, and the
     boolean mask of those singular draws.  Nothing is regularised.
     """
-    A = G @ V @ np.swapaxes(G, -1, -2)
     L, singular = _cholesky_stack(A)
     v = np.linalg.solve(L[~singular], g[~singular][..., None])[..., 0]
     W = np.full(A.shape[0], np.nan)
@@ -520,8 +522,9 @@ def wald_statistic(theta_hat: Sequence[float], V_hat: np.ndarray,
     comp = _as_compiled(sys)
     theta = np.asarray(theta_hat, dtype=float)
     stack = theta.reshape(-1, comp.p)
-    W, singular = _wald_stack(comp.g_at(stack), comp.jacobian_at(stack),
-                              np.asarray(V_hat, dtype=float), T)
+    G = comp.jacobian_at(stack)
+    A = G @ np.asarray(V_hat, dtype=float) @ np.swapaxes(G, -1, -2)
+    W, singular = _wald_stack(comp.g_at(stack), A, T)
     if singular.any():
         raise SingularMetricError(
             f"inner Wald matrix failed Cholesky on {int(singular.sum())} of "
@@ -619,59 +622,31 @@ class SimResult:
         return np.array([float(np.median(w[np.isfinite(w)])) for w in self.wald_samples])
 
 
-def _regularized_lower_gamma(a: float, x: float) -> float:
-    """P(a, x) by series (x < a+1) or continued fraction, to ~1e-14."""
-    if x < 0 or a <= 0:
-        raise ValueError("require x >= 0 and a > 0")
-    if x == 0.0:
-        return 0.0
-    lg = math.lgamma(a)
-    if x < a + 1.0:
-        term = 1.0 / a
-        total = term
-        n = a
-        for _ in range(500):
-            n += 1.0
-            term *= x / n
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return total * math.exp(-x + a * math.log(x) - lg)
-    # Lentz continued fraction for Q(a, x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = math.exp(-x + a * math.log(x) - lg) * h
-    return 1.0 - q
+def _chi_square_cdf(q: int, x: float) -> float:
+    """P(chi2_q <= x) for an integer q, by the finite sums of the integer-dof CDF:
+    1 - e^{-x/2} sum_{k<q/2} (x/2)^k / k! for even q, and erf(sqrt(x/2)) -
+    e^{-x/2} sum_{k<(q-1)/2} (x/2)^{k+1/2} / Gamma(k+3/2) for odd q."""
+    h = x / 2.0
+    half = q % 2 / 2.0
+    term = h ** half / math.gamma(1.0 + half)
+    total = 0.0
+    for k in range(q // 2):
+        total += term
+        term *= h / (k + 1.0 + half)
+    return (math.erf(math.sqrt(h)) if q % 2 else 1.0) - math.exp(-h) * total
 
 
 def chi_square_median(q: int) -> float:
     """Median of the chi-square distribution with q degrees of freedom.
 
-    Bisection on the regularized lower incomplete gamma P(q/2, x/2) = 1/2.
+    Bisection on the chi-square CDF, P(chi2_q <= x) = 1/2.
     """
     if q < 1:
         raise ValueError("degrees of freedom must be >= 1")
     lo, hi = 0.0, 10.0 * q + 10.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if _regularized_lower_gamma(q / 2.0, mid / 2.0) < 0.5:
+        if _chi_square_cdf(q, mid) < 0.5:
             lo = mid
         else:
             hi = mid
@@ -754,23 +729,25 @@ def _draw_stack(model: EstimatorModel, T: int, reps: int, seed: int,
 
 
 def _batch(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray, T: int,
-           S: np.ndarray, scalings: Sequence[np.ndarray], wald: bool = False) -> _Batch:
+           scalings: Sequence[np.ndarray], wald: bool = False) -> _Batch:
     """The Monte Carlo kernel: one T of an experiment over all reps at once.
 
     For the (reps, p) draws and their V_hat, one (p, p) matrix or a stack,
-    evaluate G, and g when ``wald``; solve for W, counting the draws whose
-    inner matrix fails Cholesky as singular; then, for each vector d in
-    ``scalings``, take the descending eigenvalues of diag(d) S G V_hat G'
-    S' diag(d) by batched LAPACK, NaN on the singular draws.
+    evaluate G, and g when ``wald``, and form the inner matrices A = G V_hat
+    G' once.  The experiments compile the echelonized system S g, so this g
+    and G are already S g and S G, with S applied exactly.  When ``wald``,
+    A's Cholesky factors give W (S cancels out of it) and the draws that
+    fail factorisation, counted as singular; then, for each vector d in
+    ``scalings``, take the descending eigenvalues of diag(d) A diag(d) by
+    batched LAPACK, NaN on the singular draws.
     """
     tables = comp.power_tables(thetas) if wald else None
     G = comp.jacobian_at(thetas, tables)
+    inner = G @ covs @ np.swapaxes(G, -1, -2)
     g = W = singular = None
     if wald:
         g = comp.g_at(thetas, tables)
-        W, singular = _wald_stack(g, G, covs, T)
-    SG = S @ G
-    inner = SG @ covs @ np.swapaxes(SG, -1, -2)
+        W, singular = _wald_stack(g, inner, T)
     eigs = []
     for d in scalings:
         lam = np.linalg.eigvalsh(d[:, None] * inner * d)[:, ::-1]
@@ -780,11 +757,9 @@ def _batch(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray, T: int,
     return _Batch(g, W, singular, tuple(eigs))
 
 
-def _block_scaling(report: RateReport) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The report's echelon transform S, row degrees s and rates beta, as floats."""
-    ech = report.echelon
-    return (np.array([[float(v) for v in row] for row in ech.S]),
-            np.array(ech.row_degrees, dtype=float),
+def _block_scaling(report: RateReport) -> tuple[np.ndarray, np.ndarray]:
+    """The report's echelon row degrees s and rates beta, as floats."""
+    return (np.array(report.echelon.row_degrees, dtype=float),
             np.array([float(b) for b in report.beta]))
 
 
@@ -800,8 +775,8 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
     fraction; above 5% the experiment fails.
     """
     grid = _validate_grid(t_grid, reps)
-    comp = compile_system(sys)
-    S_float, s_deg, beta = _block_scaling(report)
+    comp = compile_system(transform(sys, report.echelon.S))
+    s_deg, beta = _block_scaling(report)
     beta_bar = float(report.beta_bar)
     degenerate = report.rank_r < sys.q
 
@@ -815,12 +790,12 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
         # sigma_bar = D S G V G' S' D; sigma_hat rescales it by T^{beta/2}
         scalings = (delta, delta * T ** (beta / 2.0)) if degenerate else (delta,)
         thetas, covs, _ = _draw_stack(model, T, reps, seed)
-        batch = _batch(comp, thetas, covs, T, S_float, scalings, wald=True)
+        batch = _batch(comp, thetas, covs, T, scalings, wald=True)
         singular += int(batch.singular.sum())
         wald_all.append(batch.wald)
         eig_medians.append(np.nanmedian(batch.eigs[0], axis=0))
         if degenerate:
-            scaled_g = T ** ((s_deg + 1.0) / 2.0) * (batch.g @ S_float.T)
+            scaled_g = T ** ((s_deg + 1.0) / 2.0) * batch.g
             mu = np.min(scaled_g**2, axis=1) / batch.eigs[1][:, 0]
             violations += int(np.count_nonzero(batch.wald < T**beta_bar * mu - 1e-9))
             mu_medians.append(float(np.nanmedian(mu)))
@@ -871,12 +846,12 @@ def scaled_eigen_trajectory(sys: RestrictionSystem, model: EstimatorModel,
     cannot draw with.
     """
     grid = tuple(int(t) for t in t_grid)
-    comp = compile_system(sys)
-    S_float, s_deg, beta = _block_scaling(report)
+    comp = compile_system(transform(sys, report.echelon.S))
+    s_deg, beta = _block_scaling(report)
     raw = np.empty((len(grid), sys.q))
     for ti, T in enumerate(grid):
         thetas, covs, _ = _draw_stack(model, T, reps, seed)
-        batch = _batch(comp, thetas, covs if vhat is None else vhat, T, S_float,
+        batch = _batch(comp, thetas, covs if vhat is None else vhat, T,
                        (T ** (s_deg / 2.0),))
         raw[ti] = np.nanmedian(batch.eigs[0], axis=0)
     scaled = raw * np.array(grid, dtype=float)[:, None] ** beta[None, :]
@@ -952,7 +927,7 @@ def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
         # perturbation would leave the admissible set
         U_T = U_float if u_t_mode == "exact" else (
             U_float + VANISHING_PERTURB_SCALE / math.sqrt(T) * (A @ np.swapaxes(A, -1, -2)) / p)
-        batch = _batch(comp, thetas, U_T, T, np.eye(q), (np.ones(q),))
+        batch = _batch(comp, thetas, U_T, T, (np.ones(q),))
         raw[ti] = np.nanmedian(batch.eigs[0], axis=0)
     beta_f = np.array([float(b) for b in betas])
     scaled = raw * np.array(grid, dtype=float)[:, None] ** beta_f[None, :]

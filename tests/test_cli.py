@@ -300,6 +300,22 @@ class TestCommands:
         jsonschema.validate(report, SCHEMA)
         assert report["sim"]["bound_violations"] == 0
 
+    def test_simulate_row_rewrite_spec(self, tmp_path, capsys):
+        # g2 = 2 g1 + y^2 + x z: the echelon transform rewrites row 2, so the
+        # kernel simulates S g with S = [[1, 0], [-2, 1]]
+        path = write_spec(tmp_path, "vars x y z\ntheta_bar 0 0 0\ng x + y + z\n"
+                          "g 2*x + 2*y + 2*z + y^2 + x*z\nV identity\n")
+        out_json = tmp_path / "report.json"
+        code = main(["simulate", path, "--grid", "100,1000,10000,100000", "--reps", "200",
+                     "--seed", "7", "--json", str(out_json)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        report = json.loads(out_json.read_text())
+        jsonschema.validate(report, SCHEMA)
+        assert report["frald"]["S"] == [["1", "0"], ["-2", "1"]]
+        assert report["sim"]["bound_violations"] == 0
+        assert report["sim"]["singular_fraction"] == 0.0
+
     def test_simulate_chi_square_line_for_linear(self, capsys):
         code = main(["simulate", str(FIXTURES / "linear_q1.spec"),
                      "--grid", "10,100,1000,10000", "--reps", "200"])

@@ -1,10 +1,12 @@
 """Monte Carlo engine: draws, Wald evaluation, eigensolver, experiments."""
 
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from waldrates import simulate
 from waldrates.polycore import MultiPoly, Scalar, parse_polynomial
 from waldrates.rates import Covariance, rate_report
-from waldrates.restriction import RestrictionSystem, transform
+from waldrates.restriction import RestrictionSystem, jacobian, transform
 from waldrates.simulate import (
     CholeskyFailureError,
     CompiledSystem,
@@ -218,6 +221,8 @@ class TestChiSquareMedian:
     def test_known_values(self):
         assert chi_square_median(1) == pytest.approx(0.454936, abs=1e-5)
         assert chi_square_median(2) == pytest.approx(2 * math.log(2), rel=1e-10)
+        for q in range(1, 61):
+            assert chi_square_median(q) == pytest.approx(chi2.median(q), rel=1e-14)
 
 
 class TestFitLoglogSlope:
@@ -365,9 +370,19 @@ def _cubic_system():
     )])
 
 
-def _block_scaling(report, T):
-    S, s_deg, _ = simulate._block_scaling(report)
-    return S, T ** (s_deg / 2.0)
+def _echelonized(system, report):
+    """The compiled S g the experiments simulate, and S as floats for the oracles."""
+    S = report.echelon.S
+    return (compile_system(transform(system, S)),
+            np.array([[float(v) for v in row] for row in S]))
+
+
+def _delta(report, T):
+    return T ** (simulate._block_scaling(report)[0] / 2.0)
+
+
+def _inner(G, V):
+    return G @ V @ np.swapaxes(G, -1, -2)
 
 
 @st.composite
@@ -390,10 +405,11 @@ class TestKernel:
     @pytest.mark.parametrize("T", [100, 100_000])
     def test_eigenvalues_match_jacobi(self, pp_report, T):
         comp = compile_system(product_pairs_system())
+        comp_s, S = _echelonized(product_pairs_system(), pp_report)
         model = EstimatorModel(PP_THETA, np.eye(4))
-        S, delta = _block_scaling(pp_report, T)
+        delta = _delta(pp_report, T)
         thetas, covs, _ = _draw_stack(model, T, 200, 8)
-        batch = _batch(comp, thetas, covs, T, S, (delta,))
+        batch = _batch(comp_s, thetas, covs, T, (delta,))
         for rep in range(200):
             theta, V = draw_estimate(model, T, np.random.default_rng([8, T, rep]))
             SG = S @ comp.jacobian_at(theta)
@@ -405,10 +421,10 @@ class TestKernel:
     @pytest.mark.parametrize("T", [100, 100_000])
     def test_wald_matches_closed_form(self, pp_report, T):
         comp = compile_system(product_pairs_system())
+        comp_s, _ = _echelonized(product_pairs_system(), pp_report)
         model = EstimatorModel(PP_THETA, np.eye(4))
-        S, delta = _block_scaling(pp_report, T)
         thetas, covs, _ = _draw_stack(model, T, 500, 9)
-        batch = _batch(comp, thetas, covs, T, S, (delta,), wald=True)
+        batch = _batch(comp_s, thetas, covs, T, (_delta(pp_report, T),), wald=True)
         assert not batch.singular.any()
         G = comp.jacobian_at(thetas)
         cond = np.linalg.cond(G @ np.swapaxes(G, 1, 2))
@@ -423,13 +439,13 @@ class TestKernel:
         stack = np.insert(others, 17, PP_THETA, axis=0)
         # G's first row (y, x, 0, 0) vanishes at the null point: zero pivot
         assert not comp.jacobian_at(PP_THETA)[0].any()
-        W, singular = _wald_stack(comp.g_at(stack), comp.jacobian_at(stack),
-                                  np.eye(4), 1000)
+        W, singular = _wald_stack(comp.g_at(stack),
+                                  _inner(comp.jacobian_at(stack), np.eye(4)), 1000)
         assert singular.sum() == 1 and singular[17]
         assert np.isnan(W[17])
         W_clean, singular_clean = _wald_stack(comp.g_at(others),
-                                              comp.jacobian_at(others),
-                                              np.eye(4), 1000)
+                                              _inner(comp.jacobian_at(others), np.eye(4)),
+                                              1000)
         assert not singular_clean.any()
         assert np.array_equal(np.delete(W, 17), W_clean)
         with pytest.raises(SingularMetricError):
@@ -459,12 +475,11 @@ class TestKernel:
         monkeypatch.setattr(CompiledSystem, "power_tables", counting_power_tables)
         g, G = comp.g_at(thetas), comp.jacobian_at(thetas)
         assert len(builds) == 2
-        V, S, d = np.diag([1.0, 2.0, 3.0]), np.eye(3), np.array([1.0, 10.0, 100.0])
-        batch = _batch(comp, thetas, V, 1000, S, (d,), wald=True)
+        V, d = np.diag([1.0, 2.0, 3.0]), np.array([1.0, 10.0, 100.0])
+        batch = _batch(comp, thetas, V, 1000, (d,), wald=True)
         assert len(builds) == 3
-        W, singular = _wald_stack(g, G, V, 1000)
-        SG = S @ G
-        lam = np.linalg.eigvalsh(d[:, None] * (SG @ V @ np.swapaxes(SG, -1, -2)) * d)[:, ::-1]
+        W, singular = _wald_stack(g, _inner(G, V), 1000)
+        lam = np.linalg.eigvalsh(d[:, None] * _inner(G, V) * d)[:, ::-1]
         lam[singular] = np.nan
         assert np.array_equal(batch.g, g)
         assert np.array_equal(batch.wald, W, equal_nan=True)
@@ -520,13 +535,13 @@ class TestKernel:
 
     @pytest.mark.parametrize("mode", ["exact", "perturbed"])
     def test_unstacked_covariance_same_bits_as_stacked(self, pp_report, mode):
-        comp = compile_system(product_pairs_system())
+        comp, _ = _echelonized(product_pairs_system(), pp_report)
         model = EstimatorModel(PP_THETA, np.eye(4), mode, 0.5)
-        S, delta = _block_scaling(pp_report, 1000)
+        delta = _delta(pp_report, 1000)
         thetas, covs, _ = _draw_stack(model, 1000, 300, 14)
         assert (covs is model.V) == (mode == "exact")
         V = model.V if mode == "exact" else covs[7]
-        args = (1000, S, (delta, 2 * delta))
+        args = (1000, (delta, 2 * delta))
         unstacked = _batch(comp, thetas, V, *args, wald=True)
         stacked = _batch(comp, thetas, np.broadcast_to(V, (300, 4, 4)).copy(), *args,
                          wald=True)
@@ -552,6 +567,93 @@ class TestKernel:
                         np.linalg.cholesky(matrix)
                 else:
                     assert np.array_equal(factors[i], np.linalg.cholesky(matrix))
+
+
+#: g2 = 2 g1 + y^2 + x z: the rows' lowest parts are dependent, so the echelon
+#: transform rewrites row 2, S = [[1, 0], [-2, 1]], and G(0) has rank 1
+REWRITE = ("x + y + z", "2*x + 2*y + 2*z + y^2 + x*z")
+#: the same rewrite over Q(sqrt(2)): S = [[1, 0], [-sqrt(2), 1]]
+SURD_REWRITE = ("sqrt(2)*x + y + z", "2*x + sqrt(2)*y + sqrt(2)*z + y^2 + x*z")
+
+
+def _rewrite_system(texts):
+    names = ["x", "y", "z"]
+    return RestrictionSystem(names, [0, 0, 0], [parse_polynomial(t, names) for t in texts])
+
+
+def _exact_wald_q2(system, G, theta, T):
+    """T g' (G G')^{-1} g (V = I) of a two-restriction rational system, at a
+    float point taken as exact rationals."""
+    point = [Fraction(t) for t in theta]
+    g = [poly.evaluate(point).a for poly in system.g]
+    rows = [[v.a for v in row] for row in G.evaluate(point)]
+    (a, b), (_, c) = [[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]
+    return T * (c * g[0] ** 2 - 2 * b * g[0] * g[1] + a * g[1] ** 2) / (a * c - b * b)
+
+
+def _decimal(v):
+    """A Scalar a + b sqrt(d) in the current decimal context."""
+    def frac(x):
+        return Decimal(x.numerator) / Decimal(x.denominator)
+    return frac(v.a) + frac(v.b) * Decimal(v.d).sqrt()
+
+
+class TestEchelonizedKernel:
+    """The experiments simulate the echelonized S g, compiled with S exact."""
+
+    def test_permutation_compiles_to_permuted_rows(self, pp_report):
+        # product pairs' own S is a permutation, so its eigenvalue and mu
+        # outputs carry the bits of the plain system's rows
+        assert sorted(map(tuple, pp_report.echelon.S)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        comp = compile_system(product_pairs_system())
+        thetas = PP_THETA + np.random.default_rng(16).standard_normal((100, 4))
+        g, G = comp.g_at(thetas), comp.jacobian_at(thetas)
+        for perm in itertools.permutations(range(3)):
+            P = [[int(j == k) for j in range(3)] for k in perm]
+            comp_p = compile_system(transform(product_pairs_system(), P))
+            assert np.array_equal(comp_p.g_at(thetas), g[:, perm])
+            assert np.array_equal(comp_p.jacobian_at(thetas), G[:, perm])
+
+    def test_wald_on_row_rewrite_matches_exact_reference(self):
+        system = _rewrite_system(REWRITE)
+        report = rate_report(system, Covariance.identity(3), rng=random.Random(5))
+        assert report.echelon.S == ((1, 0), (-2, 1))
+        model = EstimatorModel(np.zeros(3), np.eye(3))
+        grid = [1000, 10**5, 10**6, 10**7]
+        res = divergence_experiment(system, model, grid, 200, 5, report=report)
+        G = jacobian(system)
+        for T, W in zip(grid, res.wald_samples):
+            thetas, _, _ = _draw_stack(model, T, 200, 5)
+            for w, theta in zip(W, thetas):
+                exact = _exact_wald_q2(system, G, theta, T)
+                assert abs(Fraction(w) - exact) <= Fraction(1e-10) * exact
+
+    @pytest.mark.parametrize("T", [10**5, 10**7])
+    def test_block_scaled_eigenvalues_on_surd_rewrite(self, T):
+        system = _rewrite_system(SURD_REWRITE)
+        report = rate_report(system, Covariance.identity(3), rng=random.Random(5))
+        assert report.echelon.S == ((1, 0), (Scalar(0, -1, 2), 1))
+        model = EstimatorModel(np.zeros(3), np.eye(3))
+        comp_s, _ = _echelonized(system, report)
+        thetas, covs, _ = _draw_stack(model, T, 50, 5)
+        batch = _batch(comp_s, thetas, covs, T, (_delta(report, T),))
+        traj = scaled_eigen_trajectory(system, model, report, [T], 50, 5)
+        assert np.array_equal(traj.raw_medians[0], np.nanmedian(batch.eigs[0], axis=0))
+        G = jacobian(system)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            S = [[_decimal(v) for v in row] for row in report.echelon.S]
+            d = [Decimal(T).sqrt() ** s for s in report.echelon.row_degrees]
+            for lam, theta in zip(batch.eigs[0], thetas):
+                Gx = [[_decimal(v) for v in row] for row in G.evaluate(list(map(Fraction, theta)))]
+                SG = [[S[i][0] * Gx[0][j] + S[i][1] * Gx[1][j] for j in range(3)]
+                      for i in range(2)]
+                (a, b), (_, c) = [[d[i] * d[k] * sum(x * y for x, y in zip(SG[i], SG[k]))
+                                   for k in range(2)] for i in range(2)]
+                # the closed form of a symmetric 2 x 2: mean +- radius
+                mean, radius = (a + c) / 2, (((a - c) / 2) ** 2 + b * b).sqrt()
+                for got, want in zip(lam, (mean + radius, mean - radius)):
+                    assert abs(Decimal(float(got)) - want) <= Decimal("1e-13") * want
 
 
 def _oracle_draws(model, T, reps, seed, tail=(0,)):
