@@ -459,7 +459,12 @@ def cmd_simulate(args) -> int:
     word = "MATCHES" if matches else "DOES NOT MATCH"
     print(f"{word} prediction β̄ = {report.beta_bar} "
           f"(tolerance ±{SLOPE_TOLERANCE})")
-    if not report.divergence_predicted:
+    row_degrees = report.echelon.row_degrees
+    if not report.divergence_predicted and any(row_degrees):
+        # W's limit is then a nonstandard law of the rows' lowest parts
+        print(f"chi-square sanity: not applicable, the chi2({system.q}) reference "
+              f"does not apply because an echelon degree s_i > 0 (s = {list(row_degrees)})")
+    elif not report.divergence_predicted:
         med = chi_square_median(system.q)
         pooled = float(np.median(np.concatenate(
             [w[np.isfinite(w)] for w in res.wald_samples])))

@@ -16,18 +16,19 @@ sampler; the tests compare against ``default_rng``).
 All three experiments run one batched kernel per T over every replication:
 draw each replication from its substream; evaluate g and the exact symbolic
 Jacobian, compiled to floats once per system, for the whole stack; form each
-draw's q x q inner matrix G V_hat G' once; solve it through a batched
-Cholesky factorisation, never inverting it explicitly, and report a draw
-whose matrix fails factorisation rather than regularise it away; take
-eigenvalues of its block-scaled copies with batched LAPACK ``eigvalsh``,
-whose absolute error is about eps * ||A||, so a small eigenvalue carries a
-relative error of about eps * lambda_max / lambda_min.  The divergence and
+draw's q x q inner matrix A = G V_hat G' once; then run one masked cyclic
+Jacobi over every block-scaled copy diag(d) A diag(d) of every draw, with
+D g rotated alongside, which gives each scaling's eigenvalues and W = T
+sum_i (J' D g)_i^2 / lambda_i without a solve or an inverse.  Jacobi keeps
+the small eigenvalues of a well-scaled matrix to relative accuracy (Demmel &
+Veselic 1992); a draw whose smallest eigenvalue is not > 0 is reported as
+singular rather than regularised away.  The divergence and
 eigenvalue-trajectory experiments compile the echelonized restrictions S g,
 with the report's exact S applied before any float is formed, so the
 cancellation between rows that S performs is exact; W is the same for S g
-as for g.  The cyclic Jacobi solver ``symmetric_eigenvalues``, more accurate
-for small eigenvalues, stays as the independent oracle that ``verify`` and
-the tests compare against.
+as for g.  The scalar cyclic Jacobi solver ``symmetric_eigenvalues`` shares
+no code with the batched kernel and stays the independent oracle that
+``verify`` and the tests compare against.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class CholeskyFailureError(ValueError):
 
 
 class SingularMetricError(ArithmeticError):
-    """The q x q inner Wald matrix failed factorisation for a draw."""
+    """The q x q inner Wald matrix of a draw is singular: its smallest
+    eigenvalue is not > 0."""
 
 
 class JacobiConvergenceError(ArithmeticError):
@@ -494,18 +496,105 @@ def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factors, failed
 
 
-def _wald_stack(g: np.ndarray, A: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Solve stage: W = T ||L^{-1} g||^2 per draw, with L L' = A = G V G'.
+#: Sweeps the batched Jacobi kernel may rotate in before it gives up; a
+#: product-pairs stack needs 3 or 4.  LAPACK's one-sided Jacobi (dgesvj)
+#: caps its sweeps at the same 30.
+JACOBI_MAX_SWEEPS = 30
 
-    ``g`` is (N, q) and ``A`` the (N, q, q) stack of inner matrices.
-    Returns W, NaN on the draws whose inner matrix fails Cholesky, and the
-    boolean mask of those singular draws.  Nothing is regularised.
+_EPS = float(np.finfo(float).eps)
+
+
+def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cyclic Jacobi over a stack of symmetric matrices, every draw at once.
+
+    ``A`` is (q, q, M): entry a_ij of every matrix is one (M,) array, and
+    only the upper triangle is read.  ``v`` is (q, n), one vector for each
+    of the first n <= M matrices (n may be 0), rotated alongside its
+    matrix, so it comes back as J' v for the matrix's eigenvectors J.
+    Returns the diagonal at convergence, (q, M) and unsorted, the rotated v,
+    and the number of sweeps that rotated.
+
+    A matrix rotates pair (i, j) only while |a_ij| > eps sqrt(|a_ii a_jj|),
+    the relative stopping rule of Demmel & Veselic (1992); the absolute
+    value lets a rounded non-positive diagonal rotate too.  Elsewhere its
+    rotation has t = 0, which leaves every entry as it is, so a matrix gets
+    the same bits alone as inside any stack.  A matrix with a non-finite
+    entry, or a non-finite v, does not rotate and comes back NaN.  The
+    sweeps stop when one rotates nothing; more than ``JACOBI_MAX_SWEEPS``
+    rotating sweeps raise JacobiConvergenceError.
     """
-    L, singular = _cholesky_stack(A)
-    v = np.linalg.solve(L[~singular], g[~singular][..., None])[..., 0]
-    W = np.full(A.shape[0], np.nan)
-    W[~singular] = T * (v * v).sum(axis=1)
-    return W, singular
+    q, M, n = A.shape[0], A.shape[2], v.shape[1]
+    bad = ~np.isfinite(A).all(axis=(0, 1))
+    bad[:n] |= ~np.isfinite(v).all(axis=0)
+    if bad.any():
+        A, v = np.where(bad, 0.0, A), np.where(bad[:n], 0.0, v)
+    a = [[A[min(i, j), max(i, j)] for j in range(q)] for i in range(q)]
+    v = list(v)
+    for sweeps in range(JACOBI_MAX_SWEEPS + 1):
+        rotated = False
+        for i in range(q - 1):
+            for j in range(i + 1, q):
+                aij, aii, ajj = a[i][j], a[i][i], a[j][j]
+                rot = np.abs(aij) > _EPS * np.sqrt(np.abs(aii * ajj))
+                if not np.count_nonzero(rot):
+                    continue
+                rotated = True
+                # t = tan of the angle that zeroes a_ij, the smaller root of
+                # t^2 + 2 zeta t - 1 = 0; t = 0 where the draw does not rotate
+                zeta = (ajj - aii) / (2.0 * np.where(rot, aij, 1.0))
+                t = np.copysign(rot, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                shift = t * aij
+                a[i][i], a[j][j] = aii - shift, ajj + shift
+                a[i][j] = a[j][i] = np.where(rot, 0.0, aij)
+                for k in range(q):
+                    if k != i and k != j:
+                        aki, akj = a[k][i], a[k][j]
+                        a[k][i] = a[i][k] = c * aki - s * akj
+                        a[k][j] = a[j][k] = s * aki + c * akj
+                vi, vj = v[i], v[j]
+                v[i], v[j] = c[:n] * vi - s[:n] * vj, s[:n] * vi + c[:n] * vj
+        if not rotated:
+            # + 0.0: a zero on the diagonal is +0.0 whatever the stack did
+            lam = np.array([a[i][i] for i in range(q)]) + 0.0
+            lam[:, bad] = np.nan
+            return lam, np.array(v), sweeps
+    raise JacobiConvergenceError(
+        f"Jacobi did not converge within {JACOBI_MAX_SWEEPS} sweeps on a stack of "
+        f"{M} matrices")
+
+
+def _spectra(inner: np.ndarray, scalings: Sequence[np.ndarray], T: float,
+             g: np.ndarray | None = None):
+    """Eigen stage: each scaling's eigenvalues, and W from the first, in one Jacobi.
+
+    ``inner`` is the (N, q, q) stack of A = G V_hat G'.  The Jacobi stack
+    holds diag(d) A diag(d) for every vector d in ``scalings``, so one run
+    covers all of them.  With ``g`` (N, q), D g for the first d is rotated
+    alongside, and W = T sum_i (J' D g)_i^2 / lambda_i = T g' A^{-1} g.  A
+    draw is singular when the smallest eigenvalue of its first scaling is
+    not > 0 or not finite; its W and eigenvalues are NaN, and nothing is
+    regularised.  Returns (W, singular, eigs), eigs holding per scaling an
+    (N, q) array in descending order; W and singular are None without g.
+    """
+    N = inner.shape[0]
+    entries = inner.transpose(1, 2, 0)
+    stack = np.concatenate([d[:, None, None] * entries * d[None, :, None] for d in scalings],
+                           axis=2)
+    v = np.zeros((len(stack), 0)) if g is None else scalings[0][:, None] * g.T
+    lam, v, _ = _jacobi_stack(stack, v)
+    eigs = [np.sort(lam[:, k * N:(k + 1) * N].T, axis=1)[:, ::-1]
+            for k in range(len(scalings))]
+    if g is None:
+        return None, None, tuple(eigs)
+    first = lam[:, :N]
+    singular = ~(first.min(axis=0) > 0.0)
+    W = T * (v * v / np.where(singular, 1.0, first)).sum(axis=0)
+    W[singular] = np.nan
+    for e in eigs:
+        e[singular] = np.nan
+    return W, singular, tuple(eigs)
 
 
 def wald_statistic(theta_hat: Sequence[float], V_hat: np.ndarray,
@@ -513,21 +602,21 @@ def wald_statistic(theta_hat: Sequence[float], V_hat: np.ndarray,
                    T: int) -> float | np.ndarray:
     """W = T g' [G V-hat G']^{-1} g at theta_hat, one point or an (N, p) stack.
 
-    The one-draw case of the experiments' kernel: the SPD inner matrix is
-    solved through its Cholesky factor, with no explicit inverse formed.  A
-    float for one point, an (N,) array for a stack.  An inner matrix that
-    fails factorisation raises SingularMetricError -- never silent
-    regularisation.
+    The one-draw case of the experiments' kernel: the batched Jacobi of
+    ``_spectra`` on the inner matrix, with g rotated alongside, so no
+    inverse or solve is formed.  A float for one point, an (N,) array for a
+    stack.  A singular inner matrix (smallest eigenvalue not > 0) raises
+    SingularMetricError -- never silent regularisation.
     """
     comp = _as_compiled(sys)
     theta = np.asarray(theta_hat, dtype=float)
     stack = theta.reshape(-1, comp.p)
     G = comp.jacobian_at(stack)
     A = G @ np.asarray(V_hat, dtype=float) @ np.swapaxes(G, -1, -2)
-    W, singular = _wald_stack(comp.g_at(stack), A, T)
+    W, singular, _ = _spectra(A, (np.ones(comp.q),), T, comp.g_at(stack))
     if singular.any():
         raise SingularMetricError(
-            f"inner Wald matrix failed Cholesky on {int(singular.sum())} of "
+            f"inner Wald matrix singular on {int(singular.sum())} of "
             f"{singular.size} draws")
     return W if theta.ndim == 2 else float(W[0])
 
@@ -735,26 +824,18 @@ def _batch(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray, T: int,
     For the (reps, p) draws and their V_hat, one (p, p) matrix or a stack,
     evaluate G, and g when ``wald``, and form the inner matrices A = G V_hat
     G' once.  The experiments compile the echelonized system S g, so this g
-    and G are already S g and S G, with S applied exactly.  When ``wald``,
-    A's Cholesky factors give W (S cancels out of it) and the draws that
-    fail factorisation, counted as singular; then, for each vector d in
-    ``scalings``, take the descending eigenvalues of diag(d) A diag(d) by
-    batched LAPACK, NaN on the singular draws.
+    and G are already S g and S G, with S applied exactly.  Then one batched
+    Jacobi (``_spectra``) takes, for each vector d in ``scalings``, the
+    descending eigenvalues of diag(d) A diag(d); when ``wald`` it rotates
+    D g of the first scaling alongside, which gives W (S cancels out of
+    it), and counts a draw whose smallest eigenvalue there is not > 0 as
+    singular, with NaN for its W and eigenvalues.
     """
     tables = comp.power_tables(thetas) if wald else None
     G = comp.jacobian_at(thetas, tables)
     inner = G @ covs @ np.swapaxes(G, -1, -2)
-    g = W = singular = None
-    if wald:
-        g = comp.g_at(thetas, tables)
-        W, singular = _wald_stack(g, inner, T)
-    eigs = []
-    for d in scalings:
-        lam = np.linalg.eigvalsh(d[:, None] * inner * d)[:, ::-1]
-        if singular is not None:
-            lam[singular] = np.nan
-        eigs.append(lam)
-    return _Batch(g, W, singular, tuple(eigs))
+    g = comp.g_at(thetas, tables) if wald else None
+    return _Batch(g, *_spectra(inner, scalings, T, g))
 
 
 def _block_scaling(report: RateReport) -> tuple[np.ndarray, np.ndarray]:

@@ -309,7 +309,11 @@ class TestCommands:
         code = main(["simulate", path, "--grid", "100,1000,10000,100000", "--reps", "200",
                      "--seed", "7", "--json", str(out_json)])
         assert code == EXIT_OK
-        capsys.readouterr()
+        # s = (0, 1): W's limit is not chi2(2), so no chi-square deviation is printed
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("chi-square sanity")]
+        assert lines == ["chi-square sanity: not applicable, the chi2(2) reference does "
+                         "not apply because an echelon degree s_i > 0 (s = [0, 1])"]
         report = json.loads(out_json.read_text())
         jsonschema.validate(report, SCHEMA)
         assert report["frald"]["S"] == [["1", "0"], ["-2", "1"]]

@@ -25,16 +25,18 @@ from waldrates.simulate import (
     CompiledSystem,
     EstimatorModel,
     GenericCovarianceError,
+    JacobiConvergenceError,
     SingularMetricError,
     _batch,
     _cholesky_stack,
     _draw_stack,
+    _jacobi_stack,
     _pcg64_seed,
     _pcg64_words,
     _perturbed_vhat,
+    _spectra,
     _stream,
     _substream_seeds,
-    _wald_stack,
     _ziggurat_fast_path,
     chi_square_median,
     compile_system,
@@ -439,13 +441,13 @@ class TestKernel:
         stack = np.insert(others, 17, PP_THETA, axis=0)
         # G's first row (y, x, 0, 0) vanishes at the null point: zero pivot
         assert not comp.jacobian_at(PP_THETA)[0].any()
-        W, singular = _wald_stack(comp.g_at(stack),
-                                  _inner(comp.jacobian_at(stack), np.eye(4)), 1000)
+        ones = (np.ones(3),)
+        W, singular, _ = _spectra(_inner(comp.jacobian_at(stack), np.eye(4)), ones, 1000,
+                                  comp.g_at(stack))
         assert singular.sum() == 1 and singular[17]
         assert np.isnan(W[17])
-        W_clean, singular_clean = _wald_stack(comp.g_at(others),
-                                              _inner(comp.jacobian_at(others), np.eye(4)),
-                                              1000)
+        W_clean, singular_clean, _ = _spectra(_inner(comp.jacobian_at(others), np.eye(4)),
+                                              ones, 1000, comp.g_at(others))
         assert not singular_clean.any()
         assert np.array_equal(np.delete(W, 17), W_clean)
         with pytest.raises(SingularMetricError):
@@ -478,8 +480,7 @@ class TestKernel:
         V, d = np.diag([1.0, 2.0, 3.0]), np.array([1.0, 10.0, 100.0])
         batch = _batch(comp, thetas, V, 1000, (d,), wald=True)
         assert len(builds) == 3
-        W, singular = _wald_stack(g, _inner(G, V), 1000)
-        lam = np.linalg.eigvalsh(d[:, None] * _inner(G, V) * d)[:, ::-1]
+        W, singular, (lam,) = _spectra(_inner(G, V), (d,), 1000, g)
         lam[singular] = np.nan
         assert np.array_equal(batch.g, g)
         assert np.array_equal(batch.wald, W, equal_nan=True)
@@ -567,6 +568,111 @@ class TestKernel:
                         np.linalg.cholesky(matrix)
                 else:
                     assert np.array_equal(factors[i], np.linalg.cholesky(matrix))
+
+
+def _spd_stack(q, M, seed):
+    """M random SPD q x q matrices, entry-major (q, q, M) as the Jacobi kernel reads them."""
+    X = np.random.default_rng(seed).standard_normal((M, q, q + 2))
+    return np.ascontiguousarray((X @ np.swapaxes(X, 1, 2)).transpose(1, 2, 0))
+
+
+class TestJacobiKernel:
+    """The batched Jacobi of ``_spectra``: masking, closed forms, cap, accuracy."""
+
+    def test_draw_alone_same_bits_as_in_two_scaling_stack(self, pp_report):
+        comp, _ = _echelonized(product_pairs_system(), pp_report)
+        model = EstimatorModel(PP_THETA, np.eye(4))
+        T = 10_000
+        delta = _delta(pp_report, T)
+        scalings = (delta, delta * T ** (simulate._block_scaling(pp_report)[1] / 2.0))
+        thetas, covs, _ = _draw_stack(model, T, 2000, 21)
+        full = _batch(comp, thetas, covs, T, scalings, wald=True)
+        for k in range(0, 2000, 97):
+            for scales in (scalings, scalings[:1]):
+                alone = _batch(comp, thetas[k:k + 1], covs, T, scales, wald=True)
+                assert alone.wald.tobytes() == full.wald[k:k + 1].tobytes()
+                assert alone.singular[0] == full.singular[k]
+                for got, want in zip(alone.eigs, full.eigs):
+                    assert got.tobytes() == want[k:k + 1].tobytes()
+        # on those draws an unmasked rotation of a converged pair mostly stays
+        # below rounding, so also stack a pair below the threshold whose
+        # equal diagonals an unmasked rotation would turn by 45 degrees
+        inner = np.array([[[1.0, EPS / 2], [EPS / 2, 1.0]], [[2.0, 1.0], [1.0, 3.0]]])
+        g = np.array([[1.0, 2.0], [0.5, -1.0]])
+        alone = _spectra(inner[:1], (np.ones(2),), 1.0, g[:1])
+        stacked = _spectra(inner, (np.ones(2),), 1.0, g)
+        assert alone[0].tobytes() == stacked[0][:1].tobytes()
+        assert alone[2][0].tobytes() == stacked[2][0][:1].tobytes()
+        assert np.array_equal(alone[2][0], [[1.0, 1.0]])
+
+    def test_one_restriction_needs_no_rotation(self):
+        A, v = _spd_stack(1, 300, 22), np.random.default_rng(23).standard_normal((1, 300))
+        lam, v_out, sweeps = _jacobi_stack(A, v)
+        assert sweeps == 0
+        assert np.array_equal(lam, A[0]) and np.array_equal(v_out, v)
+        W, singular, _ = _spectra(A.transpose(2, 0, 1), (np.ones(1),), 25.0, v.T)
+        assert not singular.any()
+        assert np.array_equal(W, 25.0 * (v[0] * v[0] / A[0, 0]))
+
+    def test_two_restrictions_one_rotation_diagonalises(self):
+        A, g = _spd_stack(2, 500, 24), np.random.default_rng(25).standard_normal((500, 2))
+        _, _, sweeps = _jacobi_stack(A, g.T)
+        assert sweeps == 1
+        W, singular, (lam,) = _spectra(A.transpose(2, 0, 1), (np.ones(2),), 7.0, g)
+        assert not singular.any()
+        a, b, c = A[0, 0], A[0, 1], A[1, 1]
+        mean, radius = (a + c) / 2, np.sqrt(((a - c) / 2) ** 2 + b * b)
+        closed = np.stack([mean + radius, mean - radius], axis=1)
+        assert (np.abs(lam - closed) <= 64 * EPS * closed[:, :1]).all()  # ||A||_2
+        wald = 7.0 * (c * g[:, 0] ** 2 - 2 * b * g[:, 0] * g[:, 1] + a * g[:, 1] ** 2) \
+            / (a * c - b * b)
+        cond = (mean + radius) / (mean - radius)
+        assert (np.abs(W - wald) <= 64 * EPS * cond * np.abs(wald)).all()
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        A = _spd_stack(3, 50, 26)
+        assert _jacobi_stack(A, np.zeros((3, 0)))[2] > 1
+        monkeypatch.setattr(simulate, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(JacobiConvergenceError):
+            _jacobi_stack(A, np.zeros((3, 0)))
+
+    def test_null_point_zero_row_is_exactly_singular(self):
+        comp = compile_system(product_pairs_system())
+        G = comp.jacobian_at(PP_THETA[None])
+        assert not G[0, 0].any()
+        lam, _, _ = _jacobi_stack(_inner(G, np.eye(4)).transpose(1, 2, 0), np.zeros((3, 0)))
+        assert (lam[:, 0] == 0.0).sum() == 1
+        batch = _batch(comp, PP_THETA[None], np.eye(4), 1000,
+                       (np.ones(3), np.full(3, 10.0)), wald=True)
+        assert batch.singular[0] and np.isnan(batch.wald[0])
+        assert all(np.isnan(e).all() for e in batch.eigs)
+
+    @pytest.mark.parametrize("T", [1000, 100_000])
+    def test_block_scaled_eigenvalues_against_50_digits(self, pp_report, T):
+        mpmath = pytest.importorskip("mpmath")
+        comp, _ = _echelonized(product_pairs_system(), pp_report)
+        model = EstimatorModel(PP_THETA, np.eye(4))
+        thetas, _, _ = _draw_stack(model, T, 200, 42)
+        d = _delta(pp_report, T)
+        G = comp.jacobian_at(thetas)
+        kernel = _batch(comp, thetas, np.eye(4), T, (d,)).eigs[0]
+        lapack = np.linalg.eigvalsh(d[:, None] * _inner(G, np.eye(4)) * d)[:, ::-1]
+        with mpmath.workdps(50):
+            exact = []
+            for Gx in G:
+                rows = [[mpmath.mpf(float(x)) for x in row] for row in Gx]
+                M = mpmath.matrix([[mpmath.mpf(d[i]) * mpmath.mpf(d[j]) * mpmath.fsum(
+                    x * y for x, y in zip(rows[i], rows[j])) for j in range(3)]
+                    for i in range(3)])
+                exact.append(sorted(mpmath.eigsy(M, eigvals_only=True), reverse=True))
+
+            def rel(lam):
+                return np.array([[float(abs((mpmath.mpf(float(x)) - e) / e))
+                                  for x, e in zip(row, want)]
+                                 for row, want in zip(lam, exact)])
+            kernel_err, lapack_err = rel(kernel), rel(lapack)
+        assert kernel_err.max() <= lapack_err.max()
+        assert kernel_err[:, -1].max() <= 1e-6
 
 
 #: g2 = 2 g1 + y^2 + x z: the rows' lowest parts are dependent, so the echelon
