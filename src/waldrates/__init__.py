@@ -48,7 +48,6 @@ from .rates import (
 from .simulate import (
     CholeskyFailureError,
     CompiledSystem,
-    EigTrajectories,
     EstimatorModel,
     ExcessiveSingularDrawsError,
     GenericCovarianceError,
@@ -57,11 +56,9 @@ from .simulate import (
     SingularMetricError,
     VanishingResult,
     chi_square_median,
-    compile_system,
     divergence_experiment,
     draw_estimate,
     fit_loglog_slope,
-    scaled_eigen_trajectory,
     symmetric_eigenvalues,
     vanishing_rate_experiment,
     wald_closed_form_product_pairs,

@@ -42,7 +42,9 @@ from .polycore import (INF_DEGREE, MultiPoly, Scalar, _one_radicand, _rational, 
                        _surd, _ZSqrt, _zsqrt)
 from .restriction import EchelonForm, PolyMatrix, RestrictionSystem, _integer_terms, frald_check
 
-#: Principal-minor enumeration is exponential; stay exact and small.
+#: The specification limit on the number of restrictions.  No report path
+#: enumerates minors; the cap bounds ``charpoly_coeffs``, whose principal-minor
+#: enumeration is exponential in q and which the tests use as an oracle.
 MAX_Q = 8
 
 #: Ray coordinates are uniform integers in [-RAY_RANGE, RAY_RANGE].
@@ -61,7 +63,7 @@ class NonSpdError(ValueError):
 
 
 class QTooLargeError(ValueError):
-    """More restrictions than the exact minor enumeration supports."""
+    """More restrictions than the specification limit ``MAX_Q``."""
 
 
 class NegativeTDegreeError(ValueError):
@@ -256,7 +258,7 @@ def principal_minor_sum(B: PolyMatrix, k: int, memo: dict | None = None) -> Mult
 def _check_q(q: int) -> None:
     if q > MAX_Q:
         raise QTooLargeError(
-            f"{q} restrictions exceed the exact minor-enumeration limit of {MAX_Q}"
+            f"{q} restrictions exceed the specification limit of {MAX_Q}"
         )
 
 

@@ -13,7 +13,7 @@ compared, so the draws are ``default_rng``'s bit for bit (NumPy's
 stream-compatibility policy, NEP 19, freezes the hash and PCG64 but not the
 sampler; the tests compare against ``default_rng``).
 
-All three experiments run one batched kernel per T over every replication:
+Both experiments run one batched kernel per T over every replication:
 draw each replication from its substream; evaluate g and the exact symbolic
 Jacobian, compiled to floats once per system, for the whole stack; form each
 draw's q x q inner matrix A = G V_hat G' once; then run one masked cyclic
@@ -22,13 +22,13 @@ D g rotated alongside, which gives each scaling's eigenvalues and W = T
 sum_i (J' D g)_i^2 / lambda_i without a solve or an inverse.  Jacobi keeps
 the small eigenvalues of a well-scaled matrix to relative accuracy (Demmel &
 Veselic 1992); a draw whose smallest eigenvalue is not > 0 is reported as
-singular rather than regularised away.  The divergence and
-eigenvalue-trajectory experiments compile the echelonized restrictions S g,
-with the report's exact S applied before any float is formed, so the
-cancellation between rows that S performs is exact; W is the same for S g
-as for g.  The scalar cyclic Jacobi solver ``symmetric_eigenvalues`` shares
-no code with the batched kernel and stays the independent oracle that
-``verify`` and the tests compare against.
+singular rather than regularised away.  ``wald_statistic`` is one call of
+the same kernel.  The divergence experiment compiles the echelonized
+restrictions S g, with the report's exact S applied before any float is
+formed, so the cancellation between rows that S performs is exact; W is the
+same for S g as for g.  The scalar cyclic Jacobi solver
+``symmetric_eigenvalues`` shares no code with the batched kernel and stays
+the independent oracle that ``verify`` and the tests compare against.
 """
 
 from __future__ import annotations
@@ -467,16 +467,6 @@ class CompiledSystem:
         return values.reshape(values.shape[:-1] + (self.q, self.p))
 
 
-def compile_system(system: RestrictionSystem) -> CompiledSystem:
-    return CompiledSystem(system)
-
-
-def _as_compiled(sys_or_compiled) -> CompiledSystem:
-    if isinstance(sys_or_compiled, CompiledSystem):
-        return sys_or_compiled
-    return CompiledSystem(sys_or_compiled)
-
-
 def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of an (N, n, n) stack and the mask of members that fail.
 
@@ -602,23 +592,22 @@ def wald_statistic(theta_hat: Sequence[float], V_hat: np.ndarray,
                    T: int) -> float | np.ndarray:
     """W = T g' [G V-hat G']^{-1} g at theta_hat, one point or an (N, p) stack.
 
-    The one-draw case of the experiments' kernel: the batched Jacobi of
-    ``_spectra`` on the inner matrix, with g rotated alongside, so no
-    inverse or solve is formed.  A float for one point, an (N,) array for a
-    stack.  A singular inner matrix (smallest eigenvalue not > 0) raises
-    SingularMetricError -- never silent regularisation.
+    One call of the experiments' kernel ``_batch``, unscaled: the batched
+    Jacobi of the inner matrix, with g rotated alongside, so no inverse or
+    solve is formed.  ``V_hat`` is one (p, p) matrix or an (N, p, p) stack.
+    A float for one point, an (N,) array for a stack.  A singular inner
+    matrix (smallest eigenvalue not > 0) raises SingularMetricError -- never
+    silent regularisation.
     """
-    comp = _as_compiled(sys)
+    comp = sys if isinstance(sys, CompiledSystem) else CompiledSystem(sys)
     theta = np.asarray(theta_hat, dtype=float)
-    stack = theta.reshape(-1, comp.p)
-    G = comp.jacobian_at(stack)
-    A = G @ np.asarray(V_hat, dtype=float) @ np.swapaxes(G, -1, -2)
-    W, singular, _ = _spectra(A, (np.ones(comp.q),), T, comp.g_at(stack))
-    if singular.any():
+    batch = _batch(comp, theta.reshape(-1, comp.p), np.asarray(V_hat, dtype=float), T,
+                   (np.ones(comp.q),), wald=True)
+    if batch.singular.any():
         raise SingularMetricError(
-            f"inner Wald matrix singular on {int(singular.sum())} of "
-            f"{singular.size} draws")
-    return W if theta.ndim == 2 else float(W[0])
+            f"inner Wald matrix singular on {int(batch.singular.sum())} of "
+            f"{batch.singular.size} draws")
+    return batch.wald if theta.ndim == 2 else float(batch.wald[0])
 
 
 def wald_closed_form_product_pairs(theta_hat: Sequence[float], T: int) -> float:
@@ -823,13 +812,13 @@ def _batch(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray, T: int,
 
     For the (reps, p) draws and their V_hat, one (p, p) matrix or a stack,
     evaluate G, and g when ``wald``, and form the inner matrices A = G V_hat
-    G' once.  The experiments compile the echelonized system S g, so this g
-    and G are already S g and S G, with S applied exactly.  Then one batched
-    Jacobi (``_spectra``) takes, for each vector d in ``scalings``, the
-    descending eigenvalues of diag(d) A diag(d); when ``wald`` it rotates
-    D g of the first scaling alongside, which gives W (S cancels out of
-    it), and counts a draw whose smallest eigenvalue there is not > 0 as
-    singular, with NaN for its W and eigenvalues.
+    G' once.  The divergence experiment compiles the echelonized system S g,
+    so there g and G are already S g and S G, with S applied exactly.  Then
+    one batched Jacobi (``_spectra``) takes, for each vector d in
+    ``scalings``, the descending eigenvalues of diag(d) A diag(d); when
+    ``wald`` it rotates D g of the first scaling alongside, which gives W (S
+    cancels out of it), and counts a draw whose smallest eigenvalue there is
+    not > 0 as singular, with NaN for its W and eigenvalues.
     """
     tables = comp.power_tables(thetas) if wald else None
     G = comp.jacobian_at(thetas, tables)
@@ -856,7 +845,7 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
     fraction; above 5% the experiment fails.
     """
     grid = _validate_grid(t_grid, reps)
-    comp = compile_system(transform(sys, report.echelon.S))
+    comp = CompiledSystem(transform(sys, report.echelon.S))
     s_deg, beta = _block_scaling(report)
     beta_bar = float(report.beta_bar)
     degenerate = report.rank_r < sys.q
@@ -904,40 +893,6 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
         beta_bar=beta_bar,
         seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class EigTrajectories:
-    """Per-T medians of block-scaled eigenvalues, raw and rate-rescaled."""
-
-    t_grid: tuple[int, ...]
-    raw_medians: np.ndarray      # shape (len(t_grid), q), descending per row
-    scaled_medians: np.ndarray   # raw * T^{beta_l}
-    beta: tuple
-
-
-def scaled_eigen_trajectory(sys: RestrictionSystem, model: EstimatorModel,
-                            report: RateReport, t_grid: Sequence[int],
-                            reps: int, seed: int,
-                            vhat: np.ndarray | None = None) -> EigTrajectories:
-    """Track T^{beta_l} * eigenvalue_l of the block-scaled inner matrix.
-
-    ``vhat`` overrides the model's covariance estimate with a fixed plug-in
-    matrix; this admits boundary-PSD covariances the estimator model itself
-    cannot draw with.
-    """
-    grid = tuple(int(t) for t in t_grid)
-    comp = compile_system(transform(sys, report.echelon.S))
-    s_deg, beta = _block_scaling(report)
-    raw = np.empty((len(grid), sys.q))
-    for ti, T in enumerate(grid):
-        thetas, covs, _ = _draw_stack(model, T, reps, seed)
-        batch = _batch(comp, thetas, covs if vhat is None else vhat, T,
-                       (T ** (s_deg / 2.0),))
-        raw[ti] = np.nanmedian(batch.eigs[0], axis=0)
-    scaled = raw * np.array(grid, dtype=float)[:, None] ** beta[None, :]
-    return EigTrajectories(t_grid=grid, raw_medians=raw, scaled_medians=scaled,
-                           beta=tuple(report.beta))
 
 
 #: Random SPD covariances behind the vanishing experiment's generic degrees.
@@ -996,7 +951,7 @@ def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
             betas.append(Fraction(m_generic[k - 1] - prev, 2))
         prev = m_generic[k - 1]
 
-    comp = compile_system(sys)
+    comp = CompiledSystem(sys)
     theta_bar = np.array([float(t) for t in sys.theta_bar])
     model = EstimatorModel(theta_bar, np.eye(p))
     U_float = U.to_float()

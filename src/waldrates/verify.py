@@ -19,7 +19,8 @@ import numpy as np
 from .rates import Covariance, _ray_charpoly, _ray_coeffs_at, _ray_g_half, _ray_u_half, _scaled
 from .restriction import RestrictionSystem, jacobian, recenter, transform
 from .simulate import (
-    compile_system,
+    CompiledSystem,
+    SingularMetricError,
     symmetric_eigenvalues,
     wald_closed_form_product_pairs,
     wald_statistic,
@@ -114,13 +115,13 @@ def closed_form_check(system: RestrictionSystem, ndraws: int = 1000,
             skipped=True,
         )
     rng = np.random.default_rng([seed, 2718])
-    thetas = np.empty((ndraws, 4))
-    Ts = np.empty(ndraws, dtype=np.int64)
-    for i in range(ndraws):
-        thetas[i] = rng.uniform(0.5, 2.0, size=4) * rng.choice([-1.0, 1.0], size=4)
-        Ts[i] = rng.integers(1, 10_000)
-    # one stack through the kernel: W/T per draw, times that draw's T
-    w_general = wald_statistic(thetas, np.eye(4), compile_system(system), 1) * Ts
+    thetas = rng.uniform(0.5, 2.0, size=(ndraws, 4)) * rng.choice([-1.0, 1.0], size=(ndraws, 4))
+    Ts = rng.integers(1, 10_000, size=ndraws)
+    try:
+        # one stack through the kernel: W/T per draw, times that draw's T
+        w_general = wald_statistic(thetas, np.eye(4), CompiledSystem(system), 1) * Ts
+    except SingularMetricError as exc:
+        return CheckResult(name="closed-form oracle", passed=False, detail=str(exc))
     w_closed = np.array([wald_closed_form_product_pairs(theta, int(T))
                          for theta, T in zip(thetas, Ts)])
     worst = float(np.max(np.abs(w_general - w_closed)
@@ -138,27 +139,32 @@ def s_invariance_check(system: RestrictionSystem, n_transforms: int = 10,
     """W computed from S @ g must equal W from g pathwise at fixed draws.
 
     The plain W of every transform's draws comes from one stack: the kernel
-    gives a draw the same bits alone as inside any stack.
+    gives a draw the same bits alone as inside any stack.  A singular inner
+    matrix fails the check, naming the system and the count of its draws.
     """
     rng = random.Random(seed)
     nprng = np.random.default_rng([seed, 31415])
     q, p = system.q, system.p
-    thetas = np.empty((n_transforms, ndraws, p))
-    covs = np.empty((n_transforms, ndraws, p, p))
-    w_trans = []
-    for k in range(n_transforms):
-        while True:
-            S = [[_random_box_fraction(rng) for _ in range(q)] for _ in range(q)]
-            if abs(np.linalg.det(np.array(S, dtype=float))) > 1e-3:
-                break
-        comp_s = compile_system(transform(system, S))
-        for i in range(ndraws):
-            thetas[k, i] = nprng.uniform(0.5, 2.0, size=p) * nprng.choice([-1.0, 1.0], size=p)
-            A = nprng.standard_normal((p, p))
-            covs[k, i] = A @ A.T + 0.5 * np.eye(p)
-        w_trans.append(wald_statistic(thetas[k], covs[k], comp_s, 100))
-    w_plain = wald_statistic(thetas.reshape(-1, p), covs.reshape(-1, p, p),
-                             compile_system(system), 100)
+    shape = (n_transforms, ndraws, p)
+    thetas = nprng.uniform(0.5, 2.0, size=shape) * nprng.choice([-1.0, 1.0], size=shape)
+    A = nprng.standard_normal(shape + (p,))
+    covs = A @ np.swapaxes(A, -1, -2) + 0.5 * np.eye(p)
+    transforms = []
+    while len(transforms) < n_transforms:
+        S = [[_random_box_fraction(rng) for _ in range(q)] for _ in range(q)]
+        if abs(np.linalg.det(np.array(S, dtype=float))) > 1e-3:
+            transforms.append(CompiledSystem(transform(system, S)))
+    label = "plain system"
+    try:
+        w_plain = wald_statistic(thetas.reshape(-1, p), covs.reshape(-1, p, p),
+                                 CompiledSystem(system), 100)
+        w_trans = []
+        for k, comp_s in enumerate(transforms):
+            label = f"transform {k + 1} of {n_transforms}"
+            w_trans.append(wald_statistic(thetas[k], covs[k], comp_s, 100))
+    except SingularMetricError as exc:
+        return CheckResult(name="transformation invariance", passed=False,
+                           detail=f"{label}: {exc}")
     worst = float(np.max(np.abs(w_plain - np.concatenate(w_trans))
                          / np.maximum(np.abs(w_plain), 1e-300)))
     passed = worst <= rtol

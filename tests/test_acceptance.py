@@ -29,8 +29,8 @@ from waldrates.restriction import (
     transform,
 )
 from waldrates.simulate import (
+    CompiledSystem,
     EstimatorModel,
-    compile_system,
     divergence_experiment,
     symmetric_eigenvalues,
     vanishing_rate_experiment,
@@ -244,7 +244,7 @@ def test_criterion_5_symmetric_polynomial_identity(pp_system):
 
 
 def test_criterion_6_transformation_invariance(pp_system):
-    comp = compile_system(pp_system)
+    comp = CompiledSystem(pp_system)
     rng = random.Random(SEED)
     nprng = np.random.default_rng(SEED)
     worst = 0.0
@@ -255,7 +255,7 @@ def test_criterion_6_transformation_invariance(pp_system):
         if scalar_mat_rank(S) < 3:
             continue
         transforms += 1
-        comp_s = compile_system(transform(pp_system, S))
+        comp_s = CompiledSystem(transform(pp_system, S))
         for _ in range(100):
             theta = nprng.uniform(0.5, 2.0, 4) * nprng.choice([-1.0, 1.0], 4)
             A = nprng.standard_normal((4, 4))

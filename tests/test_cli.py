@@ -355,6 +355,32 @@ class TestCommands:
         assert "[PASS] symmetric-polynomial identity" in text
         assert "skipped" in text  # closed form only applies to product pairs
 
+    def test_verify_repeat_seed_identical_json_bytes(self, tmp_path, capsys):
+        paths = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            code = main(["verify", str(FIXTURES / "product_pairs.spec"),
+                         "--seed", "42", "--json", str(out)])
+            assert code == EXIT_OK
+            paths.append(out)
+        capsys.readouterr()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_verify_reports_singular_draws_as_a_failed_check(self, tmp_path, capsys):
+        # g2 = 2 g1: every inner matrix is singular, W is undefined and nothing
+        # is regularised, so the check fails and verify still reports all three
+        path = write_spec(tmp_path, "vars x y\ntheta_bar 0 0\ng x\ng 2*x\nV identity\n")
+        out_json = tmp_path / "report.json"
+        assert main(["verify", path, "--json", str(out_json)]) == EXIT_NUMERICAL
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[2].startswith("[FAIL] transformation invariance: plain system: "
+                                   "inner Wald matrix singular on ")
+        report = json.loads(out_json.read_text())
+        jsonschema.validate(report, SCHEMA)
+        assert not report["all_passed"]
+        assert "[FAIL] transformation invariance: " + report["checks"][2]["detail"] == lines[2]
+
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         path = write_spec(tmp_path, "vars x\ntheta_bar 0 0\ng x\nV identity\n")
         assert main(["analyze", path]) == EXIT_VALIDATION
@@ -440,6 +466,15 @@ class TestCommands:
         assert main(["analyze", path, "--json", str(out_json)]) == EXIT_OK
         assert "FRALD-T: HOLDS, r = 9" in capsys.readouterr().out
         assert json.loads(out_json.read_text())["frald"]["rank"] == 9
+
+    def test_more_than_eight_restrictions_pass_only_analyze(self, tmp_path, capsys):
+        # MAX_Q is the specification limit: every command that builds a rate
+        # report or the ray kernel rejects q = 9; analyze builds neither
+        path = write_spec(tmp_path, coordinate_spec(9))
+        for command in ("rates", "simulate", "verify"):
+            assert main([command, path]) == EXIT_VALIDATION
+            assert "9 restrictions exceed the specification limit of 8" in capsys.readouterr().err
+        assert main(["analyze", path]) == EXIT_OK
 
     def test_non_square_free_radicand_reports_location(self, tmp_path):
         path = write_spec(tmp_path,

@@ -97,17 +97,17 @@ def test_vanishing_experiment_signature_and_result():
 # every public name; a change here is a change of the public API
 PUBLIC_NAMES = [
     "CharPolyCoeffs", "CholeskyFailureError", "CompiledSystem", "Covariance",
-    "EchelonForm", "EigTrajectories", "EstimatorModel", "ExcessiveSingularDrawsError",
+    "EchelonForm", "EstimatorModel", "ExcessiveSingularDrawsError",
     "FieldMismatchError", "FraldVerdict", "GenericCovarianceError", "INF_DEGREE",
     "JacobiConvergenceError", "MultiPoly", "NegativeTDegreeError", "NonSpdError",
     "NullViolatedError", "PolyMatrix", "PolyParseError", "QTooLargeError",
     "RankDeficientError", "RateReport", "RestrictionSystem", "Scalar", "SimResult",
     "SingularMetricError", "VanishingResult", "build_B", "charpoly_coeffs",
-    "chi_square_median", "compile_system", "divergence_experiment", "draw_estimate",
+    "chi_square_median", "divergence_experiment", "draw_estimate",
     "echelonize", "fit_loglog_slope", "frald_check", "jacobian", "linear_system",
     "min_degree_generic", "parse_polynomial", "parse_scalar", "poly_rank", "polycore",
     "principal_minor_sum", "product_pairs_system", "rate_report", "rates", "recenter",
-    "restriction", "scaled_eigen_trajectory", "simulate", "surd_covariance",
+    "restriction", "simulate", "surd_covariance",
     "symmetric_eigenvalues", "systems", "t_graded_coeffs", "transform",
     "vanishing_rate_experiment", "wald_closed_form_product_pairs", "wald_statistic",
 ]

@@ -39,11 +39,9 @@ from waldrates.simulate import (
     _substream_seeds,
     _ziggurat_fast_path,
     chi_square_median,
-    compile_system,
     divergence_experiment,
     draw_estimate,
     fit_loglog_slope,
-    scaled_eigen_trajectory,
     symmetric_eigenvalues,
     vanishing_rate_experiment,
     wald_closed_form_product_pairs,
@@ -112,7 +110,7 @@ class TestDrawEstimate:
 
 class TestWaldStatistic:
     def test_unit_point_value(self):
-        comp = compile_system(product_pairs_system())
+        comp = CompiledSystem(product_pairs_system())
         assert wald_statistic([1, 1, 1, 1], np.eye(4), comp, 1) == pytest.approx(1.0)
 
     def test_zero_when_restrictions_vanish(self):
@@ -141,7 +139,7 @@ class TestWaldStatistic:
         # on draws whose inner matrix is well conditioned (cond <= 1e6); the
         # remainder sit near the singular variety, where float error grows
         # with the condition number but stays far below statistical noise
-        comp = compile_system(product_pairs_system())
+        comp = CompiledSystem(product_pairs_system())
         model = EstimatorModel(PP_THETA, np.eye(4))
         checked = 0
         for rep in range(10_000):
@@ -159,14 +157,14 @@ class TestWaldStatistic:
 
     def test_transformation_invariance_pathwise(self):
         base = product_pairs_system()
-        comp = compile_system(base)
+        comp = CompiledSystem(base)
         rng = random.Random(5)
         nprng = np.random.default_rng(6)
         for _ in range(10):
             S = [[rng.randint(-3, 3) or 1 for _ in range(3)] for _ in range(3)]
             if abs(np.linalg.det(np.array(S, dtype=float))) < 0.5:
                 continue
-            comp_s = compile_system(transform(base, S))
+            comp_s = CompiledSystem(transform(base, S))
             for _ in range(5):
                 theta = nprng.uniform(0.5, 2.0, 4)
                 A = nprng.standard_normal((4, 4))
@@ -293,23 +291,40 @@ class TestDivergenceExperiment:
         assert pooled == pytest.approx(chi_square_median(1), rel=0.15)
 
 
+def _eig_medians(system, model, report, t_grid, reps, seed, vhat=None):
+    """Per-T medians of the block-scaled eigenvalues of the echelonized
+    system, descending, from one ``_draw_stack`` and one ``_batch`` per T;
+    ``vhat`` replaces every draw's covariance estimate with a fixed plug-in.
+    Returns the (len(t_grid), q) medians and the same times T^beta."""
+    comp, _ = _echelonized(system, report)
+    raw = np.empty((len(t_grid), system.q))
+    for ti, T in enumerate(t_grid):
+        thetas, covs, _ = _draw_stack(model, T, reps, seed)
+        batch = _batch(comp, thetas, covs if vhat is None else vhat, T, (_delta(report, T),))
+        raw[ti] = np.nanmedian(batch.eigs[0], axis=0)
+    beta = np.array([float(b) for b in report.beta])
+    return raw, raw * np.array(t_grid, dtype=float)[:, None] ** beta[None, :]
+
+
 class TestScaledEigenTrajectory:
+    """T^beta_l times the median of eigenvalue l of the block-scaled inner matrix."""
+
     def test_divergent_rescaled_eigenvalue_stabilises(self, pp_report):
         model = EstimatorModel(PP_THETA, np.eye(4))
-        traj = scaled_eigen_trajectory(product_pairs_system(), model, pp_report,
-                                       [1000, 10000, 100000], 300, 21)
-        third = traj.scaled_medians[:, 2]
+        _, scaled = _eig_medians(product_pairs_system(), model, pp_report,
+                                 [1000, 10000, 100000], 300, 21)
+        third = scaled[:, 2]
         assert 0.5 <= third[-1] / third[0] <= 2.0
         # top eigenvalues need no rescaling at all
-        assert traj.beta[0] == 0 and traj.beta[1] == 0
+        assert pp_report.beta[0] == 0 and pp_report.beta[1] == 0
 
     def test_full_rank_flat_in_t(self):
         sysl = linear_system(2)
         rep = rate_report(sysl, Covariance.identity(2), rng=random.Random(5))
         model = EstimatorModel(np.zeros(2), np.eye(2))
-        traj = scaled_eigen_trajectory(sysl, model, rep, [100, 1000, 10000], 300, 2)
+        _, scaled = _eig_medians(sysl, model, rep, [100, 1000, 10000], 300, 2)
         for col in range(2):
-            vals = traj.scaled_medians[:, col]
+            vals = scaled[:, col]
             assert 0.8 <= vals[-1] / vals[0] <= 1.25
 
     def test_boundary_covariance_plugin_stabilises_at_its_own_rate(self):
@@ -321,10 +336,25 @@ class TestScaledEigenTrajectory:
         rep = rate_report(sysd, U, rng=random.Random(5))
         assert rep.beta[2] == 2
         model = EstimatorModel(PP_THETA, np.eye(4))
-        traj = scaled_eigen_trajectory(sysd, model, rep, [1000, 10000, 100000],
-                                       300, 13, vhat=U.to_float())
-        third = traj.scaled_medians[:, 2]
+        _, scaled = _eig_medians(sysd, model, rep, [1000, 10000, 100000],
+                                 300, 13, vhat=U.to_float())
+        third = scaled[:, 2]
         assert 0.5 <= third[-1] / third[0] <= 2.0
+
+    @pytest.mark.parametrize("name", ["product_pairs", "linear_q2"])
+    @pytest.mark.parametrize("vhat_mode, scale", [("exact", 0.0), ("perturbed", 0.5)])
+    def test_divergence_experiment_medians_are_the_batch_medians(self, name, vhat_mode,
+                                                                 scale):
+        # the experiment stacks a second scaling and rotates D g alongside;
+        # its eigenvalue medians keep the bits of the first scaling alone
+        system = product_pairs_system() if name == "product_pairs" else linear_system(2)
+        theta = PP_THETA if name == "product_pairs" else np.zeros(2)
+        report = rate_report(system, Covariance.identity(system.p), rng=random.Random(5))
+        model = EstimatorModel(theta, np.eye(system.p), vhat_mode, scale)
+        grid = [100, 1000, 10000, 100000]
+        res = divergence_experiment(system, model, grid, 300, 7, report=report)
+        raw, _ = _eig_medians(system, model, report, grid, 300, 7)
+        assert np.array(res.eig_trajectories).tobytes() == raw.tobytes()
 
 
 class TestVanishingRateExperiment:
@@ -375,7 +405,7 @@ def _cubic_system():
 def _echelonized(system, report):
     """The compiled S g the experiments simulate, and S as floats for the oracles."""
     S = report.echelon.S
-    return (compile_system(transform(system, S)),
+    return (CompiledSystem(transform(system, S)),
             np.array([[float(v) for v in row] for row in S]))
 
 
@@ -406,7 +436,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("T", [100, 100_000])
     def test_eigenvalues_match_jacobi(self, pp_report, T):
-        comp = compile_system(product_pairs_system())
+        comp = CompiledSystem(product_pairs_system())
         comp_s, S = _echelonized(product_pairs_system(), pp_report)
         model = EstimatorModel(PP_THETA, np.eye(4))
         delta = _delta(pp_report, T)
@@ -422,7 +452,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("T", [100, 100_000])
     def test_wald_matches_closed_form(self, pp_report, T):
-        comp = compile_system(product_pairs_system())
+        comp = CompiledSystem(product_pairs_system())
         comp_s, _ = _echelonized(product_pairs_system(), pp_report)
         model = EstimatorModel(PP_THETA, np.eye(4))
         thetas, covs, _ = _draw_stack(model, T, 500, 9)
@@ -435,7 +465,7 @@ class TestKernel:
         assert (rel <= np.maximum(1e-9, 64 * EPS * cond)).all()
 
     def test_singular_draw_counted_not_regularised(self):
-        comp = compile_system(product_pairs_system())
+        comp = CompiledSystem(product_pairs_system())
         rng = np.random.default_rng(10)
         others = PP_THETA + rng.standard_normal((40, 4)) / 10.0
         stack = np.insert(others, 17, PP_THETA, axis=0)
@@ -456,7 +486,7 @@ class TestKernel:
             wald_statistic(stack, np.eye(4), comp, 1000)
 
     def test_stacked_evaluation_matches_per_draw(self):
-        comp = compile_system(_cubic_system())
+        comp = CompiledSystem(_cubic_system())
         thetas = np.random.default_rng(11).uniform(-2.0, 2.0, size=(50, 3))
         g_stack, G_stack = comp.g_at(thetas), comp.jacobian_at(thetas)
         assert g_stack.shape == (50, 3) and G_stack.shape == (50, 3, 3)
@@ -465,7 +495,7 @@ class TestKernel:
             assert np.array_equal(G_row, comp.jacobian_at(theta))
 
     def test_batch_builds_one_power_table_for_g_and_G(self, monkeypatch):
-        comp = compile_system(_cubic_system())
+        comp = CompiledSystem(_cubic_system())
         thetas = np.random.default_rng(11).uniform(-2.0, 2.0, size=(50, 3))
         builds = []
         power_tables = CompiledSystem.power_tables
@@ -496,7 +526,7 @@ class TestKernel:
         p, terms = spec
         system = RestrictionSystem([f"x{j}" for j in range(p)], [0] * p,
                                    [MultiPoly(p, t) for t in terms])
-        comp, dense = compile_system(system), DenseSystem(system)
+        comp, dense = CompiledSystem(system), DenseSystem(system)
         rng = np.random.default_rng(seed)
         stack = rng.uniform(-4.0, 4.0, size=(n, p))
         pick = rng.random((n, p))
@@ -514,7 +544,7 @@ class TestKernel:
         names = ["x", "y"]
         system = RestrictionSystem(names, [0, 0], [parse_polynomial(text, names)
                                                    for text in ("x^5*y + y", "x + 2*y")])
-        comp = compile_system(system)
+        comp = CompiledSystem(system)
         theta = np.array([1e70, 1.0])  # x^5 overflows; x^4*y = 1e280 does not
         with np.errstate(over="ignore", invalid="ignore"):
             g, G = comp.g_at(theta), comp.jacobian_at(theta)
@@ -553,7 +583,7 @@ class TestKernel:
                 assert np.array_equal(a, b, equal_nan=True)
 
     def test_cholesky_stack_factors_match_per_matrix(self):
-        comp = compile_system(product_pairs_system())
+        comp = CompiledSystem(product_pairs_system())
         rng = np.random.default_rng(15)
         others = PP_THETA + rng.standard_normal((40, 4)) / 10.0
         G = comp.jacobian_at(np.insert(others, 17, PP_THETA, axis=0))
@@ -637,7 +667,7 @@ class TestJacobiKernel:
             _jacobi_stack(A, np.zeros((3, 0)))
 
     def test_null_point_zero_row_is_exactly_singular(self):
-        comp = compile_system(product_pairs_system())
+        comp = CompiledSystem(product_pairs_system())
         G = comp.jacobian_at(PP_THETA[None])
         assert not G[0, 0].any()
         lam, _, _ = _jacobi_stack(_inner(G, np.eye(4)).transpose(1, 2, 0), np.zeros((3, 0)))
@@ -711,12 +741,12 @@ class TestEchelonizedKernel:
         # product pairs' own S is a permutation, so its eigenvalue and mu
         # outputs carry the bits of the plain system's rows
         assert sorted(map(tuple, pp_report.echelon.S)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-        comp = compile_system(product_pairs_system())
+        comp = CompiledSystem(product_pairs_system())
         thetas = PP_THETA + np.random.default_rng(16).standard_normal((100, 4))
         g, G = comp.g_at(thetas), comp.jacobian_at(thetas)
         for perm in itertools.permutations(range(3)):
             P = [[int(j == k) for j in range(3)] for k in perm]
-            comp_p = compile_system(transform(product_pairs_system(), P))
+            comp_p = CompiledSystem(transform(product_pairs_system(), P))
             assert np.array_equal(comp_p.g_at(thetas), g[:, perm])
             assert np.array_equal(comp_p.jacobian_at(thetas), G[:, perm])
 
@@ -743,8 +773,6 @@ class TestEchelonizedKernel:
         comp_s, _ = _echelonized(system, report)
         thetas, covs, _ = _draw_stack(model, T, 50, 5)
         batch = _batch(comp_s, thetas, covs, T, (_delta(report, T),))
-        traj = scaled_eigen_trajectory(system, model, report, [T], 50, 5)
-        assert np.array_equal(traj.raw_medians[0], np.nanmedian(batch.eigs[0], axis=0))
         G = jacobian(system)
         with localcontext() as ctx:
             ctx.prec = 50
