@@ -16,9 +16,10 @@ sampler; the tests compare against ``default_rng``).
 Both experiments run one batched kernel per T over every replication:
 draw each replication from its substream; evaluate g and the exact symbolic
 Jacobian, compiled to floats once per system, for the whole stack; form each
-draw's q x q inner matrix A = G V_hat G' once; then run one masked cyclic
-Jacobi over every block-scaled copy diag(d) A diag(d) of every draw, with
-D g rotated alongside, which gives each scaling's eigenvalues and W = T
+draw's q x q inner matrix A = G V_hat G' once; then run one cyclic Jacobi,
+which rotates a pair only in the draws that need it, over every
+block-scaled copy diag(d) A diag(d) of every draw, with D g rotated
+alongside, which gives each scaling's eigenvalues and W = T
 sum_i (J' D g)_i^2 / lambda_i without a solve or an inverse.  Jacobi keeps
 the small eigenvalues of a well-scaled matrix to relative accuracy (Demmel &
 Veselic 1992); a draw whose smallest eigenvalue is not > 0 is reported as
@@ -34,6 +35,7 @@ the independent oracle that ``verify`` and the tests compare against.
 from __future__ import annotations
 
 import binascii
+import functools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -150,8 +152,6 @@ def _substream_seeds(seed: int, T: int, reps: int) -> np.ndarray:
     the entropy words assembled as NumPy assembles them: a seed or T of 2^32
     or more gives several words, the rep (below 2^32) one.  Shape (reps, 4).
     """
-    # here, not at import: import waldrates must not load numpy.random
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
     words = _entropy_words(seed) + _entropy_words(T)
     entropy = [np.full(reps, w, dtype=np.uint32) for w in words]
     entropy.append(np.arange(reps, dtype=np.uint32))
@@ -192,8 +192,17 @@ class _SeedWords:
         return self.words
 
 
+@functools.cache
+def _register_seed_words() -> None:
+    """Register ``_SeedWords`` as an ``ISeedSequence``, once per process, on
+    first use rather than at import: import waldrates must not load
+    numpy.random."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+
+
 def _stream(words: np.ndarray) -> np.random.Generator:
     """The generator of ``default_rng([seed, T, rep])``, from that rep's seed words."""
+    _register_seed_words()
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
@@ -494,6 +503,27 @@ JACOBI_MAX_SWEEPS = 30
 _EPS = float(np.finfo(float).eps)
 
 
+def _rotation(aii: np.ndarray, ajj: np.ndarray, aij: np.ndarray,
+              sign) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c, s and t of the rotation that zeroes a_ij, with zeta = (a_jj - a_ii)
+    / (2 a_ij) and t = copysign(sign, zeta) / (|zeta| + sqrt(1 + zeta^2)):
+    for ``sign`` 1 the smaller root of t^2 + 2 zeta t - 1 = 0, for 0 no
+    rotation."""
+    zeta = (ajj - aii) / (2.0 * aij)
+    t = np.copysign(sign, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return c, t * c, t
+
+
+def _put(x: np.ndarray, idx: np.ndarray, values) -> np.ndarray:
+    """x with ``values`` written at ``idx``: in place on an array the kernel
+    made, on a copy of a view of the caller's input."""
+    if x.base is not None:
+        x = x.copy()
+    x[idx] = values
+    return x
+
+
 def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Cyclic Jacobi over a stack of symmetric matrices, every draw at once.
 
@@ -501,17 +531,21 @@ def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     only the upper triangle is read.  ``v`` is (q, n), one vector for each
     of the first n <= M matrices (n may be 0), rotated alongside its
     matrix, so it comes back as J' v for the matrix's eigenvectors J.
-    Returns the diagonal at convergence, (q, M) and unsorted, the rotated v,
-    and the number of sweeps that rotated.
+    Neither is written to.  Returns the diagonal at convergence, (q, M) and
+    unsorted, the rotated v, and the number of sweeps that rotated.
 
     A matrix rotates pair (i, j) only while |a_ij| > eps sqrt(|a_ii a_jj|),
     the relative stopping rule of Demmel & Veselic (1992); the absolute
-    value lets a rounded non-positive diagonal rotate too.  Elsewhere its
-    rotation has t = 0, which leaves every entry as it is, so a matrix gets
-    the same bits alone as inside any stack.  A matrix with a non-finite
-    entry, or a non-finite v, does not rotate and comes back NaN.  The
-    sweeps stop when one rotates nothing; more than ``JACOBI_MAX_SWEEPS``
-    rotating sweeps raise JacobiConvergenceError.
+    value lets a rounded non-positive diagonal rotate too.  When every
+    matrix rotates a pair, the rotation runs over the whole stack; when
+    fewer than half do, over those alone, gathered and written back, so
+    the others' entries are left as they are; in between, a matrix that
+    does not rotate gets t = 0, which leaves every entry as it is.  Each
+    rotating matrix does the same arithmetic on its own entries in every
+    case, so a matrix gets the same bits alone as inside any stack.  A
+    matrix with a non-finite entry, or a non-finite v, does not rotate and
+    comes back NaN.  The sweeps stop when one rotates nothing; more than
+    ``JACOBI_MAX_SWEEPS`` rotating sweeps raise JacobiConvergenceError.
     """
     q, M, n = A.shape[0], A.shape[2], v.shape[1]
     bad = ~np.isfinite(A).all(axis=(0, 1))
@@ -526,23 +560,43 @@ def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             for j in range(i + 1, q):
                 aij, aii, ajj = a[i][j], a[i][i], a[j][j]
                 rot = np.abs(aij) > _EPS * np.sqrt(np.abs(aii * ajj))
-                if not np.count_nonzero(rot):
+                count = np.count_nonzero(rot)
+                if not count:
                     continue
                 rotated = True
-                # t = tan of the angle that zeroes a_ij, the smaller root of
-                # t^2 + 2 zeta t - 1 = 0; t = 0 where the draw does not rotate
-                zeta = (ajj - aii) / (2.0 * np.where(rot, aij, 1.0))
-                t = np.copysign(rot, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
+                others = [k for k in range(q) if k != i and k != j]
+                if 2 * count < M:
+                    idx = np.flatnonzero(rot)
+                    aij_r, aii_r, ajj_r = aij[idx], aii[idx], ajj[idx]
+                    c, s, t = _rotation(aii_r, ajj_r, aij_r, 1.0)
+                    shift = t * aij_r
+                    a[i][i] = _put(aii, idx, aii_r - shift)
+                    a[j][j] = _put(ajj, idx, ajj_r + shift)
+                    a[i][j] = a[j][i] = _put(aij, idx, 0.0)
+                    for k in others:
+                        aki, akj = a[k][i][idx], a[k][j][idx]
+                        a[k][i] = a[i][k] = _put(a[k][i], idx, c * aki - s * akj)
+                        a[k][j] = a[j][k] = _put(a[k][j], idx, s * aki + c * akj)
+                    # the rotating draws among the first n, which carry a v
+                    idx = idx[:np.searchsorted(idx, n)]
+                    c, s = c[:idx.size], s[:idx.size]
+                    vi, vj = v[i][idx], v[j][idx]
+                    v[i] = _put(v[i], idx, c * vi - s * vj)
+                    v[j] = _put(v[j], idx, s * vi + c * vj)
+                    continue
+                if count == M:
+                    c, s, t = _rotation(aii, ajj, aij, 1.0)
+                    a[i][j] = a[j][i] = np.zeros(M)
+                else:
+                    # t = 0 where the draw does not rotate
+                    c, s, t = _rotation(aii, ajj, np.where(rot, aij, 1.0), rot)
+                    a[i][j] = a[j][i] = np.where(rot, 0.0, aij)
                 shift = t * aij
                 a[i][i], a[j][j] = aii - shift, ajj + shift
-                a[i][j] = a[j][i] = np.where(rot, 0.0, aij)
-                for k in range(q):
-                    if k != i and k != j:
-                        aki, akj = a[k][i], a[k][j]
-                        a[k][i] = a[i][k] = c * aki - s * akj
-                        a[k][j] = a[j][k] = s * aki + c * akj
+                for k in others:
+                    aki, akj = a[k][i], a[k][j]
+                    a[k][i] = a[i][k] = c * aki - s * akj
+                    a[k][j] = a[j][k] = s * aki + c * akj
                 vi, vj = v[i], v[j]
                 v[i], v[j] = c[:n] * vi - s[:n] * vj, s[:n] * vi + c[:n] * vj
         if not rotated:
@@ -553,6 +607,38 @@ def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     raise JacobiConvergenceError(
         f"Jacobi did not converge within {JACOBI_MAX_SWEEPS} sweeps on a stack of "
         f"{M} matrices")
+
+
+def _scaled_stack(inner: np.ndarray, scalings: Sequence[np.ndarray]) -> np.ndarray:
+    """The (q, q, len(scalings) N) Jacobi stack of diag(d) A diag(d) for every
+    d in ``scalings`` and A in the (N, q, q) ``inner``, entry (d_i a_ij) d_j."""
+    N, q = inner.shape[:2]
+    entries = inner.transpose(1, 2, 0)
+    stack = np.empty((q, q, len(scalings) * N))
+    for k, d in enumerate(scalings):
+        block = stack[:, :, k * N:(k + 1) * N]
+        np.multiply(d[:, None, None], entries, out=block)
+        np.multiply(block, d[None, :, None], out=block)
+    return stack
+
+
+def _descending(lam: np.ndarray) -> np.ndarray:
+    """The columns of a (q, M) ``lam`` in descending order, as an (M, q) array.
+
+    A compare-exchange network (insertion order, q (q - 1) / 2 exchanges of
+    np.maximum and np.minimum over whole rows) gives ``np.sort(lam.T,
+    axis=1)[:, ::-1]`` bit for bit: equal floats are the same bits, except
+    -0.0 and +0.0, which the kernel's diagonal never holds.  With a NaN
+    anywhere it is np.sort, which orders NaNs as the network would not.
+    """
+    if np.isnan(lam).any():
+        return np.sort(lam.T, axis=1)[:, ::-1]
+    rows = list(lam)
+    for i in range(1, len(rows)):
+        for j in range(i, 0, -1):
+            hi, lo = rows[j - 1], rows[j]
+            rows[j - 1], rows[j] = np.maximum(hi, lo), np.minimum(hi, lo)
+    return np.stack(rows, axis=1)
 
 
 def _spectra(inner: np.ndarray, scalings: Sequence[np.ndarray], T: float,
@@ -569,22 +655,20 @@ def _spectra(inner: np.ndarray, scalings: Sequence[np.ndarray], T: float,
     (N, q) array in descending order; W and singular are None without g.
     """
     N = inner.shape[0]
-    entries = inner.transpose(1, 2, 0)
-    stack = np.concatenate([d[:, None, None] * entries * d[None, :, None] for d in scalings],
-                           axis=2)
+    stack = _scaled_stack(inner, scalings)
     v = np.zeros((len(stack), 0)) if g is None else scalings[0][:, None] * g.T
     lam, v, _ = _jacobi_stack(stack, v)
-    eigs = [np.sort(lam[:, k * N:(k + 1) * N].T, axis=1)[:, ::-1]
-            for k in range(len(scalings))]
+    ordered = _descending(lam)
+    eigs = tuple(ordered[k * N:(k + 1) * N] for k in range(len(scalings)))
     if g is None:
-        return None, None, tuple(eigs)
+        return None, None, eigs
     first = lam[:, :N]
     singular = ~(first.min(axis=0) > 0.0)
     W = T * (v * v / np.where(singular, 1.0, first)).sum(axis=0)
     W[singular] = np.nan
     for e in eigs:
         e[singular] = np.nan
-    return W, singular, tuple(eigs)
+    return W, singular, eigs
 
 
 def wald_statistic(theta_hat: Sequence[float], V_hat: np.ndarray,
@@ -695,8 +779,9 @@ class SimResult:
                                   equal_nan=True)
                    for f in fields(self))
 
-    @property
+    @functools.cached_property
     def median_wald(self) -> np.ndarray:
+        """Per-T median of the finite W, computed on first use and kept."""
         return np.array([float(np.median(w[np.isfinite(w)])) for w in self.wald_samples])
 
 
@@ -827,6 +912,12 @@ def _batch(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray, T: int,
     return _Batch(g, *_spectra(inner, scalings, T, g))
 
 
+def _median(x: np.ndarray, axis: int | None = None):
+    """np.nanmedian of x: np.median itself when x holds no NaN, which gives
+    the same values without np.nanmedian's NaN handling."""
+    return np.nanmedian(x, axis=axis) if np.isnan(x).any() else np.median(x, axis=axis)
+
+
 def _block_scaling(report: RateReport) -> tuple[np.ndarray, np.ndarray]:
     """The report's echelon row degrees s and rates beta, as floats."""
     return (np.array(report.echelon.row_degrees, dtype=float),
@@ -863,12 +954,12 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
         batch = _batch(comp, thetas, covs, T, scalings, wald=True)
         singular += int(batch.singular.sum())
         wald_all.append(batch.wald)
-        eig_medians.append(np.nanmedian(batch.eigs[0], axis=0))
+        eig_medians.append(_median(batch.eigs[0], axis=0))
         if degenerate:
             scaled_g = T ** ((s_deg + 1.0) / 2.0) * batch.g
             mu = np.min(scaled_g**2, axis=1) / batch.eigs[1][:, 0]
             violations += int(np.count_nonzero(batch.wald < T**beta_bar * mu - 1e-9))
-            mu_medians.append(float(np.nanmedian(mu)))
+            mu_medians.append(float(_median(mu)))
         else:
             mu_medians.append(0.0)
 
@@ -878,7 +969,7 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
         raise ExcessiveSingularDrawsError(
             f"singular inner matrix on {fraction:.1%} of draws (threshold 5%)"
         )
-    medians = [float(np.nanmedian(w)) for w in wald_all]
+    medians = [float(_median(w)) for w in wald_all]
     slope, stderr = fit_loglog_slope(grid, medians)
     return SimResult(
         t_grid=grid,
@@ -964,7 +1055,7 @@ def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
         U_T = U_float if u_t_mode == "exact" else (
             U_float + VANISHING_PERTURB_SCALE / math.sqrt(T) * (A @ np.swapaxes(A, -1, -2)) / p)
         batch = _batch(comp, thetas, U_T, T, (np.ones(q),))
-        raw[ti] = np.nanmedian(batch.eigs[0], axis=0)
+        raw[ti] = _median(batch.eigs[0], axis=0)
     beta_f = np.array([float(b) for b in betas])
     scaled = raw * np.array(grid, dtype=float)[:, None] ** beta_f[None, :]
     return VanishingResult(

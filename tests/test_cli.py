@@ -31,6 +31,7 @@ from waldrates.polycore import (MAX_LITERAL_DIGITS, MAX_RADICAND, Scalar, _zsqrt
                                 parse_polynomial)
 from waldrates.rates import Covariance, NonSpdError, _parts, _ray_coeffs_at
 from waldrates.restriction import RestrictionSystem
+from waldrates.simulate import vanishing_rate_experiment
 from waldrates.systems import product_pairs_system, surd_covariance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -381,6 +382,16 @@ class TestCommands:
         assert not report["all_passed"]
         assert "[FAIL] transformation invariance: " + report["checks"][2]["detail"] == lines[2]
 
+    def test_verify_singular_b_passes_symmetric_check(self, tmp_path, capsys):
+        # B(x) is singular at every point, so a_2 = 0 exactly and P_2 is
+        # rounding noise: within the rounding floor, not a relative deviation of 1
+        path = write_spec(tmp_path, "vars x y\ntheta_bar 0 0\ng x\ng 2*x\nV identity\n")
+        assert main(["verify", path]) == EXIT_NUMERICAL
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[PASS] symmetric-polynomial identity: ")
+        assert lines[2] == ("[FAIL] transformation invariance: plain system: "
+                            "inner Wald matrix singular on 200 of 200 draws")
+
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         path = write_spec(tmp_path, "vars x\ntheta_bar 0 0\ng x\nV identity\n")
         assert main(["analyze", path]) == EXIT_VALIDATION
@@ -611,6 +622,52 @@ def test_fixture_report_bytes_are_pinned(name, seed, command, tmp_path, monkeypa
                  "--json", str(out)]) == EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == REPORT_DIGESTS[name, seed, command]
+
+
+#: SHA-256 of ``simulate``'s --json report followed by its stdout, for
+#: (fixture, seed, --vhat), run from the repository root with the default grid
+#: and --reps 300: every bit the Monte Carlo kernel writes.
+SIMULATE_DIGESTS = {
+    ("linear_q2", 7, "exact"): "c52ae68d37d4efd2f6f575986f771c381dd98e0edd6d3440f2cf457d3a738076",
+    ("linear_q2", 7, "perturbed:0.5"):
+        "5c372ee47affbf1cea568f629a250d11140eecef08aba028d0e47866a9686036",
+    ("linear_q2", 42, "exact"): "75072d172857702d9ef0b0c4fe3a5edaad5e15252d454c1d0199e7505a8f1949",
+    ("linear_q2", 42, "perturbed:0.5"):
+        "e3c81e4b0ff4e356064d0c6a73517c9423ba114247415670dd8dec0c90c95285",
+    ("product_pairs", 7, "exact"):
+        "0df78c2789c265c2645a9284267cb105f2f9ecb8fe2b8ad61942275f33b34987",
+    ("product_pairs", 7, "perturbed:0.5"):
+        "66572044443fc430fff97a3e0045c408e1f3edd622e680fde382f721c60cd54b",
+    ("product_pairs", 42, "exact"):
+        "48e4df76ca32c07a5381eb7f1a3927342e416c41f9371318cf0b805cd970465e",
+    ("product_pairs", 42, "perturbed:0.5"):
+        "103d666ecab0ad3e14dca6b3a9932b5c0acb938005e9de8f74361bc13f4ae951",
+}
+
+
+@pytest.mark.parametrize("name, seed, vhat", sorted(SIMULATE_DIGESTS))
+def test_simulate_output_bytes_are_pinned(name, seed, vhat, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES.parent)
+    out = tmp_path / "report.json"
+    assert main(["simulate", f"fixtures/{name}.spec", "--reps", "300", "--seed", str(seed),
+                 "--vhat", vhat, "--json", str(out)]) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes() + capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SIMULATE_DIGESTS[name, seed, vhat]
+
+
+#: SHA-256 of ``raw_medians.tobytes()`` of the vanishing experiment on product
+#: pairs with the surd covariance, grid 1e3, 1e4, 1e5, 300 reps, seed 5.
+VANISHING_DIGESTS = {
+    "exact": "1c7fd667524a6d26ca6a7d80a354c2844e891962b3f8bcade8ac3f99b4aaa0fd",
+    "perturbed": "9b6296da7cb27048cb053a2c2dfe5164d2862284c6871b9e6ad0c34b0a552cd6",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(VANISHING_DIGESTS))
+def test_vanishing_medians_are_pinned(mode):
+    res = vanishing_rate_experiment(product_pairs_system(), surd_covariance(), mode,
+                                    [1000, 10000, 100000], 300, 5)
+    assert hashlib.sha256(res.raw_medians.tobytes()).hexdigest() == VANISHING_DIGESTS[mode]
 
 
 class TestNegativeControl:
