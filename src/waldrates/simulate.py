@@ -152,6 +152,8 @@ def _substream_seeds(seed: int, T: int, reps: int) -> np.ndarray:
     the entropy words assembled as NumPy assembles them: a seed or T of 2^32
     or more gives several words, the rep (below 2^32) one.  Shape (reps, 4).
     """
+    # here, not at import: import waldrates must not load numpy.random
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
     words = _entropy_words(seed) + _entropy_words(T)
     entropy = [np.full(reps, w, dtype=np.uint32) for w in words]
     entropy.append(np.arange(reps, dtype=np.uint32))
@@ -192,17 +194,8 @@ class _SeedWords:
         return self.words
 
 
-@functools.cache
-def _register_seed_words() -> None:
-    """Register ``_SeedWords`` as an ``ISeedSequence``, once per process, on
-    first use rather than at import: import waldrates must not load
-    numpy.random."""
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-
-
 def _stream(words: np.ndarray) -> np.random.Generator:
     """The generator of ``default_rng([seed, T, rep])``, from that rep's seed words."""
-    _register_seed_words()
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
@@ -503,14 +496,13 @@ JACOBI_MAX_SWEEPS = 30
 _EPS = float(np.finfo(float).eps)
 
 
-def _rotation(aii: np.ndarray, ajj: np.ndarray, aij: np.ndarray,
-              sign) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c, s and t of the rotation that zeroes a_ij, with zeta = (a_jj - a_ii)
-    / (2 a_ij) and t = copysign(sign, zeta) / (|zeta| + sqrt(1 + zeta^2)):
-    for ``sign`` 1 the smaller root of t^2 + 2 zeta t - 1 = 0, for 0 no
-    rotation."""
+def _rotation(aii: np.ndarray, ajj: np.ndarray,
+              aij: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c, s and t of the rotation that zeroes a_ij: with zeta = (a_jj - a_ii)
+    / (2 a_ij), t = copysign(1, zeta) / (|zeta| + sqrt(1 + zeta^2)), the
+    smaller root of t^2 + 2 zeta t - 1 = 0."""
     zeta = (ajj - aii) / (2.0 * aij)
-    t = np.copysign(sign, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+    t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
     c = 1.0 / np.sqrt(1.0 + t * t)
     return c, t * c, t
 
@@ -537,15 +529,14 @@ def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     A matrix rotates pair (i, j) only while |a_ij| > eps sqrt(|a_ii a_jj|),
     the relative stopping rule of Demmel & Veselic (1992); the absolute
     value lets a rounded non-positive diagonal rotate too.  When every
-    matrix rotates a pair, the rotation runs over the whole stack; when
-    fewer than half do, over those alone, gathered and written back, so
-    the others' entries are left as they are; in between, a matrix that
-    does not rotate gets t = 0, which leaves every entry as it is.  Each
-    rotating matrix does the same arithmetic on its own entries in every
-    case, so a matrix gets the same bits alone as inside any stack.  A
-    matrix with a non-finite entry, or a non-finite v, does not rotate and
-    comes back NaN.  The sweeps stop when one rotates nothing; more than
-    ``JACOBI_MAX_SWEEPS`` rotating sweeps raise JacobiConvergenceError.
+    matrix rotates a pair, the rotation runs over the whole stack;
+    otherwise over the rotating matrices alone, gathered and written back,
+    so the others' entries are left as they are.  A rotating matrix does
+    the same arithmetic on its own entries in both forms, so a matrix gets
+    the same bits alone as inside any stack.  A matrix with a non-finite
+    entry, or a non-finite v, does not rotate and comes back NaN.  The
+    sweeps stop when one rotates nothing; more than ``JACOBI_MAX_SWEEPS``
+    rotating sweeps raise JacobiConvergenceError.
     """
     q, M, n = A.shape[0], A.shape[2], v.shape[1]
     bad = ~np.isfinite(A).all(axis=(0, 1))
@@ -565,40 +556,35 @@ def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                     continue
                 rotated = True
                 others = [k for k in range(q) if k != i and k != j]
-                if 2 * count < M:
-                    idx = np.flatnonzero(rot)
-                    aij_r, aii_r, ajj_r = aij[idx], aii[idx], ajj[idx]
-                    c, s, t = _rotation(aii_r, ajj_r, aij_r, 1.0)
-                    shift = t * aij_r
-                    a[i][i] = _put(aii, idx, aii_r - shift)
-                    a[j][j] = _put(ajj, idx, ajj_r + shift)
-                    a[i][j] = a[j][i] = _put(aij, idx, 0.0)
-                    for k in others:
-                        aki, akj = a[k][i][idx], a[k][j][idx]
-                        a[k][i] = a[i][k] = _put(a[k][i], idx, c * aki - s * akj)
-                        a[k][j] = a[j][k] = _put(a[k][j], idx, s * aki + c * akj)
-                    # the rotating draws among the first n, which carry a v
-                    idx = idx[:np.searchsorted(idx, n)]
-                    c, s = c[:idx.size], s[:idx.size]
-                    vi, vj = v[i][idx], v[j][idx]
-                    v[i] = _put(v[i], idx, c * vi - s * vj)
-                    v[j] = _put(v[j], idx, s * vi + c * vj)
-                    continue
                 if count == M:
-                    c, s, t = _rotation(aii, ajj, aij, 1.0)
+                    c, s, t = _rotation(aii, ajj, aij)
+                    shift = t * aij
+                    a[i][i], a[j][j] = aii - shift, ajj + shift
                     a[i][j] = a[j][i] = np.zeros(M)
-                else:
-                    # t = 0 where the draw does not rotate
-                    c, s, t = _rotation(aii, ajj, np.where(rot, aij, 1.0), rot)
-                    a[i][j] = a[j][i] = np.where(rot, 0.0, aij)
-                shift = t * aij
-                a[i][i], a[j][j] = aii - shift, ajj + shift
+                    for k in others:
+                        aki, akj = a[k][i], a[k][j]
+                        a[k][i] = a[i][k] = c * aki - s * akj
+                        a[k][j] = a[j][k] = s * aki + c * akj
+                    vi, vj = v[i], v[j]
+                    v[i], v[j] = c[:n] * vi - s[:n] * vj, s[:n] * vi + c[:n] * vj
+                    continue
+                idx = np.flatnonzero(rot)
+                aij_r, aii_r, ajj_r = aij[idx], aii[idx], ajj[idx]
+                c, s, t = _rotation(aii_r, ajj_r, aij_r)
+                shift = t * aij_r
+                a[i][i] = _put(aii, idx, aii_r - shift)
+                a[j][j] = _put(ajj, idx, ajj_r + shift)
+                a[i][j] = a[j][i] = _put(aij, idx, 0.0)
                 for k in others:
-                    aki, akj = a[k][i], a[k][j]
-                    a[k][i] = a[i][k] = c * aki - s * akj
-                    a[k][j] = a[j][k] = s * aki + c * akj
-                vi, vj = v[i], v[j]
-                v[i], v[j] = c[:n] * vi - s[:n] * vj, s[:n] * vi + c[:n] * vj
+                    aki, akj = a[k][i][idx], a[k][j][idx]
+                    a[k][i] = a[i][k] = _put(a[k][i], idx, c * aki - s * akj)
+                    a[k][j] = a[j][k] = _put(a[k][j], idx, s * aki + c * akj)
+                # the rotating draws among the first n, which carry a v
+                idx = idx[:np.searchsorted(idx, n)]
+                c, s = c[:idx.size], s[:idx.size]
+                vi, vj = v[i][idx], v[j][idx]
+                v[i] = _put(v[i], idx, c * vi - s * vj)
+                v[j] = _put(v[j], idx, s * vi + c * vj)
         if not rotated:
             # + 0.0: a zero on the diagonal is +0.0 whatever the stack did
             lam = np.array([a[i][i] for i in range(q)]) + 0.0
@@ -607,19 +593,6 @@ def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     raise JacobiConvergenceError(
         f"Jacobi did not converge within {JACOBI_MAX_SWEEPS} sweeps on a stack of "
         f"{M} matrices")
-
-
-def _scaled_stack(inner: np.ndarray, scalings: Sequence[np.ndarray]) -> np.ndarray:
-    """The (q, q, len(scalings) N) Jacobi stack of diag(d) A diag(d) for every
-    d in ``scalings`` and A in the (N, q, q) ``inner``, entry (d_i a_ij) d_j."""
-    N, q = inner.shape[:2]
-    entries = inner.transpose(1, 2, 0)
-    stack = np.empty((q, q, len(scalings) * N))
-    for k, d in enumerate(scalings):
-        block = stack[:, :, k * N:(k + 1) * N]
-        np.multiply(d[:, None, None], entries, out=block)
-        np.multiply(block, d[None, :, None], out=block)
-    return stack
 
 
 def _descending(lam: np.ndarray) -> np.ndarray:
@@ -655,7 +628,9 @@ def _spectra(inner: np.ndarray, scalings: Sequence[np.ndarray], T: float,
     (N, q) array in descending order; W and singular are None without g.
     """
     N = inner.shape[0]
-    stack = _scaled_stack(inner, scalings)
+    entries = inner.transpose(1, 2, 0)
+    stack = np.concatenate([d[:, None, None] * entries * d[None, :, None] for d in scalings],
+                           axis=2)
     v = np.zeros((len(stack), 0)) if g is None else scalings[0][:, None] * g.T
     lam, v, _ = _jacobi_stack(stack, v)
     ordered = _descending(lam)
