@@ -532,8 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="restriction spec file")
         p.add_argument("--seed", type=_non_negative_int, default=42,
                        help="seed for all randomness (default 42)")
-        p.add_argument("--trials", type=_positive_int, default=3,
-                       help="at most this many random points for polynomial rank testing")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="write a JSON report to PATH")
 
@@ -548,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo divergence experiment")
     common(p_sim)
     p_sim.add_argument("--grid", default="100,1000,10000,100000",
-                       help="comma-separated strictly increasing T values")
+                       help="comma-separated strictly increasing T values, each >= 1")
     p_sim.add_argument("--reps", type=int, default=2000,
                        help="replications per grid point (>= 200)")
     p_sim.add_argument("--vhat", default="exact",
@@ -556,6 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-module consistency checks")
     common(p_verify)
+
+    for p in (p_analyze, p_rates, p_sim):  # verify tests no polynomial rank
+        p.add_argument("--trials", type=_positive_int, default=3,
+                       help="at most this many random points for polynomial rank testing")
 
     return parser
 

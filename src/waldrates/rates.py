@@ -164,12 +164,8 @@ def _assert_positive_semidefinite(grid) -> bool:
     """
     low = [row[:i + 1] for i, row in enumerate(grid)]  # V is symmetric
     d = _one_radicand({v.d for row in low for v in row if v.d})
-    if d:
-        c = math.lcm(*(x.denominator for row in low for v in row for x in (v.a, v.b)))
-        work = [[_zsqrt(_scaled(v.a, c), _scaled(v.b, c), d) for v in row] for row in low]
-    else:
-        c = math.lcm(*(v.a.denominator for row in low for v in row))
-        work = [[_scaled(v.a, c) for v in row] for row in low]
+    c = math.lcm(*(x.denominator for row in low for v in row for x in (v.a, v.b)))
+    work = [[_zsqrt(_scaled(v.a, c), _scaled(v.b, c), d) for v in row] for row in low]
     prev = _zsqrt(1, 0, d)
     definite = True
     for j, row_j in enumerate(work):

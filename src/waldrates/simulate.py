@@ -496,26 +496,6 @@ JACOBI_MAX_SWEEPS = 30
 _EPS = float(np.finfo(float).eps)
 
 
-def _rotation(aii: np.ndarray, ajj: np.ndarray,
-              aij: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c, s and t of the rotation that zeroes a_ij: with zeta = (a_jj - a_ii)
-    / (2 a_ij), t = copysign(1, zeta) / (|zeta| + sqrt(1 + zeta^2)), the
-    smaller root of t^2 + 2 zeta t - 1 = 0."""
-    zeta = (ajj - aii) / (2.0 * aij)
-    t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    return c, t * c, t
-
-
-def _put(x: np.ndarray, idx: np.ndarray, values) -> np.ndarray:
-    """x with ``values`` written at ``idx``: in place on an array the kernel
-    made, on a copy of a view of the caller's input."""
-    if x.base is not None:
-        x = x.copy()
-    x[idx] = values
-    return x
-
-
 def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Cyclic Jacobi over a stack of symmetric matrices, every draw at once.
 
@@ -528,15 +508,16 @@ def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
     A matrix rotates pair (i, j) only while |a_ij| > eps sqrt(|a_ii a_jj|),
     the relative stopping rule of Demmel & Veselic (1992); the absolute
-    value lets a rounded non-positive diagonal rotate too.  When every
-    matrix rotates a pair, the rotation runs over the whole stack;
-    otherwise over the rotating matrices alone, gathered and written back,
-    so the others' entries are left as they are.  A rotating matrix does
-    the same arithmetic on its own entries in both forms, so a matrix gets
-    the same bits alone as inside any stack.  A matrix with a non-finite
-    entry, or a non-finite v, does not rotate and comes back NaN.  The
-    sweeps stop when one rotates nothing; more than ``JACOBI_MAX_SWEEPS``
-    rotating sweeps raise JacobiConvergenceError.
+    value lets a rounded non-positive diagonal rotate too.  Each pair is one
+    rotation over the whole stack.  Where a matrix rotates, t is the smaller
+    root of t^2 + 2 zeta t - 1 = 0, zeta = (a_jj - a_ii) / (2 a_ij); where
+    it does not, t = 0, which leaves its entries as they are.  When every
+    matrix rotates, those masks are skipped.  A rotating matrix does the
+    same arithmetic either way, so it gets the same bits alone as inside
+    any stack.  A matrix with a non-finite entry, or a non-finite v, does
+    not rotate and comes back NaN.  The sweeps stop when one rotates
+    nothing; more than ``JACOBI_MAX_SWEEPS`` rotating sweeps raise
+    JacobiConvergenceError.
     """
     q, M, n = A.shape[0], A.shape[2], v.shape[1]
     bad = ~np.isfinite(A).all(axis=(0, 1))
@@ -555,36 +536,23 @@ def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                 if not count:
                     continue
                 rotated = True
-                others = [k for k in range(q) if k != i and k != j]
                 if count == M:
-                    c, s, t = _rotation(aii, ajj, aij)
-                    shift = t * aij
-                    a[i][i], a[j][j] = aii - shift, ajj + shift
-                    a[i][j] = a[j][i] = np.zeros(M)
-                    for k in others:
+                    den, sign, new_aij = aij, 1.0, np.zeros(M)
+                else:
+                    den, sign, new_aij = np.where(rot, aij, 1.0), rot, np.where(rot, 0.0, aij)
+                zeta = (ajj - aii) / (2.0 * den)
+                t = np.copysign(sign, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                shift = t * aij
+                a[i][i], a[j][j] = aii - shift, ajj + shift
+                a[i][j] = a[j][i] = new_aij
+                for k in range(q):
+                    if k != i and k != j:
                         aki, akj = a[k][i], a[k][j]
                         a[k][i] = a[i][k] = c * aki - s * akj
                         a[k][j] = a[j][k] = s * aki + c * akj
-                    vi, vj = v[i], v[j]
-                    v[i], v[j] = c[:n] * vi - s[:n] * vj, s[:n] * vi + c[:n] * vj
-                    continue
-                idx = np.flatnonzero(rot)
-                aij_r, aii_r, ajj_r = aij[idx], aii[idx], ajj[idx]
-                c, s, t = _rotation(aii_r, ajj_r, aij_r)
-                shift = t * aij_r
-                a[i][i] = _put(aii, idx, aii_r - shift)
-                a[j][j] = _put(ajj, idx, ajj_r + shift)
-                a[i][j] = a[j][i] = _put(aij, idx, 0.0)
-                for k in others:
-                    aki, akj = a[k][i][idx], a[k][j][idx]
-                    a[k][i] = a[i][k] = _put(a[k][i], idx, c * aki - s * akj)
-                    a[k][j] = a[j][k] = _put(a[k][j], idx, s * aki + c * akj)
-                # the rotating draws among the first n, which carry a v
-                idx = idx[:np.searchsorted(idx, n)]
-                c, s = c[:idx.size], s[:idx.size]
-                vi, vj = v[i][idx], v[j][idx]
-                v[i] = _put(v[i], idx, c * vi - s * vj)
-                v[j] = _put(v[j], idx, s * vi + c * vj)
+                v[i], v[j] = c[:n] * v[i] - s[:n] * v[j], s[:n] * v[i] + c[:n] * v[j]
         if not rotated:
             # + 0.0: a zero on the diagonal is +0.0 whatever the stack did
             lam = np.array([a[i][i] for i in range(q)]) + 0.0
@@ -811,6 +779,8 @@ def _validate_grid(t_grid: Sequence[int], reps: int) -> tuple[int, ...]:
         raise ValueError("t_grid must contain at least 4 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t_grid must be strictly increasing")
+    if grid[0] < 1:
+        raise ValueError("t_grid values must be >= 1")
     if reps < 200:
         raise ValueError("reps must be >= 200")
     return grid

@@ -521,6 +521,8 @@ class TestCommands:
         ("simulate", ["--trials", "0"]),
         ("analyze", ["--trials", "0"]),
         ("rates", ["--trials", "-3"]),
+        ("simulate", ["--grid", "0,1,2,3"]),
+        ("verify", ["--trials", "3"]),
     ])
     def test_bad_option_rejected_before_any_work(self, command, options,
                                                  monkeypatch, capsys):

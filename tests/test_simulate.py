@@ -652,9 +652,9 @@ class TestJacobiKernel:
         assert alone[2][0].tobytes() == stacked[2][0][:1].tobytes()
         assert np.array_equal(alone[2][0], [[1.0, 1.0]])
 
-    def test_gathered_rotation_same_bits_as_alone(self, monkeypatch):
-        # most draws are diagonal, so at every pair some of the stack does
-        # not rotate and the kernel gathers the rotating draws
+    def test_masked_rotation_same_bits_as_alone(self):
+        # most draws are diagonal, so some of the stack does not rotate at a
+        # pair and the kernel gives those matrices t = 0
         rng = np.random.default_rng(27)
         M, q = 60, 4
         X = rng.standard_normal((M, q, q + 2))
@@ -664,17 +664,15 @@ class TestJacobiKernel:
         inner[3] = [[1.0, EPS / 2, 0, 0], [EPS / 2, 1.0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]
         inner[5, 1, :] = inner[5, :, 1] = 0.0  # a zero row: singular
         g = rng.standard_normal((M, q))
-        scalings = (np.array([1.0, 10.0, 100.0, 0.5]), np.array([3.0, 1.0, 0.1, 2.0]))
-        gathers = []
-        put = simulate._put
-
-        def counting_put(x, idx, values):
-            gathers.append(idx.size)
-            return put(x, idx, values)
-
-        monkeypatch.setattr(simulate, "_put", counting_put)
+        # the unit scaling keeps the sub-threshold pair's diagonal equal, so a
+        # rotation that ignored the mask would turn it by 45 degrees
+        scalings = (np.array([1.0, 10.0, 100.0, 0.5]), np.array([3.0, 1.0, 0.1, 2.0]),
+                    np.ones(q))
+        # the first pair, (0, 1) of the first sweep, reads the scaled input
+        stack = np.concatenate([d[:, None] * inner * d for d in scalings])
+        rot = np.abs(stack[:, 0, 1]) > EPS * np.sqrt(np.abs(stack[:, 0, 0] * stack[:, 1, 1]))
+        assert 0 < rot.sum() < rot.size and not rot[3::M].any()
         W, singular, eigs = _spectra(inner, scalings, 1000.0, g)
-        assert gathers and 0 < max(gathers) < M
         assert singular[5] and singular.sum() == 1
         for k in range(M):
             alone = _spectra(inner[k:k + 1], scalings, 1000.0, g[k:k + 1])
