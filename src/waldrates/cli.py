@@ -428,10 +428,14 @@ def cmd_rates(args) -> int:
 def _parse_vhat(text: str) -> tuple[str, float]:
     if text == "exact":
         return "exact", 0.0
-    if text.startswith("perturbed:"):
-        return "perturbed", float(text.split(":", 1)[1])
     if text == "perturbed":
         return "perturbed", 0.5
+    mode, _, scale = text.partition(":")
+    if mode == "perturbed":
+        try:
+            return "perturbed", float(scale)
+        except ValueError:
+            pass
     raise SpecFileError(f"invalid --vhat value {text!r}")
 
 

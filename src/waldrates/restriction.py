@@ -112,6 +112,7 @@ class PolyMatrix:
         return PolyMatrix(out)
 
     def evaluate(self, point) -> list[list[Scalar]]:
+        point = [Scalar.coerce(x) for x in point]  # once, not once per entry
         return [[p.evaluate(point) for p in row] for row in self.entries]
 
     def __eq__(self, other) -> bool:

@@ -614,6 +614,10 @@ def _spectra(inner: np.ndarray, scalings: Sequence[np.ndarray], T: float,
     return W, singular, eigs
 
 
+def _singular_text(singular: np.ndarray) -> str:
+    return f"inner Wald matrix singular on {int(singular.sum())} of {singular.size} draws"
+
+
 def wald_statistic(theta_hat: Sequence[float], V_hat: np.ndarray,
                    sys: RestrictionSystem | CompiledSystem,
                    T: int) -> float | np.ndarray:
@@ -631,26 +635,29 @@ def wald_statistic(theta_hat: Sequence[float], V_hat: np.ndarray,
     batch = _batch(comp, theta.reshape(-1, comp.p), np.asarray(V_hat, dtype=float), T,
                    (np.ones(comp.q),), wald=True)
     if batch.singular.any():
-        raise SingularMetricError(
-            f"inner Wald matrix singular on {int(batch.singular.sum())} of "
-            f"{batch.singular.size} draws")
+        raise SingularMetricError(_singular_text(batch.singular))
     return batch.wald if theta.ndim == 2 else float(batch.wald[0])
 
 
-def wald_closed_form_product_pairs(theta_hat: Sequence[float], T: int) -> float:
+def wald_closed_form_product_pairs(theta_hat: Sequence[float] | np.ndarray,
+                                   T: int | np.ndarray) -> float | np.ndarray:
     """Closed-form W for the product-pairs demo (xy, xw, yz) with V = I.
 
     Coordinates are (x, y, z, w); serves as an independent oracle for the
-    general Wald path.  The formula is the continuous extension of the
-    statistic off the null variety; on the variety itself (where the inner
-    matrix is singular and the statistic is exactly zero) the extension is
-    generally nonzero.
+    general Wald path.  ``theta_hat`` is one point or an (N, 4) stack and
+    ``T`` a scalar or an (N,) array: a float for one point, an (N,) array
+    for a stack, each entry T (w^2 + y^2) (x^2 + z^2) / (w^2 + x^2 + y^2 +
+    z^2) in that order of operations, and 0.0 where the denominator is 0.
+    The formula is the continuous extension of the statistic off the null
+    variety; on the variety itself (where the inner matrix is singular and
+    the statistic is exactly zero) the extension is generally nonzero.
     """
-    x, y, z, w = (float(v) for v in theta_hat)
-    denom = w * w + x * x + y * y + z * z
-    if denom == 0.0:
-        return 0.0
-    return T * (w * w + y * y) * (x * x + z * z) / denom
+    x, y, z, w = np.moveaxis(np.asarray(theta_hat, dtype=float), -1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as in Python floats
+        denom = w * w + x * x + y * y + z * z
+        num = np.asarray(T * (w * w + y * y) * (x * x + z * z))
+        W = np.divide(num, denom, out=np.zeros(num.shape), where=denom != 0.0)
+    return W if W.ndim else float(W)
 
 
 def symmetric_eigenvalues(M: np.ndarray, tol: float = 1e-12,
@@ -850,11 +857,19 @@ def _batch(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray, T: int,
     cancels out of it), and counts a draw whose smallest eigenvalue there is
     not > 0 as singular, with NaN for its W and eigenvalues.
     """
+    inner, g = _inner(comp, thetas, covs, wald)
+    return _Batch(g, *_spectra(inner, scalings, T, g))
+
+
+def _inner(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray,
+           wald: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The front half of ``_batch``: for the (reps, p) draws, the (reps, q,
+    q) inner matrices A = G V_hat G' and, when ``wald``, g (reps, q), with
+    one power table for g and G; g is None otherwise."""
     tables = comp.power_tables(thetas) if wald else None
     G = comp.jacobian_at(thetas, tables)
     inner = G @ covs @ np.swapaxes(G, -1, -2)
-    g = comp.g_at(thetas, tables) if wald else None
-    return _Batch(g, *_spectra(inner, scalings, T, g))
+    return inner, (comp.g_at(thetas, tables) if wald else None)
 
 
 def _median(x: np.ndarray, axis: int | None = None):

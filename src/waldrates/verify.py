@@ -22,6 +22,9 @@ from .simulate import (
     CompiledSystem,
     SingularMetricError,
     _EPS,
+    _inner,
+    _singular_text,
+    _spectra,
     symmetric_eigenvalues,
     wald_closed_form_product_pairs,
     wald_statistic,
@@ -137,8 +140,7 @@ def closed_form_check(system: RestrictionSystem, ndraws: int = 1000,
         w_general = wald_statistic(thetas, np.eye(4), CompiledSystem(system), 1) * Ts
     except SingularMetricError as exc:
         return CheckResult(name="closed-form oracle", passed=False, detail=str(exc))
-    w_closed = np.array([wald_closed_form_product_pairs(theta, int(T))
-                         for theta, T in zip(thetas, Ts)])
+    w_closed = wald_closed_form_product_pairs(thetas, Ts)
     worst = float(np.max(np.abs(w_general - w_closed)
                          / np.maximum(np.abs(w_closed), 1e-300)))
     return CheckResult(
@@ -153,9 +155,12 @@ def s_invariance_check(system: RestrictionSystem, n_transforms: int = 10,
                        rtol: float = 1e-8) -> CheckResult:
     """W computed from S @ g must equal W from g pathwise at fixed draws.
 
-    The plain W of every transform's draws comes from one stack: the kernel
-    gives a draw the same bits alone as inside any stack.  A singular inner
-    matrix fails the check, naming the system and the count of its draws.
+    Each system forms (A, g) at its own draws: the plain system at every
+    transform's draws in one stack, then each transform at its ndraws.  One
+    Jacobi runs on the joined stacks; the kernel gives a draw the same bits
+    inside any stack, so each W is the one its system alone would give.  A
+    singular inner matrix fails the check, naming the first system that has
+    one and the count of its draws.
     """
     rng = random.Random(seed)
     nprng = np.random.default_rng([seed, 31415])
@@ -169,19 +174,19 @@ def s_invariance_check(system: RestrictionSystem, n_transforms: int = 10,
         S = [[_random_box_fraction(rng) for _ in range(q)] for _ in range(q)]
         if abs(np.linalg.det(np.array(S, dtype=float))) > 1e-3:
             transforms.append(CompiledSystem(transform(system, S)))
-    label = "plain system"
-    try:
-        w_plain = wald_statistic(thetas.reshape(-1, p), covs.reshape(-1, p, p),
-                                 CompiledSystem(system), 100)
-        w_trans = []
-        for k, comp_s in enumerate(transforms):
-            label = f"transform {k + 1} of {n_transforms}"
-            w_trans.append(wald_statistic(thetas[k], covs[k], comp_s, 100))
-    except SingularMetricError as exc:
-        return CheckResult(name="transformation invariance", passed=False,
-                           detail=f"{label}: {exc}")
-    worst = float(np.max(np.abs(w_plain - np.concatenate(w_trans))
-                         / np.maximum(np.abs(w_plain), 1e-300)))
+    labels = ["plain system"] + [f"transform {k} of {n_transforms}"
+                                 for k in range(1, n_transforms + 1)]
+    draws = [(thetas.reshape(-1, p), covs.reshape(-1, p, p)), *zip(thetas, covs)]
+    inner, g = zip(*(_inner(comp, th, cv, True) for comp, (th, cv)
+                     in zip([CompiledSystem(system), *transforms], draws)))
+    W, singular, _ = _spectra(np.concatenate(inner), (np.ones(q),), 100, np.concatenate(g))
+    bounds = np.cumsum([0, *map(len, g)])
+    for label, lo, hi in zip(labels, bounds, bounds[1:]):
+        if singular[lo:hi].any():
+            return CheckResult(name="transformation invariance", passed=False,
+                               detail=f"{label}: {_singular_text(singular[lo:hi])}")
+    w_plain, w_trans = np.split(W, [n_transforms * ndraws])
+    worst = float(np.max(np.abs(w_plain - w_trans) / np.maximum(np.abs(w_plain), 1e-300)))
     passed = worst <= rtol
     return CheckResult(
         name="transformation invariance",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waldrates import cli, verify
+from waldrates import cli, simulate, verify
 from waldrates.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -392,6 +392,12 @@ class TestCommands:
         assert lines[2] == ("[FAIL] transformation invariance: plain system: "
                             "inner Wald matrix singular on 200 of 200 draws")
 
+    @pytest.mark.parametrize("vhat", ["perturbed:", "perturbed:x", "perturbed:0.5:1", "wobbly"])
+    def test_bad_vhat_value_names_the_value(self, vhat, capsys):
+        assert main(["simulate", str(FIXTURES / "product_pairs.spec"),
+                     "--vhat", vhat]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: invalid --vhat value {vhat!r}\n"
+
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         path = write_spec(tmp_path, "vars x\ntheta_bar 0 0\ng x\nV identity\n")
         assert main(["analyze", path]) == EXIT_VALIDATION
@@ -670,6 +676,80 @@ def test_vanishing_medians_are_pinned(mode):
     res = vanishing_rate_experiment(product_pairs_system(), surd_covariance(), mode,
                                     [1000, 10000, 100000], 300, 5)
     assert hashlib.sha256(res.raw_medians.tobytes()).hexdigest() == VANISHING_DIGESTS[mode]
+
+
+#: SHA-256 of ``verify``'s --json report followed by its stdout, for (spec,
+#: seed), run from the repository root on ``fixtures/<name>.spec``; "singular"
+#: is ``case.spec`` holding g x, g 2*x, whose invariance check fails (exit 4).
+VERIFY_DIGESTS = {
+    ("linear_q1", 7): "960a39db05e55b3c0bc8867636bff0d9e93d90280385b1e977c8d85d50b49029",
+    ("linear_q1", 42): "3c5f5b5ea3c846ad9d76eb0c868d77aacfb7006410573f75cda4ee6b7f32d417",
+    ("linear_q2", 7): "18894715eab23377b267f8d685e175010511f1db8a4ed01affd3c3e2a450b511",
+    ("linear_q2", 42): "ecce209a235b3c44447f53917e402232fd3536e77473d8d2771d98c4bc690dbb",
+    ("product_pairs", 7): "b5ab66deebb98a7188ad676c3323f67f10cda28858b3cf2272eec76ed2a30027",
+    ("product_pairs", 42): "e91ec0e66cde0fc1b031fb5a2fc2688dc7164421653805b0d063783c72534c6d",
+    ("product_pairs_cov98", 7):
+        "139111d1ef014945a58943dbf7a1b33e11e87e35c847e108dcab9c8e52dcb467",
+    ("product_pairs_cov98", 42):
+        "a6ffcb971fb97276f8ae43a374f999c1682d4ad2f686d7a34fee83f85de89769",
+    ("singular", 7): "16bdb0eafac8ee8213f52fdcc04ffd2db56b0b03d392d17cedc8b1b46b1f70c8",
+    ("singular", 42): "45645c882ee1871075a80154d91a142fdd0938944ec038504d1b1630367a9c9b",
+}
+SINGULAR_SPEC = "vars x y\ntheta_bar 0 0\ng x\ng 2*x\nV identity\n"
+
+
+@pytest.mark.parametrize("name, seed", sorted(VERIFY_DIGESTS))
+def test_verify_output_bytes_are_pinned(name, seed, tmp_path, monkeypatch, capsys):
+    if name == "singular":
+        monkeypatch.chdir(tmp_path)  # the report records the spec path as given
+        write_spec(tmp_path, SINGULAR_SPEC)
+        spec, want = "case.spec", EXIT_NUMERICAL
+    else:
+        monkeypatch.chdir(FIXTURES.parent)
+        spec, want = f"fixtures/{name}.spec", EXIT_OK
+    out = tmp_path / "report.json"
+    assert main(["verify", spec, "--seed", str(seed), "--json", str(out)]) == want
+    digest = hashlib.sha256(out.read_bytes() + capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERIFY_DIGESTS[name, seed]
+
+
+def test_verify_runs_one_kernel_pass_per_check(monkeypatch, capsys):
+    # invariance: one Jacobi for all eleven systems; closed form: one for the
+    # general path and one array call of the oracle
+    calls = []
+
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(simulate, "_spectra", counted("closed form", simulate._spectra))
+    monkeypatch.setattr(verify, "_spectra", counted("invariance", verify._spectra))
+    monkeypatch.setattr(verify, "wald_closed_form_product_pairs",
+                        counted("oracle", verify.wald_closed_form_product_pairs))
+    assert main(["verify", str(FIXTURES / "product_pairs.spec")]) == EXIT_OK
+    assert calls == ["closed form", "oracle", "invariance"]
+    assert capsys.readouterr().out.count("[PASS]") == 3
+
+
+@pytest.mark.parametrize("forced, detail", [
+    ([240], "transform 3 of 10: inner Wald matrix singular on 1 of 20 draws"),
+    ([240, 259], "transform 3 of 10: inner Wald matrix singular on 2 of 20 draws"),
+    ([0, 199, 259], "plain system: inner Wald matrix singular on 2 of 200 draws"),
+])
+def test_invariance_names_the_first_singular_segment(forced, detail, monkeypatch):
+    # the joined stack holds the plain system's 200 draws, then each
+    # transform's 20: draws 240 and 259 open and close transform 3's segment
+    real = verify._spectra
+
+    def forcing(*args):
+        W, singular, eigs = real(*args)
+        assert singular.size == 400 and not singular.any()
+        singular[forced] = True
+        W[forced] = np.nan
+        return W, singular, eigs
+
+    monkeypatch.setattr(verify, "_spectra", forcing)
+    result = verify.s_invariance_check(product_pairs_system())
+    assert (result.passed, result.detail) == (False, detail)
 
 
 class TestNegativeControl:

@@ -193,6 +193,29 @@ class TestClosedForm:
         w9 = wald_closed_form_product_pairs([0.3, 0.4, 1.1, 0.9], 9)
         assert w9 == pytest.approx(9 * w1)
 
+    def test_stack_is_the_per_point_formula_bit_for_bit(self):
+        # the scalar formula in Python floats, point by point, as the oracle
+        # computed it before it took arrays
+        def one(theta, T):
+            x, y, z, w = (float(v) for v in theta)
+            denom = w * w + x * x + y * y + z * z
+            return 0.0 if denom == 0.0 else T * (w * w + y * y) * (x * x + z * z) / denom
+
+        rng = np.random.default_rng(2718)
+        thetas = rng.uniform(-3.0, 3.0, size=(500, 4))
+        thetas[0] = 0.0
+        thetas[1] = [0.0, 1.5, 0.0, -0.25]  # numerator factor zero, denominator not
+        thetas[2, ::2] = 1e-170             # squares underflow
+        Ts = rng.integers(1, 10_000, size=500)
+        want = np.array([one(theta, int(T)) for theta, T in zip(thetas, Ts)])
+        got = wald_closed_form_product_pairs(thetas, Ts)
+        assert got.tobytes() == want.tobytes()
+        assert wald_closed_form_product_pairs(thetas, 77).tobytes() == \
+            np.array([one(theta, 77) for theta in thetas]).tobytes()
+        for theta, T, w in zip(thetas[:20], Ts[:20], want[:20]):
+            single = wald_closed_form_product_pairs(theta, int(T))
+            assert type(single) is float and single == w
+
 
 class TestSymmetricEigenvalues:
     def test_diagonal(self):
