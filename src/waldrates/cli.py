@@ -50,7 +50,6 @@ from .polycore import (
 from .rates import (
     Covariance,
     NonSpdError,
-    QTooLargeError,
     RateReport,
     min_degree_generic,
     rate_report,
@@ -65,7 +64,6 @@ from .restriction import (
 from .simulate import (
     CholeskyFailureError,
     EstimatorModel,
-    ExcessiveSingularDrawsError,
     SimResult,
     _validate_grid,
     chi_square_median,
@@ -417,7 +415,9 @@ def cmd_rates(args) -> int:
                 "value (conservative bound)")
     print(f"predicted divergence exponent β̄ = {report.beta_bar}")
     if not report.divergence_predicted:
-        print("no divergence predicted (full rank at lowest degrees)")
+        rank = ("full rank" if report.rank_r == q
+                else f"r = {report.rank_r} of q = {q}")
+        print(f"no divergence predicted ({rank} at lowest degrees)")
     out = _base_report("rates", args.spec, spec, args.seed)
     out["frald"] = _frald_json(report, q, spec.var_names)
     out["rates"] = _rates_json(report, generic_m, args.samples or None)
@@ -577,14 +577,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (SpecFileError, PolyParseError, QTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (NullViolatedError, NonSpdError, CholeskyFailureError,
             RankDeficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ExcessiveSingularDrawsError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

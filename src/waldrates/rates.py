@@ -1,10 +1,10 @@
 """Characteristic-polynomial degree analysis and divergence exponents.
 
 Builds B(x, U) = G(x) U G(x)', extracts the characteristic-polynomial
-coefficients a_k exactly through principal minors, reads off the minimal
-degrees m_k(U), and derives the eigenvalue scaling exponents gamma_k / beta_k
-and the predicted divergence exponent beta_bar from a grading of the
-block-rescaled matrix.
+coefficients a_k exactly by Berkowitz's algorithm on packed rays (below),
+reads off the minimal degrees m_k(U), and derives the eigenvalue scaling
+exponents gamma_k / beta_k and the predicted divergence exponent beta_bar
+from a grading of the block-rescaled matrix.
 
 Every degree the pipeline reports (m_k at U, the grading exponents gamma_k and
 the generic m_k) is read on random rays: x = t*y with y a random integer
@@ -42,9 +42,9 @@ from .polycore import (INF_DEGREE, MultiPoly, Scalar, _one_radicand, _rational, 
                        _surd, _ZSqrt, _zsqrt)
 from .restriction import EchelonForm, PolyMatrix, RestrictionSystem, _integer_terms, frald_check
 
-#: The specification limit on the number of restrictions.  No report path
-#: enumerates minors; the cap bounds ``charpoly_coeffs``, whose principal-minor
-#: enumeration is exponential in q and which the tests use as an oracle.
+#: The specification limit on the number of restrictions.  ``_ray_g_half``
+#: enforces it on every report path; ``charpoly_coeffs``, the tests'
+#: principal-minor oracle, whose enumeration is exponential in q, checks it too.
 MAX_Q = 8
 
 #: Ray coordinates are uniform integers in [-RAY_RANGE, RAY_RANGE].

@@ -40,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -360,7 +360,7 @@ def draw_estimate(model: EstimatorModel, T: int, rng) -> tuple[np.ndarray, np.nd
         return theta_hat, model.V
     for _ in range(10):
         V_hat = _perturbed_vhat(model, T, rng.standard_normal((model.p, model.p)))
-        if not _cholesky_stack(V_hat[None])[1][0]:
+        if not _cholesky_fails(V_hat[None])[0]:
             return theta_hat, V_hat
     raise CholeskyFailureError("perturbed V_hat stayed non-SPD after 10 retries")
 
@@ -394,10 +394,9 @@ class CompiledSystem:
     coefficient.
     """
 
-    __slots__ = ("system", "p", "q", "_exps", "_g_plan", "_G_plan", "_powered")
+    __slots__ = ("p", "q", "_exps", "_g_plan", "_G_plan", "_powered")
 
     def __init__(self, system: RestrictionSystem):
-        self.system = system
         self.p = system.p
         self.q = system.q
         G = jacobian(system)
@@ -469,23 +468,24 @@ class CompiledSystem:
         return values.reshape(values.shape[:-1] + (self.q, self.p))
 
 
-def _cholesky_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of an (N, n, n) stack and the mask of members that fail.
+def _cholesky_fails(stack: np.ndarray) -> np.ndarray:
+    """The mask of the members of an (N, n, n) stack that fail Cholesky.
 
     One batched factorisation; only if it raises is each matrix factorised
-    alone, and a failing member's factor is left NaN.
+    alone.
     """
     failed = np.zeros(len(stack), dtype=bool)
     try:
-        return np.linalg.cholesky(stack), failed
+        np.linalg.cholesky(stack)
+        return failed
     except np.linalg.LinAlgError:
-        factors = np.full(stack.shape, np.nan)
+        pass
     for i, matrix in enumerate(stack):
         try:
-            factors[i] = np.linalg.cholesky(matrix)
+            np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError:
             failed[i] = True
-    return factors, failed
+    return failed
 
 
 #: Sweeps the batched Jacobi kernel may rotate in before it gives up; a
@@ -623,20 +623,20 @@ def wald_statistic(theta_hat: Sequence[float], V_hat: np.ndarray,
                    T: int) -> float | np.ndarray:
     """W = T g' [G V-hat G']^{-1} g at theta_hat, one point or an (N, p) stack.
 
-    One call of the experiments' kernel ``_batch``, unscaled: the batched
-    Jacobi of the inner matrix, with g rotated alongside, so no inverse or
-    solve is formed.  ``V_hat`` is one (p, p) matrix or an (N, p, p) stack.
-    A float for one point, an (N,) array for a stack.  A singular inner
-    matrix (smallest eigenvalue not > 0) raises SingularMetricError -- never
-    silent regularisation.
+    The experiments' kernel, ``_inner`` then ``_spectra``, unscaled: the
+    batched Jacobi of the inner matrix, with g rotated alongside, so no
+    inverse or solve is formed.  ``V_hat`` is one (p, p) matrix or an (N, p,
+    p) stack.  A float for one point, an (N,) array for a stack.  A singular
+    inner matrix (smallest eigenvalue not > 0) raises SingularMetricError --
+    never silent regularisation.
     """
     comp = sys if isinstance(sys, CompiledSystem) else CompiledSystem(sys)
     theta = np.asarray(theta_hat, dtype=float)
-    batch = _batch(comp, theta.reshape(-1, comp.p), np.asarray(V_hat, dtype=float), T,
-                   (np.ones(comp.q),), wald=True)
-    if batch.singular.any():
-        raise SingularMetricError(_singular_text(batch.singular))
-    return batch.wald if theta.ndim == 2 else float(batch.wald[0])
+    inner, g = _inner(comp, theta.reshape(-1, comp.p), np.asarray(V_hat, dtype=float), True)
+    W, singular, _ = _spectra(inner, (np.ones(comp.q),), T, g)
+    if singular.any():
+        raise SingularMetricError(_singular_text(singular))
+    return W if theta.ndim == 2 else float(W[0])
 
 
 def wald_closed_form_product_pairs(theta_hat: Sequence[float] | np.ndarray,
@@ -660,12 +660,12 @@ def wald_closed_form_product_pairs(theta_hat: Sequence[float] | np.ndarray,
     return W if W.ndim else float(W)
 
 
-def symmetric_eigenvalues(M: np.ndarray, tol: float = 1e-12,
-                          max_sweeps: int = 100) -> np.ndarray:
+def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, descending.
 
     Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm falls below tol * ||M||.
+    norm falls below 1e-12 ||M||; 100 sweeps that do not get there raise
+    JacobiConvergenceError.
     """
     A = np.asarray(M, dtype=float)
     n = A.shape[0]
@@ -677,8 +677,8 @@ def symmetric_eigenvalues(M: np.ndarray, tol: float = 1e-12,
     A = (A + A.T) / 2.0
     if n == 1:
         return A[0, :1].copy()
-    target = tol * max(scale, np.finfo(float).tiny)
-    for _ in range(max_sweeps):
+    target = 1e-12 * max(scale, np.finfo(float).tiny)
+    for _ in range(100):
         off = math.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum()))
         if off <= target:
             return np.sort(np.diag(A))[::-1].copy()
@@ -702,7 +702,7 @@ def symmetric_eigenvalues(M: np.ndarray, tol: float = 1e-12,
                 R[j, i] = -s
                 A = R.T @ A @ R
                 A = (A + A.T) / 2.0
-    raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps")
+    raise JacobiConvergenceError("no convergence after 100 sweeps")
 
 
 @dataclass(frozen=True)
@@ -793,13 +793,6 @@ def _validate_grid(t_grid: Sequence[int], reps: int) -> tuple[int, ...]:
     return grid
 
 
-class _Batch(NamedTuple):
-    g: np.ndarray | None          # (reps, q), only when the statistic is asked for
-    wald: np.ndarray | None       # (reps,), NaN on singular draws
-    singular: np.ndarray | None   # (reps,) bool
-    eigs: tuple[np.ndarray, ...]  # per scaling vector: (reps, q), descending
-
-
 def _draw_stack(model: EstimatorModel, T: int, reps: int, seed: int,
                 tail: tuple[int, ...] = (0,)):
     """Draw stage: theta_hat (reps, p), V_hat and tail normals, one substream each.
@@ -836,36 +829,29 @@ def _draw_stack(model: EstimatorModel, T: int, reps: int, seed: int,
     if not perturbed:
         return thetas, model.V, tails
     covs = _perturbed_vhat(model, T, W.reshape(reps, p, p))
-    for rep in np.flatnonzero(_cholesky_stack(covs)[1]):
+    for rep in np.flatnonzero(_cholesky_fails(covs)):
         rng = _stream(seeds[rep])
         covs[rep] = draw_estimate(model, T, rng)[1]
         tails[rep] = rng.standard_normal(tail)
     return thetas, covs, tails
 
 
-def _batch(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray, T: int,
-           scalings: Sequence[np.ndarray], wald: bool = False) -> _Batch:
-    """The Monte Carlo kernel: one T of an experiment over all reps at once.
-
-    For the (reps, p) draws and their V_hat, one (p, p) matrix or a stack,
-    evaluate G, and g when ``wald``, and form the inner matrices A = G V_hat
-    G' once.  The divergence experiment compiles the echelonized system S g,
-    so there g and G are already S g and S G, with S applied exactly.  Then
-    one batched Jacobi (``_spectra``) takes, for each vector d in
-    ``scalings``, the descending eigenvalues of diag(d) A diag(d); when
-    ``wald`` it rotates D g of the first scaling alongside, which gives W (S
-    cancels out of it), and counts a draw whose smallest eigenvalue there is
-    not > 0 as singular, with NaN for its W and eigenvalues.
-    """
-    inner, g = _inner(comp, thetas, covs, wald)
-    return _Batch(g, *_spectra(inner, scalings, T, g))
-
-
 def _inner(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray,
            wald: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The front half of ``_batch``: for the (reps, p) draws, the (reps, q,
-    q) inner matrices A = G V_hat G' and, when ``wald``, g (reps, q), with
-    one power table for g and G; g is None otherwise."""
+    """The front half of the Monte Carlo kernel: one T over all reps at once.
+
+    For the (reps, p) draws and their V_hat, one (p, p) matrix or a stack,
+    evaluate G, and g when ``wald``, from one power table, and form the
+    inner matrices A = G V_hat G' once.  The divergence experiment compiles
+    the echelonized system S g, so there g and G are already S g and S G,
+    with S applied exactly.  Returns A (reps, q, q) and g (reps, q), g None
+    without ``wald``.  Every caller hands both to ``_spectra``: one batched
+    Jacobi takes, for each vector d in its scalings, the descending
+    eigenvalues of diag(d) A diag(d); with g it rotates D g of the first
+    scaling alongside, which gives W (S cancels out of it), and counts a
+    draw whose smallest eigenvalue there is not > 0 as singular, with NaN
+    for its W and eigenvalues.
+    """
     tables = comp.power_tables(thetas) if wald else None
     G = comp.jacobian_at(thetas, tables)
     inner = G @ covs @ np.swapaxes(G, -1, -2)
@@ -911,14 +897,15 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
         # sigma_bar = D S G V G' S' D; sigma_hat rescales it by T^{beta/2}
         scalings = (delta, delta * T ** (beta / 2.0)) if degenerate else (delta,)
         thetas, covs, _ = _draw_stack(model, T, reps, seed)
-        batch = _batch(comp, thetas, covs, T, scalings, wald=True)
-        singular += int(batch.singular.sum())
-        wald_all.append(batch.wald)
-        eig_medians.append(_median(batch.eigs[0], axis=0))
+        inner, g = _inner(comp, thetas, covs, True)
+        W, skipped, eigs = _spectra(inner, scalings, T, g)
+        singular += int(skipped.sum())
+        wald_all.append(W)
+        eig_medians.append(_median(eigs[0], axis=0))
         if degenerate:
-            scaled_g = T ** ((s_deg + 1.0) / 2.0) * batch.g
-            mu = np.min(scaled_g**2, axis=1) / batch.eigs[1][:, 0]
-            violations += int(np.count_nonzero(batch.wald < T**beta_bar * mu - 1e-9))
+            scaled_g = T ** ((s_deg + 1.0) / 2.0) * g
+            mu = np.min(scaled_g**2, axis=1) / eigs[1][:, 0]
+            violations += int(np.count_nonzero(W < T**beta_bar * mu - 1e-9))
             mu_medians.append(float(_median(mu)))
         else:
             mu_medians.append(0.0)
@@ -1014,8 +1001,8 @@ def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
         # perturbation would leave the admissible set
         U_T = U_float if u_t_mode == "exact" else (
             U_float + VANISHING_PERTURB_SCALE / math.sqrt(T) * (A @ np.swapaxes(A, -1, -2)) / p)
-        batch = _batch(comp, thetas, U_T, T, (np.ones(q),))
-        raw[ti] = _median(batch.eigs[0], axis=0)
+        _, _, eigs = _spectra(_inner(comp, thetas, U_T, False)[0], (np.ones(q),), T)
+        raw[ti] = _median(eigs[0], axis=0)
     beta_f = np.array([float(b) for b in betas])
     scaled = raw * np.array(grid, dtype=float)[:, None] ** beta_f[None, :]
     return VanishingResult(

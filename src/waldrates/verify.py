@@ -75,7 +75,7 @@ def _int_parts(grid) -> tuple:
 
 
 def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
-                               seed: int = 42, rtol: float = 1e-8) -> CheckResult:
+                               seed: int = 42) -> CheckResult:
     """P_k(eigenvalues of B) must equal (-1)^k a_k at random points/covariances.
 
     a_k comes from the integer ray kernel that writes every report: the
@@ -84,15 +84,16 @@ def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
     it, from G evaluated exactly at x, and the Jacobi solver gives its
     eigenvalues.
 
-    The deviation |P_k - (-1)^k a_k| is relative to max(|P_k|, |a_k|).
-    Where that exceeds rtol but the deviation is within the rounding floor
-    floor_k = k C(q, k) q eps max|lambda|^k, it is taken relative to
-    floor_k / rtol instead, so it reads at most rtol: each eigenvalue
-    carries an absolute error of about q eps max|lambda|, and P_k sums
-    C(q, k) products of k of them.  So an exact a_k = 0 at a singular B(x),
-    against a P_k of rounding noise, passes, and a deviation within rtol
-    reads as before.
+    The deviation |P_k - (-1)^k a_k| is relative to max(|P_k|, |a_k|), and
+    passes at rtol = 1e-8.  Where that exceeds rtol but the deviation is
+    within the rounding floor floor_k = k C(q, k) q eps max|lambda|^k, it is
+    taken relative to floor_k / rtol instead, so it reads at most rtol: each
+    eigenvalue carries an absolute error of about q eps max|lambda|, and P_k
+    sums C(q, k) products of k of them.  So an exact a_k = 0 at a singular
+    B(x), against a P_k of rounding noise, passes, and a deviation within
+    rtol reads as before.
     """
+    rtol = 1e-8
     rng = random.Random(seed)
     G = jacobian(recenter(system))
     g_half = _ray_g_half(G, (0,) * system.q)
@@ -122,9 +123,9 @@ def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
     )
 
 
-def closed_form_check(system: RestrictionSystem, ndraws: int = 1000,
-                      seed: int = 42, rtol: float = 1e-10) -> CheckResult:
-    """General Wald path against the product-pairs closed form (identity V)."""
+def closed_form_check(system: RestrictionSystem, seed: int = 42) -> CheckResult:
+    """General Wald path against the product-pairs closed form (identity V),
+    at 1000 draws, to a relative deviation of 1e-10."""
     if not is_product_pairs(system):
         return CheckResult(
             name="closed-form oracle",
@@ -132,6 +133,7 @@ def closed_form_check(system: RestrictionSystem, ndraws: int = 1000,
             detail="skipped: restrictions are not the product-pairs triple",
             skipped=True,
         )
+    ndraws, rtol = 1000, 1e-10
     rng = np.random.default_rng([seed, 2718])
     thetas = rng.uniform(0.5, 2.0, size=(ndraws, 4)) * rng.choice([-1.0, 1.0], size=(ndraws, 4))
     Ts = rng.integers(1, 10_000, size=ndraws)
@@ -150,10 +152,9 @@ def closed_form_check(system: RestrictionSystem, ndraws: int = 1000,
     )
 
 
-def s_invariance_check(system: RestrictionSystem, n_transforms: int = 10,
-                       ndraws: int = 20, seed: int = 42,
-                       rtol: float = 1e-8) -> CheckResult:
-    """W computed from S @ g must equal W from g pathwise at fixed draws.
+def s_invariance_check(system: RestrictionSystem, seed: int = 42) -> CheckResult:
+    """W computed from S @ g must equal W from g pathwise at fixed draws, to a
+    relative deviation of 1e-8, for 10 random transforms S of 20 draws each.
 
     Each system forms (A, g) at its own draws: the plain system at every
     transform's draws in one stack, then each transform at its ndraws.  One
@@ -162,6 +163,7 @@ def s_invariance_check(system: RestrictionSystem, n_transforms: int = 10,
     singular inner matrix fails the check, naming the first system that has
     one and the count of its draws.
     """
+    n_transforms, ndraws, rtol = 10, 20, 1e-8
     rng = random.Random(seed)
     nprng = np.random.default_rng([seed, 31415])
     q, p = system.q, system.p

@@ -287,7 +287,18 @@ class TestCommands:
     def test_rates_linear_no_divergence(self, capsys):
         code = main(["rates", str(FIXTURES / "linear_q1.spec")])
         assert code == EXIT_OK
-        assert "no divergence predicted" in capsys.readouterr().out
+        assert ("no divergence predicted (full rank at lowest degrees)"
+                in capsys.readouterr().out)
+
+    def test_rates_states_the_rank_when_it_is_below_q(self, tmp_path, capsys):
+        # G has generic rank 1 < q = 2 and beta_bar = 0: not "full rank"
+        path = write_spec(tmp_path, "vars x y\ntheta_bar 0 0\ng x\ng x^2\nV identity\n")
+        assert main(["analyze", path]) == EXIT_OK
+        assert "FRALD-T: FAILS, r = 1" in capsys.readouterr().out
+        assert main(["rates", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "no divergence predicted (r = 1 of q = 2 at lowest degrees)" in out
+        assert "full rank" not in out
 
     def test_simulate_small_run(self, tmp_path, capsys):
         out_json = tmp_path / "report.json"

@@ -27,9 +27,9 @@ from waldrates.simulate import (
     GenericCovarianceError,
     JacobiConvergenceError,
     SingularMetricError,
-    _batch,
-    _cholesky_stack,
+    _cholesky_fails,
     _draw_stack,
+    _inner,
     _jacobi_stack,
     _pcg64_seed,
     _pcg64_words,
@@ -333,15 +333,17 @@ class TestDivergenceExperiment:
 
 def _eig_medians(system, model, report, t_grid, reps, seed, vhat=None):
     """Per-T medians of the block-scaled eigenvalues of the echelonized
-    system, descending, from one ``_draw_stack`` and one ``_batch`` per T;
-    ``vhat`` replaces every draw's covariance estimate with a fixed plug-in.
-    Returns the (len(t_grid), q) medians and the same times T^beta."""
+    system, descending, from one ``_draw_stack``, ``_inner`` and ``_spectra``
+    per T; ``vhat`` replaces every draw's covariance estimate with a fixed
+    plug-in.  Returns the (len(t_grid), q) medians and the same times
+    T^beta."""
     comp, _ = _echelonized(system, report)
     raw = np.empty((len(t_grid), system.q))
     for ti, T in enumerate(t_grid):
         thetas, covs, _ = _draw_stack(model, T, reps, seed)
-        batch = _batch(comp, thetas, covs if vhat is None else vhat, T, (_delta(report, T),))
-        raw[ti] = np.nanmedian(batch.eigs[0], axis=0)
+        inner, _ = _inner(comp, thetas, covs if vhat is None else vhat, False)
+        _, _, eigs = _spectra(inner, (_delta(report, T),), T)
+        raw[ti] = np.nanmedian(eigs[0], axis=0)
     beta = np.array([float(b) for b in report.beta])
     return raw, raw * np.array(t_grid, dtype=float)[:, None] ** beta[None, :]
 
@@ -453,7 +455,7 @@ def _delta(report, T):
     return T ** (simulate._block_scaling(report)[0] / 2.0)
 
 
-def _inner(G, V):
+def _gvg(G, V):
     return G @ V @ np.swapaxes(G, -1, -2)
 
 
@@ -481,14 +483,14 @@ class TestKernel:
         model = EstimatorModel(PP_THETA, np.eye(4))
         delta = _delta(pp_report, T)
         thetas, covs, _ = _draw_stack(model, T, 200, 8)
-        batch = _batch(comp_s, thetas, covs, T, (delta,))
+        _, _, (eigs,) = _spectra(_inner(comp_s, thetas, covs, False)[0], (delta,), T)
         for rep in range(200):
             theta, V = draw_estimate(model, T, np.random.default_rng([8, T, rep]))
             SG = S @ comp.jacobian_at(theta)
             sigma = (delta[:, None] * (SG @ V @ SG.T)) * delta[None, :]
             lam = symmetric_eigenvalues(sigma)
             bound = 64 * EPS * np.abs(lam).max()  # ||sigma||_2
-            assert np.abs(batch.eigs[0][rep] - lam).max() <= bound
+            assert np.abs(eigs[rep] - lam).max() <= bound
 
     @pytest.mark.parametrize("T", [100, 100_000])
     def test_wald_matches_closed_form(self, pp_report, T):
@@ -496,12 +498,13 @@ class TestKernel:
         comp_s, _ = _echelonized(product_pairs_system(), pp_report)
         model = EstimatorModel(PP_THETA, np.eye(4))
         thetas, covs, _ = _draw_stack(model, T, 500, 9)
-        batch = _batch(comp_s, thetas, covs, T, (_delta(pp_report, T),), wald=True)
-        assert not batch.singular.any()
+        inner, g = _inner(comp_s, thetas, covs, True)
+        W, singular, _ = _spectra(inner, (_delta(pp_report, T),), T, g)
+        assert not singular.any()
         G = comp.jacobian_at(thetas)
         cond = np.linalg.cond(G @ np.swapaxes(G, 1, 2))
         closed = np.array([wald_closed_form_product_pairs(t, T) for t in thetas])
-        rel = np.abs(batch.wald - closed) / np.abs(closed)
+        rel = np.abs(W - closed) / np.abs(closed)
         assert (rel <= np.maximum(1e-9, 64 * EPS * cond)).all()
 
     def test_singular_draw_counted_not_regularised(self):
@@ -512,11 +515,11 @@ class TestKernel:
         # G's first row (y, x, 0, 0) vanishes at the null point: zero pivot
         assert not comp.jacobian_at(PP_THETA)[0].any()
         ones = (np.ones(3),)
-        W, singular, _ = _spectra(_inner(comp.jacobian_at(stack), np.eye(4)), ones, 1000,
+        W, singular, _ = _spectra(_gvg(comp.jacobian_at(stack), np.eye(4)), ones, 1000,
                                   comp.g_at(stack))
         assert singular.sum() == 1 and singular[17]
         assert np.isnan(W[17])
-        W_clean, singular_clean, _ = _spectra(_inner(comp.jacobian_at(others), np.eye(4)),
+        W_clean, singular_clean, _ = _spectra(_gvg(comp.jacobian_at(others), np.eye(4)),
                                               ones, 1000, comp.g_at(others))
         assert not singular_clean.any()
         assert np.array_equal(np.delete(W, 17), W_clean)
@@ -547,15 +550,11 @@ class TestKernel:
         monkeypatch.setattr(CompiledSystem, "power_tables", counting_power_tables)
         g, G = comp.g_at(thetas), comp.jacobian_at(thetas)
         assert len(builds) == 2
-        V, d = np.diag([1.0, 2.0, 3.0]), np.array([1.0, 10.0, 100.0])
-        batch = _batch(comp, thetas, V, 1000, (d,), wald=True)
+        V = np.diag([1.0, 2.0, 3.0])
+        inner, g_kernel = _inner(comp, thetas, V, True)
         assert len(builds) == 3
-        W, singular, (lam,) = _spectra(_inner(G, V), (d,), 1000, g)
-        lam[singular] = np.nan
-        assert np.array_equal(batch.g, g)
-        assert np.array_equal(batch.wald, W, equal_nan=True)
-        assert np.array_equal(batch.singular, singular)
-        assert np.array_equal(batch.eigs[0], lam, equal_nan=True)
+        assert np.array_equal(g_kernel, g)
+        assert np.array_equal(inner, _gvg(G, V))
 
     @settings(max_examples=200, deadline=None)
     @given(_float_systems(), st.integers(1, 400), st.integers(0, 2**32 - 1))
@@ -612,32 +611,33 @@ class TestKernel:
         thetas, covs, _ = _draw_stack(model, 1000, 300, 14)
         assert (covs is model.V) == (mode == "exact")
         V = model.V if mode == "exact" else covs[7]
-        args = (1000, (delta, 2 * delta))
-        unstacked = _batch(comp, thetas, V, *args, wald=True)
-        stacked = _batch(comp, thetas, np.broadcast_to(V, (300, 4, 4)).copy(), *args,
-                         wald=True)
+
+        def kernel(cov):
+            inner, g = _inner(comp, thetas, cov, True)
+            return (g, *_spectra(inner, (delta, 2 * delta), 1000, g))
+
+        unstacked, stacked = kernel(V), kernel(np.broadcast_to(V, (300, 4, 4)).copy())
         for a, b in zip(unstacked, stacked):
             if isinstance(a, tuple):
                 assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b))
             else:
                 assert np.array_equal(a, b, equal_nan=True)
 
-    def test_cholesky_stack_factors_match_per_matrix(self):
+    def test_cholesky_fails_matches_per_matrix(self):
         comp = CompiledSystem(product_pairs_system())
         rng = np.random.default_rng(15)
         others = PP_THETA + rng.standard_normal((40, 4)) / 10.0
         G = comp.jacobian_at(np.insert(others, 17, PP_THETA, axis=0))
         inner = G @ np.swapaxes(G, 1, 2)
         for stack in (np.delete(inner, 17, axis=0), inner):  # batched, then fallback
-            factors, failed = _cholesky_stack(stack)
+            failed = _cholesky_fails(stack)
             assert list(np.flatnonzero(failed)) == ([17] if len(stack) == 41 else [])
-            for i, matrix in enumerate(stack):
-                if failed[i]:
-                    assert np.isnan(factors[i]).all()
+            for fails, matrix in zip(failed, stack):
+                if fails:
                     with pytest.raises(np.linalg.LinAlgError):
                         np.linalg.cholesky(matrix)
                 else:
-                    assert np.array_equal(factors[i], np.linalg.cholesky(matrix))
+                    np.linalg.cholesky(matrix)
 
 
 def _spd_stack(q, M, seed):
@@ -656,13 +656,15 @@ class TestJacobiKernel:
         delta = _delta(pp_report, T)
         scalings = (delta, delta * T ** (simulate._block_scaling(pp_report)[1] / 2.0))
         thetas, covs, _ = _draw_stack(model, T, 2000, 21)
-        full = _batch(comp, thetas, covs, T, scalings, wald=True)
+        inner, g = _inner(comp, thetas, covs, True)
+        W, singular, eigs = _spectra(inner, scalings, T, g)
         for k in range(0, 2000, 97):
+            inner_k, g_k = _inner(comp, thetas[k:k + 1], covs, True)
             for scales in (scalings, scalings[:1]):
-                alone = _batch(comp, thetas[k:k + 1], covs, T, scales, wald=True)
-                assert alone.wald.tobytes() == full.wald[k:k + 1].tobytes()
-                assert alone.singular[0] == full.singular[k]
-                for got, want in zip(alone.eigs, full.eigs):
+                W_k, singular_k, eigs_k = _spectra(inner_k, scales, T, g_k)
+                assert W_k.tobytes() == W[k:k + 1].tobytes()
+                assert singular_k[0] == singular[k]
+                for got, want in zip(eigs_k, eigs):
                     assert got.tobytes() == want[k:k + 1].tobytes()
         # on those draws an unmasked rotation of a converged pair mostly stays
         # below rounding, so also stack a pair below the threshold whose
@@ -765,12 +767,12 @@ class TestJacobiKernel:
         comp = CompiledSystem(product_pairs_system())
         G = comp.jacobian_at(PP_THETA[None])
         assert not G[0, 0].any()
-        lam, _, _ = _jacobi_stack(_inner(G, np.eye(4)).transpose(1, 2, 0), np.zeros((3, 0)))
+        lam, _, _ = _jacobi_stack(_gvg(G, np.eye(4)).transpose(1, 2, 0), np.zeros((3, 0)))
         assert (lam[:, 0] == 0.0).sum() == 1
-        batch = _batch(comp, PP_THETA[None], np.eye(4), 1000,
-                       (np.ones(3), np.full(3, 10.0)), wald=True)
-        assert batch.singular[0] and np.isnan(batch.wald[0])
-        assert all(np.isnan(e).all() for e in batch.eigs)
+        inner, g = _inner(comp, PP_THETA[None], np.eye(4), True)
+        W, singular, eigs = _spectra(inner, (np.ones(3), np.full(3, 10.0)), 1000, g)
+        assert singular[0] and np.isnan(W[0])
+        assert all(np.isnan(e).all() for e in eigs)
 
     @pytest.mark.parametrize("T", [1000, 100_000])
     def test_block_scaled_eigenvalues_against_50_digits(self, pp_report, T):
@@ -780,8 +782,8 @@ class TestJacobiKernel:
         thetas, _, _ = _draw_stack(model, T, 200, 42)
         d = _delta(pp_report, T)
         G = comp.jacobian_at(thetas)
-        kernel = _batch(comp, thetas, np.eye(4), T, (d,)).eigs[0]
-        lapack = np.linalg.eigvalsh(d[:, None] * _inner(G, np.eye(4)) * d)[:, ::-1]
+        _, _, (kernel,) = _spectra(_inner(comp, thetas, np.eye(4), False)[0], (d,), T)
+        lapack = np.linalg.eigvalsh(d[:, None] * _gvg(G, np.eye(4)) * d)[:, ::-1]
         with mpmath.workdps(50):
             exact = []
             for Gx in G:
@@ -867,13 +869,13 @@ class TestEchelonizedKernel:
         model = EstimatorModel(np.zeros(3), np.eye(3))
         comp_s, _ = _echelonized(system, report)
         thetas, covs, _ = _draw_stack(model, T, 50, 5)
-        batch = _batch(comp_s, thetas, covs, T, (_delta(report, T),))
+        _, _, (eigs,) = _spectra(_inner(comp_s, thetas, covs, False)[0], (_delta(report, T),), T)
         G = jacobian(system)
         with localcontext() as ctx:
             ctx.prec = 50
             S = [[_decimal(v) for v in row] for row in report.echelon.S]
             d = [Decimal(T).sqrt() ** s for s in report.echelon.row_degrees]
-            for lam, theta in zip(batch.eigs[0], thetas):
+            for lam, theta in zip(eigs, thetas):
                 Gx = [[_decimal(v) for v in row] for row in G.evaluate(list(map(Fraction, theta)))]
                 SG = [[S[i][0] * Gx[0][j] + S[i][1] * Gx[1][j] for j in range(3)]
                       for i in range(2)]
@@ -996,7 +998,7 @@ class TestSubstreams:
             rng = np.random.default_rng([seed, T, rep])
             rng.standard_normal(4)
             W = rng.standard_normal((4, 4))
-            first_failures += int(_cholesky_stack(_perturbed_vhat(model, T, W)[None])[1][0])
+            first_failures += int(_cholesky_fails(_perturbed_vhat(model, T, W)[None])[0])
         assert first_failures > 0
         replays = []
 
@@ -1071,12 +1073,12 @@ class TestSubstreams:
             calls.append((model, T, reps, seed, tail, out))
             return out
 
-        def recording_batch(comp, thetas, cov, *args, **kwargs):
+        def recording_inner(comp, thetas, cov, wald):
             covs.append(cov)
-            return _batch(comp, thetas, cov, *args, **kwargs)
+            return _inner(comp, thetas, cov, wald)
 
         monkeypatch.setattr(simulate, "_draw_stack", recording_draw_stack)
-        monkeypatch.setattr(simulate, "_batch", recording_batch)
+        monkeypatch.setattr(simulate, "_inner", recording_inner)
         vanishing_rate_experiment(product_pairs_system(), surd_covariance(),
                                   "perturbed", [1000, 10**5], 200, 2**32 + 1)
         assert [call[1] for call in calls] == [1000, 10**5]
