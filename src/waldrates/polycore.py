@@ -560,38 +560,10 @@ class MultiPoly:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, point: Sequence) -> Scalar:
-        """Exact value at a rational point of ints, Fractions or rational Scalars.
-
-        At x_i = n_i/d_i the sum runs in ints: with E_i the largest exponent
-        of variable i, each monomial is prod n_i^e_i * d_i^(E_i - e_i) over
-        D = prod d_i^E_i, and the coefficients are taken over the lcm L of
-        their denominators, so the result is one Fraction pair over L*D.
-        """
-        if len(point) != self.nvars:
-            raise ValueError(f"point has {len(point)} entries, expected {self.nvars}")
-        pt = [Scalar.coerce(x) for x in point]
-        if any(x.b for x in pt):
-            raise ValueError("evaluation points must be rational")
-        top = [max(exps) for exps in zip(*self.terms)]  # E_i
-        tables = [[x.a.numerator**e * x.a.denominator ** (top_e - e) for e in range(top_e + 1)]
-                  for x, top_e in zip(pt, top)]  # tables[i][e] = n_i^e d_i^(E_i - e)
-        den = math.prod(row[0] for row in tables)
-        lcm = math.lcm(*(f.denominator for c in self.terms.values() for f in (c.a, c.b)))
-        num_a = num_b = radicand = 0
-        for mono, coeff in self.terms.items():
-            m = 1
-            for row, e in zip(tables, mono):
-                m *= row[e]
-            num_a += coeff.a.numerator * (lcm // coeff.a.denominator) * m
-            if coeff.b:
-                if radicand not in (0, coeff.d):
-                    raise FieldMismatchError(
-                        f"cannot mix sqrt({radicand}) and sqrt({coeff.d}) coefficients")
-                radicand = coeff.d
-                num_b += coeff.b.numerator * (lcm // coeff.b.denominator) * m
-        if num_b:
-            return _surd(Fraction(num_a, lcm * den), Fraction(num_b, lcm * den), radicand)
-        return _rational(Fraction(num_a, lcm * den))
+        """Exact value at a rational point of ints, Fractions or rational Scalars
+        (``_evaluate_ints`` on this polynomial alone)."""
+        ((a, b, d),), den = _evaluate_ints([self], point)
+        return _over(a, b, d, den)
 
     # -- rendering ---------------------------------------------------------------
 
@@ -622,6 +594,54 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {dict(self.sorted_terms())!r})"
+
+
+def _evaluate_ints(polys: Sequence[MultiPoly], point: Sequence) -> tuple[list, int]:
+    """Exact values of polys at one rational point of ints, Fractions or
+    rational Scalars, as integer numerators over one denominator: a list of
+    (A, B, d), one per polynomial, whose value is (A + B*sqrt(d)) / den.
+
+    At x_i = n_i/d_i the sums run in ints: with E_i the largest exponent of
+    variable i in any of the polys, each monomial is prod n_i^e_i *
+    d_i^(E_i - e_i) over D = prod d_i^E_i, and the coefficients are taken over
+    the lcm L of all their denominators, so den = L*D.  One set of power
+    tables and one lcm serve every polynomial.
+    """
+    for poly in polys:
+        if len(point) != poly.nvars:
+            raise ValueError(f"point has {len(point)} entries, expected {poly.nvars}")
+    pt = [Scalar.coerce(x) for x in point]
+    if any(x.b for x in pt):
+        raise ValueError("evaluation points must be rational")
+    top = [max(exps) for exps in zip(*(m for poly in polys for m in poly.terms))]  # E_i
+    tables = [[x.a.numerator**e * x.a.denominator ** (top_e - e) for e in range(top_e + 1)]
+              for x, top_e in zip(pt, top)]  # tables[i][e] = n_i^e d_i^(E_i - e)
+    den = math.prod(row[0] for row in tables)
+    lcm = math.lcm(*(f.denominator for poly in polys for c in poly.terms.values()
+                     for f in (c.a, c.b)))
+    values = []
+    for poly in polys:
+        num_a = num_b = radicand = 0
+        for mono, coeff in poly.terms.items():
+            m = 1
+            for row, e in zip(tables, mono):
+                m *= row[e]
+            num_a += coeff.a.numerator * (lcm // coeff.a.denominator) * m
+            if coeff.b:
+                if radicand not in (0, coeff.d):
+                    raise FieldMismatchError(
+                        f"cannot mix sqrt({radicand}) and sqrt({coeff.d}) coefficients")
+                radicand = coeff.d
+                num_b += coeff.b.numerator * (lcm // coeff.b.denominator) * m
+        values.append((num_a, num_b, radicand))
+    return values, lcm * den
+
+
+def _over(num_a: int, num_b: int, d: int, den: int) -> Scalar:
+    """The Scalar (num_a + num_b*sqrt(d)) / den of ``_evaluate_ints``."""
+    if num_b:
+        return _surd(Fraction(num_a, den), Fraction(num_b, den), d)
+    return _rational(Fraction(num_a, den))
 
 
 def _trusted_poly(nvars: int, terms: dict) -> MultiPoly:

@@ -105,11 +105,16 @@ class Covariance:
 
     @classmethod
     def random_spd(cls, p: int, rng: random.Random) -> "Covariance":
-        """Random exact SPD L D L' (unit lower-triangular L, D > 0), certified by L, D."""
-        L = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if j < i else int(i == j)
+        """Random exact SPD L D L' (unit lower-triangular L, D > 0), certified by L, D.
+
+        Every entry of L is n/k and every D_k is m/k with k in 1..4, so 12 L
+        and 12 D are drawn straight into ints and L D L' is their sum over
+        12^3; the draws are n then k, row by row, then m then k.
+        """
+        L = [[rng.randint(-4, 4) * (12 // rng.randint(1, 4)) if j < i else 12 * (i == j)
               for j in range(p)] for i in range(p)]
-        D = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(p)]
-        return cls._from_factor(L, D)
+        D = [rng.randint(1, 9) * (12 // rng.randint(1, 4)) for _ in range(p)]
+        return cls._from_ints(L, D, 12**3)
 
     @classmethod
     def _from_factor(cls, L: Sequence[Sequence], D: Sequence) -> "Covariance":
@@ -122,10 +127,17 @@ class Covariance:
             raise NonSpdError("not a unit lower-triangular L with every D_k > 0")
         c_l = math.lcm(*(x.denominator for row in L for x in row))
         c_d = math.lcm(*(x.denominator for x in D))
-        L = [[_scaled(x, c_l) for x in row] for row in L]
-        D = [_scaled(x, c_d) for x in D]
-        low = [[_rational(Fraction(sum(a * b * c for a, b, c in zip(L[i], D, L[j])),
-                                   c_l * c_l * c_d)) for j in range(i + 1)] for i in range(p)]
+        return cls._from_ints([[_scaled(x, c_l) for x in row] for row in L],
+                              [_scaled(x, c_d) for x in D], c_l * c_l * c_d)
+
+    @classmethod
+    def _from_ints(cls, L: Sequence[Sequence[int]], D: Sequence[int], den: int) -> "Covariance":
+        """L D L' / den for integer L and D that certify it (``_from_factor``),
+        one Fraction per lower-triangle entry; L[j][k] = 0 for k > j, so row j
+        of L stops at its diagonal."""
+        p = len(D)
+        low = [[_rational(Fraction(sum(a * b * c for a, b, c in zip(L[i], D, L[j][:j + 1])), den))
+                for j in range(i + 1)] for i in range(p)]
         out = object.__new__(cls)
         entries = tuple(tuple(low[max(i, j)][min(i, j)] for j in range(p)) for i in range(p))
         for name, value in (("entries", entries), ("p", p), ("is_definite", True)):

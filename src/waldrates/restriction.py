@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .polycore import (INF_DEGREE, ONE, ZERO, MultiPoly, Scalar, _grlex_key, _one_radicand,
-                       _scaled, _zsqrt)
+from .polycore import (INF_DEGREE, ONE, ZERO, MultiPoly, Scalar, _evaluate_ints, _grlex_key,
+                       _one_radicand, _over, _scaled, _zsqrt)
 
 
 class NullViolatedError(ValueError):
@@ -112,8 +112,16 @@ class PolyMatrix:
         return PolyMatrix(out)
 
     def evaluate(self, point) -> list[list[Scalar]]:
-        point = [Scalar.coerce(x) for x in point]  # once, not once per entry
-        return [[p.evaluate(point) for p in row] for row in self.entries]
+        rows, den = self.evaluate_ints(point)
+        return [[_over(a, b, d, den) for a, b, d in row] for row in rows]
+
+    def evaluate_ints(self, point) -> tuple[list[list[tuple[int, int, int]]], int]:
+        """Exact values at a rational point as integer numerators over one
+        denominator: rows of (A, B, d) and den, entry (i, j) being
+        (A + B*sqrt(d)) / den.  One set of power tables and one lcm serve
+        every entry (``polycore._evaluate_ints``)."""
+        flat, den = _evaluate_ints([p for row in self.entries for p in row], point)
+        return [flat[i * self.cols:(i + 1) * self.cols] for i in range(self.rows)], den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):

@@ -664,8 +664,10 @@ def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, descending.
 
     Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm falls below 1e-12 ||M||; 100 sweeps that do not get there raise
-    JacobiConvergenceError.
+    norm, taken from the off-diagonal entries themselves, falls below
+    1e-12 ||M||; 100 sweeps that do not get there raise
+    JacobiConvergenceError.  A rotation zeroes its pair and rewrites rows
+    and columns i and j only, in Python floats.
     """
     A = np.asarray(M, dtype=float)
     n = A.shape[0]
@@ -674,34 +676,36 @@ def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
     scale = np.linalg.norm(A)
     if scale > 0 and np.linalg.norm(A - A.T) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric to the required tolerance")
-    A = (A + A.T) / 2.0
+    a = ((A + A.T) / 2.0).tolist()
     if n == 1:
-        return A[0, :1].copy()
+        return np.array(a[0])
     target = 1e-12 * max(scale, np.finfo(float).tiny)
+    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
     for _ in range(100):
-        off = math.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum()))
-        if off <= target:
-            return np.sort(np.diag(A))[::-1].copy()
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if A[i, j] == 0.0:
-                    continue
-                diff = A[j, j] - A[i, i]
-                if abs(A[i, j]) < 1e-36 * abs(diff):
-                    t = A[i, j] / diff
-                else:
-                    phi = diff / (2.0 * A[i, j])
-                    t = 1.0 / (abs(phi) + math.sqrt(phi * phi + 1.0))
-                    if phi < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                R = np.eye(n)
-                R[i, i] = R[j, j] = c
-                R[i, j] = s
-                R[j, i] = -s
-                A = R.T @ A @ R
-                A = (A + A.T) / 2.0
+        if math.sqrt(2.0) * math.hypot(*(a[i][j] for i, j in pairs)) <= target:
+            return np.array(sorted((a[i][i] for i in range(n)), reverse=True))
+        for i, j in pairs:
+            aij = a[i][j]
+            if aij == 0.0:
+                continue
+            diff = a[j][j] - a[i][i]
+            if abs(aij) < 1e-36 * abs(diff):
+                t = aij / diff
+            else:
+                phi = diff / (2.0 * aij)
+                t = 1.0 / (abs(phi) + math.sqrt(phi * phi + 1.0))
+                if phi < 0.0:
+                    t = -t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            a[i][i] -= t * aij
+            a[j][j] += t * aij
+            a[i][j] = a[j][i] = 0.0
+            for k in range(n):
+                if k != i and k != j:
+                    aki, akj = a[k][i], a[k][j]
+                    a[k][i] = a[i][k] = c * aki - s * akj
+                    a[k][j] = a[j][k] = s * aki + c * akj
     raise JacobiConvergenceError("no convergence after 100 sweeps")
 
 

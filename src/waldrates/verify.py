@@ -40,13 +40,13 @@ class CheckResult:
     skipped: bool = False
 
 
-def _elementary_symmetric(values: np.ndarray, k: int) -> float:
-    # e_k via the Newton-free product expansion: coefficients of prod (1 + v t)
-    coeffs = np.zeros(values.size + 1)
-    coeffs[0] = 1.0
-    for v in values:
-        coeffs[1:] = coeffs[1:] + v * coeffs[:-1]
-    return float(coeffs[k])
+def _elementary_symmetric(values) -> list[float]:
+    # e_0..e_n via the Newton-free product expansion: coefficients of prod (1 + v t)
+    coeffs = [1.0] + [0.0] * len(values)
+    for m, v in enumerate(values, 1):
+        for k in range(m, 0, -1):
+            coeffs[k] += v * coeffs[k - 1]
+    return coeffs
 
 
 def _random_box_fraction(rng: random.Random) -> Fraction:
@@ -55,12 +55,17 @@ def _random_box_fraction(rng: random.Random) -> Fraction:
     return Fraction(sign * rng.randint(50, 200), 100)
 
 
-def _float_gug(G_x, U: Covariance) -> np.ndarray:
-    """G_x U G_x' for an exact G_x, summed in Python ints as A + B*sqrt(d)
-    over one denominator and rounded as ``float(Scalar)`` rounds
-    A/den + (B/den)*sqrt(d): an int / int quotient is correctly rounded."""
-    d = next((v.d for row in (*G_x, *U.entries) for v in row if v.d), 0)
-    (ga, gb, c_x), (ua, ub, c_u) = _int_parts(G_x), _int_parts(U.entries)
+def _float_gug(G_x: tuple, U: Covariance) -> np.ndarray:
+    """G_x U G_x' for G_x the (rows of (A, B, d), den) of
+    ``PolyMatrix.evaluate_ints``, summed in Python ints as A + B*sqrt(d) over
+    one denominator and rounded as ``float(Scalar)`` rounds A/den +
+    (B/den)*sqrt(d): an int / int quotient is correctly rounded, so the bits
+    do not depend on which common denominator the numerators are over."""
+    rows, c_x = G_x
+    d = next((e[2] for row in rows for e in row if e[1]),
+             next((v.d for row in U.entries for v in row if v.d), 0))
+    ga, gb = (np.array([[e[part] for e in row] for row in rows], dtype=object) for part in (0, 1))
+    ua, ub, c_u = _int_parts(U.entries)
     gua, gub = ga @ ua + d * gb @ ub, ga @ ub + gb @ ua
     A, B = gua @ ga.T + d * gub @ gb.T, gua @ gb.T + gub @ ga.T
     den = c_x * c_x * c_u
@@ -81,8 +86,8 @@ def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
     a_k comes from the integer ray kernel that writes every report: the
     point x is t0*y with y = 100*x an integer ray and t0 = 1/100, and
     ``rates._ray_charpoly`` gives a_k(x) exactly.  B(x) is formed apart from
-    it, from G evaluated exactly at x, and the Jacobi solver gives its
-    eigenvalues.
+    it, from G evaluated exactly at x into integer numerators over one
+    denominator, and the scalar Jacobi solver gives its eigenvalues.
 
     The deviation |P_k - (-1)^k a_k| is relative to max(|P_k|, |a_k|), and
     passes at rtol = 1e-8.  Where that exceeds rtol but the deviation is
@@ -104,10 +109,9 @@ def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
         point = [_random_box_fraction(rng) for _ in range(system.p)]
         y = [int(x / t0) for x in point]
         a = _ray_coeffs_at(*_ray_charpoly(_ray_u_half(g_half, U), y), t0)
-        lam = symmetric_eigenvalues(_float_gug(G.evaluate(point), U))
-        size = float(np.abs(lam).max())
-        for k in range(1, system.q + 1):
-            pk = _elementary_symmetric(lam, k)
+        lam = symmetric_eigenvalues(_float_gug(G.evaluate_ints(point), U)).tolist()
+        size = max(map(abs, lam))
+        for k, pk in enumerate(_elementary_symmetric(lam)[1:], 1):
             ak = (-1) ** k * float(a[k - 1])
             dev = abs(pk - ak)
             rel = dev / max(abs(pk), abs(ak), 1e-300)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -27,10 +28,10 @@ from waldrates.cli import (
     scalar_to_json,
     spec_to_text,
 )
-from waldrates.polycore import (MAX_LITERAL_DIGITS, MAX_RADICAND, Scalar, _zsqrt,
+from waldrates.polycore import (MAX_LITERAL_DIGITS, MAX_RADICAND, MultiPoly, Scalar, _zsqrt,
                                 parse_polynomial)
 from waldrates.rates import Covariance, NonSpdError, _parts, _ray_coeffs_at
-from waldrates.restriction import RestrictionSystem
+from waldrates.restriction import PolyMatrix, RestrictionSystem, jacobian, recenter
 from waldrates.simulate import vanishing_rate_experiment
 from waldrates.systems import product_pairs_system, surd_covariance
 
@@ -695,16 +696,16 @@ def test_vanishing_medians_are_pinned(mode):
 VERIFY_DIGESTS = {
     ("linear_q1", 7): "960a39db05e55b3c0bc8867636bff0d9e93d90280385b1e977c8d85d50b49029",
     ("linear_q1", 42): "3c5f5b5ea3c846ad9d76eb0c868d77aacfb7006410573f75cda4ee6b7f32d417",
-    ("linear_q2", 7): "18894715eab23377b267f8d685e175010511f1db8a4ed01affd3c3e2a450b511",
-    ("linear_q2", 42): "ecce209a235b3c44447f53917e402232fd3536e77473d8d2771d98c4bc690dbb",
-    ("product_pairs", 7): "b5ab66deebb98a7188ad676c3323f67f10cda28858b3cf2272eec76ed2a30027",
-    ("product_pairs", 42): "e91ec0e66cde0fc1b031fb5a2fc2688dc7164421653805b0d063783c72534c6d",
+    ("linear_q2", 7): "88822a3706ba09c0fdac8f66ba31f369bb9490fd28bafbad8a9c8cce99e49bf0",
+    ("linear_q2", 42): "9dbae34e4580f09d77f2a760ce671095211a73769c085456460d97bfba12fa2e",
+    ("product_pairs", 7): "f4587b459c4e43a1a983b2e13f7db49e1020ff37587adfb9daa41e08c1e7058f",
+    ("product_pairs", 42): "494205371c460b0899af2fe9ac311572a5411377fb073607547f8a9c62ab6fc0",
     ("product_pairs_cov98", 7):
-        "139111d1ef014945a58943dbf7a1b33e11e87e35c847e108dcab9c8e52dcb467",
+        "03e8d9fc1e6b195c944891b7b974d1bec5dac2ea61547a0bb8c8c4e41391a10a",
     ("product_pairs_cov98", 42):
-        "a6ffcb971fb97276f8ae43a374f999c1682d4ad2f686d7a34fee83f85de89769",
-    ("singular", 7): "16bdb0eafac8ee8213f52fdcc04ffd2db56b0b03d392d17cedc8b1b46b1f70c8",
-    ("singular", 42): "45645c882ee1871075a80154d91a142fdd0938944ec038504d1b1630367a9c9b",
+        "f41584784c4f510f07a2647938d090a3589f09d68795da169367c29e1795d32d",
+    ("singular", 7): "fcd3de470de4f259f9e2e3b767dba10bb3e24be8d3792d2d59a516e9eae2e313",
+    ("singular", 42): "6eae029c7d359b790405ed5f35bb7f63a17b9e5798fb8ec82df0325752d57f61",
 }
 SINGULAR_SPEC = "vars x y\ntheta_bar 0 0\ng x\ng 2*x\nV identity\n"
 
@@ -722,6 +723,28 @@ def test_verify_output_bytes_are_pinned(name, seed, tmp_path, monkeypatch, capsy
     assert main(["verify", spec, "--seed", str(seed), "--json", str(out)]) == want
     digest = hashlib.sha256(out.read_bytes() + capsys.readouterr().out.encode()).hexdigest()
     assert digest == VERIFY_DIGESTS[name, seed]
+
+
+#: System 11 of the benchmark's seed-7 symbolic stream (q = 4): at seed 7 its
+#: symmetric-polynomial check hands the scalar Jacobi B(x) matrices whose
+#: off-diagonal norm a cancelling stopping test could never see fall.
+SYS011_SPEC = """vars x1 x2 x3 x4
+theta_bar -2 2 -2 -2
+g x1*x3 + 2*x1 + x2 + 2*x3 + 2
+g -3*x1^2 - 12*x1 + x4 - 10
+g -1/2*x1^2 - 2*x1 + 2*x3 + 2
+g x2*x4 + 2*x2 - 2*x4 - 4
+V 3 3/2 1 -3/4
+V 3/2 11/4 1 -25/24
+V 1 1 35/24 1/12
+V -3/4 -25/24 1/12 383/144
+"""
+
+
+def test_verify_q4_spec_passes(tmp_path, capsys):
+    spec = write_spec(tmp_path, SYS011_SPEC)
+    assert main(["verify", spec, "--seed", "7"]) == EXIT_OK
+    assert capsys.readouterr().out.count("[PASS]") == 3
 
 
 def test_verify_runs_one_kernel_pass_per_check(monkeypatch, capsys):
@@ -818,4 +841,41 @@ def test_integer_b_rounds_like_scalar_products(q, surd, data):
     GU = [[sum(gk * U.entry(k, j) for k, gk in enumerate(g) if gk) for j in range(4)]
           for g in G_x]
     want = np.array([[float(sum(u * v for u, v in zip(gu, g))) for g in G_x] for gu in GU])
-    assert np.array_equal(verify._float_gug(G_x, U), want)
+    constants = PolyMatrix([[MultiPoly.constant(v, 0) for v in row] for row in G_x])
+    assert np.array_equal(verify._float_gug(constants.evaluate_ints([]), U), want)
+
+
+def _scalar_path_gug(G_x, U):
+    """verify's B(x) as formed from the Scalars of ``PolyMatrix.evaluate``:
+    each grid re-read into ints over the lcm of its own denominators."""
+    def int_parts(grid):
+        c = math.lcm(*(f.denominator for row in grid for v in row for f in (v.a, v.b)))
+        return *(np.array([[getattr(v, part).numerator * (c // getattr(v, part).denominator)
+                            for v in row] for row in grid], dtype=object) for part in "ab"), c
+
+    d = next((v.d for row in (*G_x, *U.entries) for v in row if v.d), 0)
+    (ga, gb, c_x), (ua, ub, c_u) = int_parts(G_x), int_parts(U.entries)
+    gua, gub = ga @ ua + d * gb @ ub, ga @ ub + gb @ ua
+    A, B = gua @ ga.T + d * gub @ gb.T, gua @ gb.T + gub @ ga.T
+    den = c_x * c_x * c_u
+    return (A / den + B / den * math.sqrt(d)).astype(float)
+
+
+@pytest.mark.parametrize("surd_g", [False, True])
+@pytest.mark.parametrize("surd_u", [False, True])
+def test_integer_b_matches_scalar_path_bits(surd_g, surd_u):
+    # G(x) straight from the evaluator's numerators, against the Scalars of
+    # PolyMatrix.evaluate, at the points and covariances verify draws
+    system = product_pairs_system()
+    if surd_g:
+        names = ("x", "y", "z", "w")
+        g = tuple(parse_polynomial(text, names) for text in
+                  ("sqrt(2)*x*y + z^2", "x*w - 1/3*sqrt(2)*y^2", "y*z + 2*w^3 + sqrt(2)*x"))
+        system = RestrictionSystem(names, (0, 0, 0, 0), g)
+    G = jacobian(recenter(system))
+    rng = random.Random(2718)
+    for _ in range(40):
+        U = surd_covariance() if surd_u else Covariance.random_spd(system.p, rng)
+        point = [verify._random_box_fraction(rng) for _ in range(system.p)]
+        got = verify._float_gug(G.evaluate_ints(point), U)
+        assert got.tobytes() == _scalar_path_gug(G.evaluate(point), U).tobytes()

@@ -122,11 +122,14 @@ class TestCovariance:
     def test_random_spd_equals_full_ldl_sum(self, p, monkeypatch):
         # L[i][k] = 0 for k > i, so summing k <= min(i, j) drops only zeros;
         # the drawn factor certifies the result, so the LDL' check never runs
-        fulls = [_full_ldl_rows(p, random.Random(seed)) for seed in range(50)]
+        draws = [random.Random(seed) for seed in range(50)]
+        fulls = [_full_ldl_rows(p, rng) for rng in draws]
         checked = [Covariance(full) for full in fulls]
         monkeypatch.setattr(rates, "_assert_positive_semidefinite", _forbidden)
         for seed, U in enumerate(checked):
-            got = Covariance.random_spd(p, random.Random(seed))
+            rng = random.Random(seed)
+            got = Covariance.random_spd(p, rng)
+            assert rng.getstate() == draws[seed].getstate()
             assert got.entries == U.entries
             assert got.is_definite == U.is_definite
             entries = got.entries

@@ -18,7 +18,7 @@ from scipy.stats import chi2
 
 from waldrates import simulate
 from waldrates.polycore import MultiPoly, Scalar, parse_polynomial
-from waldrates.rates import Covariance, rate_report
+from waldrates.rates import MAX_Q, Covariance, rate_report
 from waldrates.restriction import RestrictionSystem, jacobian, transform
 from waldrates.simulate import (
     CholeskyFailureError,
@@ -238,6 +238,29 @@ class TestSymmetricEigenvalues:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_q4_verify_matrix_converges(self):
+        # B(x) at the ninth point of verify's symmetric-polynomial check on
+        # the benchmark's seed-7 system 11 at seed 7: an off-diagonal norm
+        # taken as sqrt(||A||^2 - ||diag A||^2) can cancel to a positive
+        # residue near sqrt(eps) ||A||, far above the 1e-12 ||A|| target
+        M = np.array([[6.020484375, 13.446075, 3.2822625, -5.581453125],
+                      [13.446075, 32.7534, 10.5489, -9.170325],
+                      [3.2822625, 10.5489, 8.89815, 2.6341125],
+                      [-5.581453125, -9.170325, 2.6341125, 12.442509375]])
+        lam = symmetric_eigenvalues(M)
+        assert np.abs(lam - np.linalg.eigvalsh(M)[::-1]).max() <= 1e-12 * np.linalg.norm(M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, MAX_Q), st.integers(0, 2**32 - 1), st.integers(-60, 60))
+    def test_matches_eigvalsh_for_every_q(self, n, seed, scale_exp):
+        A = np.random.default_rng(seed).standard_normal((n, n)) * 2.0**scale_exp
+        M = A + A.T
+        lam = symmetric_eigenvalues(M)
+        norm = np.linalg.norm(M)
+        assert all(a >= b for a, b in zip(lam, lam[1:]))
+        assert np.abs(lam - np.linalg.eigvalsh(M)[::-1]).max() <= 1e-12 * norm
+        assert abs(lam.sum() - np.trace(M)) <= 1e-12 * norm
 
 
 class TestChiSquareMedian:
