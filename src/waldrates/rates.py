@@ -80,7 +80,7 @@ class Covariance:
     the degree analysis is meaningful on the boundary of the cone.
     """
 
-    __slots__ = ("entries", "p", "is_definite")
+    __slots__ = ("entries", "p", "is_definite", "_int_parts")
 
     def __init__(self, rows: Sequence[Sequence]):
         p = len(rows)
@@ -143,6 +143,19 @@ class Covariance:
         for name, value in (("entries", entries), ("p", p), ("is_definite", True)):
             object.__setattr__(out, name, value)
         return out
+
+    def int_parts(self) -> tuple:
+        """(c * the a parts, c * the b parts, c), the parts as p x p tuples of
+        ints and c the lcm of the entries' reduced denominators; computed on
+        first use and kept, as the entries never change."""
+        parts = getattr(self, "_int_parts", None)
+        if parts is None:
+            grid = self.entries
+            c = math.lcm(*[x.denominator for row in grid for v in row for x in (v.a, v.b)])
+            parts = (tuple([tuple([_scaled(v.a, c) for v in row]) for row in grid]),
+                     tuple([tuple([_scaled(v.b, c) for v in row]) for row in grid]), c)
+            object.__setattr__(self, "_int_parts", parts)
+        return parts
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.entries[i][j]
@@ -386,9 +399,9 @@ def _ray_u_half(g_half: tuple, U: Covariance) -> tuple:
         raise ValueError(f"G has {cols} columns but U is {U.p} x {U.p}")
     d = _one_radicand(radicands | {v.d for row in U.entries for v in row if v.d})
     s = math.isqrt(d) + 1
-    c_u = math.lcm(*(x.denominator for row in U.entries for v in row for x in (v.a, v.b)))
-    u_cols = [[_zsqrt(_scaled(v.a, c_u), _scaled(v.b, c_u), d) for v in col]
-              for col in zip(*U.entries)]
+    u_a, u_b, c_u = U.int_parts()
+    # U is symmetric, so its rows are its columns
+    u_cols = [[_zsqrt(a, b, d) for a, b in zip(row_a, row_b)] for row_a, row_b in zip(u_a, u_b)]
     mu = max(abs(a) + s * abs(b) for col in u_cols for a, b, _ in map(_parts, col))
     return d, s, g_terms, u_cols, mu, c_g * c_g * c_u
 

@@ -334,10 +334,13 @@ def _ziggurat_fast_path(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NumPy turns a rejected word into a sample through more words, which
     this does not follow.
     """
-    idx = words & np.uint64(0xFF)
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
     rabs = words >> np.uint64(9) & np.uint64(0xFFFFFFFFFFFFF)
-    x = rabs * _ZIGGURAT_WI[idx]
-    return np.where(words & np.uint64(0x100), -x, x), rabs < _ZIGGURAT_KI[idx]
+    x = rabs * np.take(_ZIGGURAT_WI, idx)
+    # x >= +0.0, so setting its sign bit from bit 8 negates it there, as -x would
+    bits = x.view(np.uint64)
+    bits |= (words & np.uint64(0x100)) << np.uint64(55)
+    return x, rabs < np.take(_ZIGGURAT_KI, idx)
 
 
 def _perturbed_vhat(model: EstimatorModel, T: int, W: np.ndarray) -> np.ndarray:
@@ -496,15 +499,25 @@ JACOBI_MAX_SWEEPS = 30
 _EPS = float(np.finfo(float).eps)
 
 
+def _rotate(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray,
+            spare: np.ndarray, tmp: np.ndarray) -> None:
+    """One plane rotation of two arrays: c x - s y into ``spare``, s x + c y over ``y``."""
+    np.subtract(np.multiply(c, x, out=spare), np.multiply(s, y, out=tmp), out=spare)
+    np.add(np.multiply(s, x, out=tmp), np.multiply(c, y, out=y), out=y)
+
+
 def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Cyclic Jacobi over a stack of symmetric matrices, every draw at once.
 
-    ``A`` is (q, q, M): entry a_ij of every matrix is one (M,) array, and
-    only the upper triangle is read.  ``v`` is (q, n), one vector for each
-    of the first n <= M matrices (n may be 0), rotated alongside its
-    matrix, so it comes back as J' v for the matrix's eigenvectors J.
-    Neither is written to.  Returns the diagonal at convergence, (q, M) and
-    unsorted, the rotated v, and the number of sweeps that rotated.
+    ``A`` is (q, q, M): entry a_ij of every matrix is one (M,) array.  Only
+    the upper triangle is rotated; a matrix is non-finite when any of its
+    q^2 entries is.  ``v`` is (q, n), one vector for each of the first n <=
+    M matrices (n may be 0), rotated alongside its matrix, so it comes back
+    as J' v for the matrix's eigenvectors J.  Neither is written to: the
+    upper triangle and the rows of v are copied once and rotated in place,
+    through temporaries allocated once per call.  Returns the diagonal at
+    convergence, (q, M) and unsorted, the rotated v, and the number of
+    sweeps that rotated.
 
     A matrix rotates pair (i, j) only while |a_ij| > eps sqrt(|a_ii a_jj|),
     the relative stopping rule of Demmel & Veselic (1992); the absolute
@@ -524,35 +537,54 @@ def _jacobi_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     bad[:n] |= ~np.isfinite(v).all(axis=0)
     if bad.any():
         A, v = np.where(bad, 0.0, A), np.where(bad[:n], 0.0, v)
-    a = [[A[min(i, j), max(i, j)] for j in range(q)] for i in range(q)]
-    v = list(v)
+    a = [[None] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            a[i][j] = a[j][i] = np.array(A[i, j])
+    v = [np.array(row) for row in v]
+    rot = np.empty(M, dtype=bool)
+    den, zeta, t, c, s, tmp, spare = (np.empty(M) for _ in range(7))
+    v_tmp, v_spare = np.empty(n), np.empty(n)
     for sweeps in range(JACOBI_MAX_SWEEPS + 1):
         rotated = False
         for i in range(q - 1):
             for j in range(i + 1, q):
                 aij, aii, ajj = a[i][j], a[i][i], a[j][j]
-                rot = np.abs(aij) > _EPS * np.sqrt(np.abs(aii * ajj))
+                np.sqrt(np.abs(np.multiply(aii, ajj, out=tmp), out=tmp), out=tmp)
+                np.greater(np.abs(aij, out=den), np.multiply(_EPS, tmp, out=tmp), out=rot)
                 count = np.count_nonzero(rot)
                 if not count:
                     continue
                 rotated = True
+                # den = 2 a_ij where the matrix rotates and 2 = 2 * 1.0 where not
+                np.multiply(2.0, aij, out=den)
                 if count == M:
-                    den, sign, new_aij = aij, 1.0, np.zeros(M)
+                    sign = 1.0
                 else:
-                    den, sign, new_aij = np.where(rot, aij, 1.0), rot, np.where(rot, 0.0, aij)
-                zeta = (ajj - aii) / (2.0 * den)
-                t = np.copysign(sign, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                shift = t * aij
-                a[i][i], a[j][j] = aii - shift, ajj + shift
-                a[i][j] = a[j][i] = new_aij
+                    sign = rot
+                    np.copyto(den, 2.0, where=~rot)
+                # zeta = (a_jj - a_ii) / den, t = copysign(sign, zeta) /
+                # (|zeta| + sqrt(1 + zeta^2)), c = 1 / sqrt(1 + t^2), s = t c
+                np.divide(np.subtract(ajj, aii, out=zeta), den, out=zeta)
+                np.sqrt(np.add(1.0, np.multiply(zeta, zeta, out=t), out=t), out=t)
+                np.add(np.abs(zeta, out=tmp), t, out=t)
+                np.divide(np.copysign(sign, zeta, out=tmp), t, out=t)
+                np.sqrt(np.add(1.0, np.multiply(t, t, out=c), out=c), out=c)
+                np.divide(1.0, c, out=c)
+                np.multiply(t, c, out=s)
+                np.multiply(t, aij, out=tmp)  # the shift
+                np.subtract(aii, tmp, out=aii)
+                np.add(ajj, tmp, out=ajj)
+                if count == M:
+                    aij.fill(0.0)
+                else:
+                    np.copyto(aij, 0.0, where=rot)
                 for k in range(q):
                     if k != i and k != j:
-                        aki, akj = a[k][i], a[k][j]
-                        a[k][i] = a[i][k] = c * aki - s * akj
-                        a[k][j] = a[j][k] = s * aki + c * akj
-                v[i], v[j] = c[:n] * v[i] - s[:n] * v[j], s[:n] * v[i] + c[:n] * v[j]
+                        _rotate(a[k][i], a[k][j], c, s, spare, tmp)
+                        a[k][i], a[i][k], spare = spare, spare, a[k][i]
+                _rotate(v[i], v[j], c[:n], s[:n], v_spare, v_tmp)
+                v[i], v_spare = v_spare, v[i]
         if not rotated:
             # + 0.0: a zero on the diagonal is +0.0 whatever the stack did
             lam = np.array([a[i][i] for i in range(q)]) + 0.0
@@ -569,8 +601,10 @@ def _descending(lam: np.ndarray) -> np.ndarray:
     A compare-exchange network (insertion order, q (q - 1) / 2 exchanges of
     np.maximum and np.minimum over whole rows) gives ``np.sort(lam.T,
     axis=1)[:, ::-1]`` bit for bit: equal floats are the same bits, except
-    -0.0 and +0.0, which the kernel's diagonal never holds.  With a NaN
-    anywhere it is np.sort, which orders NaNs as the network would not.
+    -0.0 and +0.0, which the kernel's diagonal never holds.  The result is
+    the transpose of the sorted (q, M) rows, so each eigenvalue's column is
+    contiguous.  With a NaN anywhere it is np.sort, which orders NaNs as the
+    network would not.
     """
     if np.isnan(lam).any():
         return np.sort(lam.T, axis=1)[:, ::-1]
@@ -579,7 +613,7 @@ def _descending(lam: np.ndarray) -> np.ndarray:
         for j in range(i, 0, -1):
             hi, lo = rows[j - 1], rows[j]
             rows[j - 1], rows[j] = np.maximum(hi, lo), np.minimum(hi, lo)
-    return np.stack(rows, axis=1)
+    return np.array(rows).T
 
 
 def _spectra(inner: np.ndarray, scalings: Sequence[np.ndarray], T: float,
@@ -588,18 +622,27 @@ def _spectra(inner: np.ndarray, scalings: Sequence[np.ndarray], T: float,
 
     ``inner`` is the (N, q, q) stack of A = G V_hat G'.  The Jacobi stack
     holds diag(d) A diag(d) for every vector d in ``scalings``, so one run
-    covers all of them.  With ``g`` (N, q), D g for the first d is rotated
-    alongside, and W = T sum_i (J' D g)_i^2 / lambda_i = T g' A^{-1} g.  A
-    draw is singular when the smallest eigenvalue of its first scaling is
-    not > 0 or not finite; its W and eigenvalues are NaN, and nothing is
-    regularised.  Returns (W, singular, eigs), eigs holding per scaling an
-    (N, q) array in descending order; W and singular are None without g.
+    covers all of them.  It is filled from A's upper triangle, entry by
+    entry as (d_i a_ij) d_j into one preallocated (q, q, N len(scalings))
+    array, and the upper triangle is then mirrored into the lower one.
+    With ``g`` (N, q), D g for the first d is rotated alongside, and W = T
+    sum_i (J' D g)_i^2 / lambda_i = T g' A^{-1} g.  A draw is singular when
+    the smallest eigenvalue of its first scaling is not > 0 or not finite;
+    its W and eigenvalues are NaN, and nothing is regularised.  Returns (W,
+    singular, eigs), eigs holding per scaling an (N, q) view in descending
+    order; W and singular are None without g.
     """
-    N = inner.shape[0]
-    entries = inner.transpose(1, 2, 0)
-    stack = np.concatenate([d[:, None, None] * entries * d[None, :, None] for d in scalings],
-                           axis=2)
-    v = np.zeros((len(stack), 0)) if g is None else scalings[0][:, None] * g.T
+    N, q = inner.shape[:2]
+    stack = np.empty((q, q, N * len(scalings)))
+    for k, d in enumerate(scalings):
+        block = stack[..., k * N:(k + 1) * N]
+        for i in range(q):
+            for j in range(i, q):
+                np.multiply(d[i] * inner[:, i, j], d[j], out=block[i, j])
+    for i in range(q):
+        for j in range(i + 1, q):
+            stack[j, i] = stack[i, j]
+    v = np.zeros((q, 0)) if g is None else scalings[0][:, None] * g.T
     lam, v, _ = _jacobi_stack(stack, v)
     ordered = _descending(lam)
     eigs = tuple(ordered[k * N:(k + 1) * N] for k in range(len(scalings)))
@@ -874,6 +917,13 @@ def _block_scaling(report: RateReport) -> tuple[np.ndarray, np.ndarray]:
             np.array([float(b) for b in report.beta]))
 
 
+def _min_scaled_square(T: int, s_deg: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """min_i [T^{(s_i+1)/2} g_i]^2 for each row of an (N, q) g: the scaled g
+    is formed as q contiguous rows of N, and the minimum runs along them."""
+    rows = np.multiply(T ** ((s_deg[:, None] + 1.0) / 2.0), g.T, order="C")
+    return np.min(rows**2, axis=0)
+
+
 def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
                           t_grid: Sequence[int], reps: int, seed: int,
                           report: RateReport) -> SimResult:
@@ -907,8 +957,7 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
         wald_all.append(W)
         eig_medians.append(_median(eigs[0], axis=0))
         if degenerate:
-            scaled_g = T ** ((s_deg + 1.0) / 2.0) * g
-            mu = np.min(scaled_g**2, axis=1) / eigs[1][:, 0]
+            mu = _min_scaled_square(T, s_deg, g) / eigs[1][:, 0]
             violations += int(np.count_nonzero(W < T**beta_bar * mu - 1e-9))
             mu_medians.append(float(_median(mu)))
         else:

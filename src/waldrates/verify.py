@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rates import Covariance, _ray_charpoly, _ray_coeffs_at, _ray_g_half, _ray_u_half, _scaled
+from .rates import Covariance, _ray_charpoly, _ray_coeffs_at, _ray_g_half, _ray_u_half
 from .restriction import RestrictionSystem, jacobian, recenter, transform
 from .simulate import (
     CompiledSystem,
@@ -65,18 +65,12 @@ def _float_gug(G_x: tuple, U: Covariance) -> np.ndarray:
     d = next((e[2] for row in rows for e in row if e[1]),
              next((v.d for row in U.entries for v in row if v.d), 0))
     ga, gb = (np.array([[e[part] for e in row] for row in rows], dtype=object) for part in (0, 1))
-    ua, ub, c_u = _int_parts(U.entries)
+    u_a, u_b, c_u = U.int_parts()
+    ua, ub = np.array(u_a, dtype=object), np.array(u_b, dtype=object)
     gua, gub = ga @ ua + d * gb @ ub, ga @ ub + gb @ ua
     A, B = gua @ ga.T + d * gub @ gb.T, gua @ gb.T + gub @ ga.T
     den = c_x * c_x * c_u
     return (A / den + B / den * math.sqrt(d)).astype(float)
-
-
-def _int_parts(grid) -> tuple:
-    """(c * the a parts, c * the b parts, c) for c the lcm of grid's denominators."""
-    c = math.lcm(*(f.denominator for row in grid for v in row for f in (v.a, v.b)))
-    return *(np.array([[_scaled(getattr(v, part), c) for v in row] for row in grid],
-                      dtype=object) for part in "ab"), c
 
 
 def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,

@@ -669,6 +669,47 @@ def _spd_stack(q, M, seed):
     return np.ascontiguousarray((X @ np.swapaxes(X, 1, 2)).transpose(1, 2, 0))
 
 
+def _pinned_two_scaling_draws(pp_report, bad=True):
+    """The pinned product-pairs draws at T = 1e3 (2000 reps, seed 42) with
+    both block scalings, draw 7 made non-finite when ``bad``: (inner, g,
+    scalings, T).  Without it, their stack rotates every matrix at five
+    pairs and some but not all at six; a non-finite draw never rotates."""
+    comp, _ = _echelonized(product_pairs_system(), pp_report)
+    T = 1000
+    delta = _delta(pp_report, T)
+    scalings = (delta, delta * T ** (simulate._block_scaling(pp_report)[1] / 2.0))
+    thetas, covs, _ = _draw_stack(EstimatorModel(PP_THETA, np.eye(4)), T, 2000, 42)
+    if bad:
+        thetas[7] = np.nan
+    inner, g = _inner(comp, thetas, covs, True)
+    return inner, g, scalings, T
+
+
+def _stack_by_full_products(inner, scalings):
+    """The Jacobi stack as all q^2 products (d_i a_ij) d_j of each scaling, joined."""
+    entries = inner.transpose(1, 2, 0)
+    return np.concatenate([d[:, None, None] * entries * d[None, :, None] for d in scalings],
+                          axis=2)
+
+
+def _spectra_by_full_products(inner, scalings, T, g):
+    """``_spectra`` on ``_stack_by_full_products``, sorted by np.sort into copies."""
+    N = inner.shape[0]
+    v = np.zeros((inner.shape[1], 0)) if g is None else scalings[0][:, None] * g.T
+    lam, v, _ = _jacobi_stack(_stack_by_full_products(inner, scalings), v)
+    ordered = np.sort(lam.T, axis=1)[:, ::-1]
+    eigs = tuple(ordered[k * N:(k + 1) * N].copy() for k in range(len(scalings)))
+    if g is None:
+        return None, None, eigs
+    first = lam[:, :N]
+    singular = ~(first.min(axis=0) > 0.0)
+    W = T * (v * v / np.where(singular, 1.0, first)).sum(axis=0)
+    W[singular] = np.nan
+    for e in eigs:
+        e[singular] = np.nan
+    return W, singular, eigs
+
+
 class TestJacobiKernel:
     """The batched Jacobi of ``_spectra``: masking, closed forms, cap, accuracy."""
 
@@ -728,6 +769,49 @@ class TestJacobiKernel:
             assert alone[1][0] == singular[k]
             for got, want in zip(alone[2], eigs):
                 assert got.tobytes() == want[k:k + 1].tobytes()
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_kernel_writes_neither_input(self, pp_report, bad):
+        inner, g, scalings, T = _pinned_two_scaling_draws(pp_report, bad)
+        A = _stack_by_full_products(inner, scalings)
+        v = scalings[0][:, None] * g.T
+        A_bytes, v_bytes = A.tobytes(), v.tobytes()
+        lam, _, sweeps = _jacobi_stack(A, v)
+        assert A.tobytes() == A_bytes and v.tobytes() == v_bytes
+        nan = np.zeros(lam.shape[1], dtype=bool)
+        nan[[7, 2007]] = bad  # draw 7 under both scalings
+        assert sweeps >= 4 and np.isnan(lam[:, nan]).all() and np.isfinite(lam[:, ~nan]).all()
+
+    @pytest.mark.parametrize("with_g, bad", [(True, False), (True, True), (False, True)])
+    def test_spectra_matches_stack_of_full_products(self, pp_report, monkeypatch, with_g, bad):
+        inner, g, scalings, T = _pinned_two_scaling_draws(pp_report, bad)
+        g = g if with_g else None
+        want = _spectra_by_full_products(inner, scalings, T, g)
+        # every float buffer starts as NaN, so an entry read before it is written shows
+        empty = np.empty
+
+        def nan_empty(shape, dtype=float):
+            return np.full(shape, np.nan) if np.dtype(dtype) == float else empty(shape, dtype)
+        monkeypatch.setattr(np, "empty", nan_empty)
+        got = _spectra(inner, scalings, T, g)
+        for got_x, want_x in zip(got[:2], want[:2]):
+            assert (got_x is None) == (want_x is None)
+            assert got_x is None or got_x.tobytes() == want_x.tobytes()
+        assert len(got[2]) == len(want[2]) == 2
+        for got_e, want_e in zip(got[2], want[2]):
+            assert got_e.shape == want_e.shape == inner.shape[:2]
+            assert got_e.tobytes() == want_e.tobytes()
+        assert np.isnan(got[2][0][7]).all() == bad
+
+    def test_mu_along_rows_is_min_over_columns(self, pp_report):
+        _, g, _, T = _pinned_two_scaling_draws(pp_report)
+        s_deg = simulate._block_scaling(pp_report)[0]
+        g[11, 1] = np.nan  # one NaN entry; row 7 is NaN throughout
+        g[12] = [0.0, -0.0, 1.0]
+        want = np.min((T ** ((s_deg + 1.0) / 2.0) * g) ** 2, axis=1)
+        got = simulate._min_scaled_square(T, s_deg, g)
+        assert np.isnan(got[[7, 11]]).all() and got[12] == 0.0
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_network_order_is_np_sort(self, q):
