@@ -45,25 +45,27 @@ from .rates import (
     rate_report,
     t_graded_coeffs,
 )
-from .simulate import (
-    CholeskyFailureError,
-    CompiledSystem,
-    EstimatorModel,
-    ExcessiveSingularDrawsError,
-    GenericCovarianceError,
-    JacobiConvergenceError,
-    SimResult,
-    SingularMetricError,
-    VanishingResult,
-    chi_square_median,
-    divergence_experiment,
-    draw_estimate,
-    fit_loglog_slope,
-    symmetric_eigenvalues,
-    vanishing_rate_experiment,
-    wald_closed_form_product_pairs,
-    wald_statistic,
-)
 from .systems import linear_system, product_pairs_system, surd_covariance
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: simulate's public names.  simulate loads numpy, and the symbolic layers
+#: never need it, so it is imported on the first read of one of these names or
+#: of ``waldrates.simulate`` (PEP 562).
+_SIMULATE_NAMES = (
+    "CholeskyFailureError", "CompiledSystem", "EstimatorModel", "ExcessiveSingularDrawsError",
+    "GenericCovarianceError", "JacobiConvergenceError", "SimResult", "SingularMetricError",
+    "VanishingResult", "chi_square_median", "divergence_experiment", "draw_estimate",
+    "fit_loglog_slope", "symmetric_eigenvalues", "vanishing_rate_experiment",
+    "wald_closed_form_product_pairs", "wald_statistic",
+)
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["simulate", *_SIMULATE_NAMES])
+
+
+def __getattr__(name: str):
+    if name == "simulate" or name in _SIMULATE_NAMES:
+        import importlib
+
+        simulate = importlib.import_module(".simulate", __name__)
+        return simulate if name == "simulate" else getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,10 +10,12 @@ Spec file format (line oriented, '#' starts a comment, order free):
     V identity                # or p lines 'V <e1> <e2> ... <ep>'
     d 2                       # optional radicand for sqrt() coefficients
 
-Scalar entries are single tokens: rationals (``-7/10``), decimals (``0.98``,
-parsed exactly), or surds (``7/10*sqrt(2)``).  Polynomial lines use the full
-grammar and may contain spaces; a restriction of total degree above
-MAX_G_DEGREE is rejected before anything expands it.  ``d`` takes an integer.
+Variable names match ``[A-Za-z_][A-Za-z_0-9]*`` and are not ``sqrt``, the
+one name the grammar reads as a function.  Scalar entries are single tokens:
+rationals (``-7/10``), decimals (``0.98``, parsed exactly), or surds
+(``7/10*sqrt(2)``).  Polynomial lines use the full grammar and may contain
+spaces; a restriction of total degree above MAX_G_DEGREE is rejected before
+anything expands it.  ``d`` takes an integer.
 
 Subcommands: analyze, rates, simulate, verify.  Text goes to stdout;
 ``--json PATH`` writes a machine-readable report that round-trips exact
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import random
@@ -34,9 +37,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .polycore import (
@@ -44,6 +45,7 @@ from .polycore import (
     PolyParseError,
     Scalar,
     _fraction_text,
+    _is_variable_name,
     parse_polynomial,
     parse_scalar,
 )
@@ -61,15 +63,9 @@ from .restriction import (
     RestrictionSystem,
     frald_check,
 )
-from .simulate import (
-    CholeskyFailureError,
-    EstimatorModel,
-    SimResult,
-    _validate_grid,
-    chi_square_median,
-    divergence_experiment,
-)
-from .verify import run_all
+
+if TYPE_CHECKING:
+    from .simulate import SimResult
 
 SLOPE_TOLERANCE = 0.15
 
@@ -82,6 +78,23 @@ MAX_G_DEGREE = 16
 #: before anything expands as prod (e_i + 1) over the i with theta_i != 0 per
 #: monomial x^e (a degree-16 monomial in 16 variables gives 2^16; rates ran 43 s).
 MAX_SHIFT_TERMS = 4096
+
+#: The one call each numeric command makes into its layer.  simulate and verify
+#: (and with them numpy) are imported only when cmd_simulate or cmd_verify
+#: runs, so analyze and rates never load them.  The name is bound in this
+#: module on first use, by the command or by a read of ``cli.<name>``, and a
+#: name rebound here is the one the command calls.
+_NUMERIC_CALLS = {"divergence_experiment": ".simulate", "run_all": ".verify"}
+
+
+def _numeric_call(name: str):
+    if name not in _NUMERIC_CALLS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    layer = importlib.import_module(_NUMERIC_CALLS[name], __package__)
+    return globals().setdefault(name, getattr(layer, name))
+
+
+__getattr__ = _numeric_call  # PEP 562
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -117,9 +130,25 @@ class SpecFile:
         return self.covariance
 
 
+_ENTRY = re.compile(r"\S+")
+
+
+def _entries(rest: str, lineno: int, col: int, scalars: dict) -> tuple[Scalar, ...]:
+    """The scalars of a theta_bar or V line; each distinct text is parsed once
+    per spec and kept in ``scalars``."""
+    out = []
+    for tok in _ENTRY.finditer(rest):
+        value = scalars.get(tok[0])
+        if value is None:
+            value = scalars[tok[0]] = parse_scalar(tok[0], lineno, col + tok.start())
+        out.append(value)
+    return tuple(out)
+
+
 def parse_spec(path: str | Path) -> SpecFile:
     """Parse and validate a spec file; diagnostics carry line numbers."""
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     var_names: tuple[str, ...] | None = None
     vars_line = 0
     raw: list[tuple[int, str, str, int]] = []  # (line, key, value, value's column)
@@ -136,6 +165,10 @@ def parse_spec(path: str | Path) -> SpecFile:
             vars_line = lineno
             if not var_names:
                 raise SpecFileError("'vars' needs at least one name", lineno)
+            for name in var_names:
+                if not _is_variable_name(name):
+                    raise SpecFileError(f"invalid variable name {name!r}: a name is "
+                                        "[A-Za-z_][A-Za-z_0-9]* and not 'sqrt'", lineno)
             if len(set(var_names)) != len(var_names):
                 raise SpecFileError("duplicate variable names", lineno)
         elif key in ("theta_bar", "g", "V", "d"):
@@ -148,6 +181,7 @@ def parse_spec(path: str | Path) -> SpecFile:
         raise SpecFileError("missing 'vars' line")
     p = len(var_names)
 
+    scalars: dict[str, Scalar] = {}  # entry text -> value; V repeats its mirrored entries
     theta_bar: tuple[Scalar, ...] | None = None
     g_list: list[MultiPoly] = []
     g_lines: list[int] = []
@@ -159,8 +193,7 @@ def parse_spec(path: str | Path) -> SpecFile:
             if key == "theta_bar":
                 if theta_bar is not None:
                     raise SpecFileError("duplicate 'theta_bar' line", lineno)
-                entries = tuple(parse_scalar(tok[0], lineno, col + tok.start())
-                                for tok in re.finditer(r"\S+", rest))
+                entries = _entries(rest, lineno, col, scalars)
                 if len(entries) != p:
                     raise SpecFileError(
                         f"theta_bar has {len(entries)} entries for {p} variables", lineno
@@ -179,8 +212,7 @@ def parse_spec(path: str | Path) -> SpecFile:
                 if rest == "identity":
                     v_identity = True
                 else:
-                    row = tuple(parse_scalar(tok[0], lineno, col + tok.start())
-                                for tok in re.finditer(r"\S+", rest))
+                    row = _entries(rest, lineno, col, scalars)
                     if len(row) != p:
                         raise SpecFileError(
                             f"V row has {len(row)} entries for {p} variables", lineno
@@ -217,17 +249,8 @@ def parse_spec(path: str | Path) -> SpecFile:
         if len(v_rows) != p:
             raise SpecFileError(f"V has {len(v_rows)} rows for {p} variables")
 
-    radicands = set()
-    for poly in g_list:
-        if poly.field_d():
-            radicands.add(poly.field_d())
-    for row in v_rows:
-        for v in row:
-            if v.d:
-                radicands.add(v.d)
-    for v in theta_bar:
-        if v.d:
-            radicands.add(v.d)
+    radicands = {v.d for v in scalars.values() if v.d}  # theta_bar's and V's
+    radicands.update(d for d in map(MultiPoly.field_d, g_list) if d)
     if len(radicands) > 1:
         raise SpecFileError(f"mixed surd radicands {sorted(radicands)}")
     if d_value is not None and radicands and radicands != {d_value}:
@@ -440,6 +463,10 @@ def _parse_vhat(text: str) -> tuple[str, float]:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .simulate import EstimatorModel, _validate_grid, chi_square_median
+
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
     U = spec.to_covariance()
@@ -452,8 +479,8 @@ def cmd_simulate(args) -> int:
     theta_bar = np.array([float(t) for t in spec.theta_bar])
     model = EstimatorModel(theta_bar, U.to_float(), vhat_mode, vhat_scale)
     report = rate_report(system, U, trials=args.trials, rng=random.Random(args.seed))
-    res = divergence_experiment(system, model, grid, args.reps, args.seed,
-                                report=report)
+    res = _numeric_call("divergence_experiment")(system, model, grid, args.reps,
+                                                 args.seed, report=report)
     print(f"grid {grid}, reps {args.reps}, seed {args.seed}, vhat {args.vhat}")
     for T, med in zip(res.t_grid, res.median_wald):
         print(f"  T = {T:>8d}: median W = {med:.6g}   W/T = {med / T:.6g}")
@@ -490,7 +517,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
-    results = run_all(system, seed=args.seed)
+    results = _numeric_call("run_all")(system, seed=args.seed)
     all_passed = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -577,8 +604,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (NullViolatedError, NonSpdError, CholeskyFailureError,
-            RankDeficientError) as exc:
+    except (NullViolatedError, NonSpdError, RankDeficientError) as exc:
+        # NonSpdError covers simulate's CholeskyFailureError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ArithmeticError as exc:

@@ -677,7 +677,10 @@ def _term_text(coeff: Scalar, mono: Monomial, var_names: Sequence[str]) -> str:
 #   factor ::= number ['/' uint] | 'sqrt' '(' uint ')' | ident ['^' uint]
 #   number ::= digits ['.' digits]
 #
-# Whitespace is insignificant.  Decimal literals parse to exact rationals.
+# Whitespace is insignificant, '−' (U+2212) is '-', and decimal literals parse
+# to exact rationals.  A character outside the grammar, or a literal of more
+# than MAX_LITERAL_DIGITS digits, is the error wherever it stands, ahead of any
+# error of the grammar.
 # ---------------------------------------------------------------------------
 
 
@@ -698,153 +701,166 @@ class PolyParseError(ValueError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>\d+(?:\.\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>[-+*/^()−])
-    """,
-    re.VERBOSE,
-)
+_NAME_PATTERN = "[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(_NAME_PATTERN)
+
+#: One token after any whitespace, by group: 1 a number, 2 a name, 3 an
+#: operator, 4 any other character; no group matches at the end of the text.
+_TOKEN = re.compile(rf"\s*(?:(\d+(?:\.\d+)?)|({_NAME_PATTERN})|([-+*/^()−])|(\S))?")
+_NUMBER, _NAME, _OP, _OTHER = 1, 2, 3, 4
 
 
-def _tokenize(text: str, line: int, col: int) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PolyParseError(f"unexpected character {text[pos]!r}", line, pos + col)
-        if m.lastgroup != "ws":
-            value = m.group()
-            if m.lastgroup == "number" and len(value) - ("." in value) > MAX_LITERAL_DIGITS:
-                raise PolyParseError(
-                    f"numeric literal longer than {MAX_LITERAL_DIGITS} digits", line, pos + col)
-            if m.lastgroup == "op" and value == "−":
-                value = "-"
-            tokens.append((m.lastgroup, value, pos + col))
-        pos = m.end()
-    return tokens
+def _is_variable_name(name: str) -> bool:
+    """Whether the grammar can read name as a variable: 'sqrt' is its function."""
+    return name != "sqrt" and _NAME_RE.fullmatch(name) is not None
 
 
-class _Parser:
-    def __init__(self, tokens, line: int, end: int):
-        self.tokens = tokens
-        self.line = line
-        self.end = end  # the column just past the text
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise PolyParseError("unexpected end of input", self.line, self.end)
-        self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        tok = self.next()
-        if tok[1] != value:
-            raise PolyParseError(f"expected {value!r}, got {tok[1]!r}", self.line, tok[2])
-        return tok
-
-    def error(self, message: str):
-        tok = self.peek()
-        raise PolyParseError(message, self.line, tok[2] if tok else self.end)
+def _shown(m: re.Match) -> str:
+    """A token as error messages quote it; '−' reads as '-'."""
+    return "-" if m[_OP] == "−" else m[m.lastindex]
 
 
-def _parse_number(parser: _Parser) -> Fraction:
-    kind, value, col = parser.next()
-    if kind != "number":
-        raise PolyParseError(f"expected a number, got {value!r}", parser.line, col)
-    num = Fraction(value)
-    tok = parser.peek()
-    if tok is not None and tok[1] == "/":
-        parser.next()
-        kind2, value2, col2 = parser.next()
-        if kind2 != "number" or "." in value2:
-            raise PolyParseError("denominator must be an integer", parser.line, col2)
-        den = Fraction(value2)
-        if not den:
-            raise PolyParseError("denominator must be nonzero", parser.line, col2)
-        num /= den
-    return num
+def _lexical_error(m: re.Match, line: int, col: int) -> PolyParseError | None:
+    """The error of a token outside the alphabet or over MAX_LITERAL_DIGITS."""
+    kind = m.lastindex
+    if kind == _OTHER:
+        return PolyParseError(f"unexpected character {m[kind]!r}", line, m.start(kind) + col)
+    if kind == _NUMBER and len(m[kind]) - ("." in m[kind]) > MAX_LITERAL_DIGITS:
+        return PolyParseError(
+            f"numeric literal longer than {MAX_LITERAL_DIGITS} digits", line, m.start(kind) + col)
+    return None
 
 
-def _parse_term(parser: _Parser, var_names: Sequence[str]) -> tuple[Scalar, Monomial]:
-    coeff = ONE
-    exponents = [0] * len(var_names)
-    while True:
-        tok = parser.peek()
-        if tok is None:
-            parser.error("empty term")
-        kind, value, col = tok
-        if kind == "number":
-            coeff = coeff * _rational(_parse_number(parser))
-        elif kind == "ident" and value == "sqrt":
-            parser.next()
-            parser.expect("(")
-            kind2, value2, col2 = parser.next()
-            if kind2 != "number" or "." in value2:
-                raise PolyParseError("sqrt radicand must be an integer", parser.line, col2)
-            parser.expect(")")
-            try:
-                surd = Scalar(0, 1, int(value2))
-            except ValueError as exc:
-                raise PolyParseError(str(exc), parser.line, col2) from exc
-            coeff = coeff * surd
-        elif kind == "ident":
-            parser.next()
-            if value not in var_names:
-                raise PolyParseError(f"unknown variable {value!r}", parser.line, col)
-            power = 1
-            nxt = parser.peek()
-            if nxt is not None and nxt[1] == "^":
-                parser.next()
-                kind2, value2, col2 = parser.next()
-                if kind2 != "number" or "." in value2:
-                    raise PolyParseError("exponent must be an integer", parser.line, col2)
-                power = int(value2)
-            exponents[var_names.index(value)] += power
-        else:
-            parser.error(f"unexpected token {value!r} in term")
-        nxt = parser.peek()
-        if nxt is not None and nxt[1] == "*":
-            parser.next()
-            continue
-        break
-    return coeff, tuple(exponents)
+def _unexpected(m: re.Match, message: str, line: int, col: int, end: int) -> PolyParseError:
+    """``message`` at token m, its '{}' quoting the token, or the end of input
+    when m is past the text."""
+    if m.lastindex is None:
+        return PolyParseError("unexpected end of input", line, end)
+    return PolyParseError(message.format(repr(_shown(m))), line, m.start(m.lastindex) + col)
+
+
+def _integer(m: re.Match, what: str, line: int, col: int, end: int) -> int:
+    """The value of token m, which must be an integer literal."""
+    digits = m[_NUMBER]
+    if digits is None or "." in digits:
+        raise _unexpected(m, f"{what} must be an integer", line, col, end)
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise _lexical_error(m, line, col)
+    return int(digits)
 
 
 def parse_polynomial(text: str, var_names: Sequence[str], line: int = 1,
                      col: int = 1) -> MultiPoly:
-    """Parse the polynomial grammar; errors put text's first character at (line, col)."""
-    tokens = _tokenize(text, line, col)
-    if not tokens:
+    """Parse the polynomial grammar; errors put text's first character at (line, col).
+
+    One pass over the tokens, which are read as the grammar asks for them; the
+    text is scanned again only to find the error to report.  A term's
+    coefficient is num/den * sqrt(radicand) on ints until the term ends, and
+    terms keep the order of their monomials' first appearance.
+    """
+    try:
+        return _parse(text, var_names, line, col)
+    except (PolyParseError, FieldMismatchError):
+        for m in _TOKEN.finditer(text):
+            if error := _lexical_error(m, line, col):
+                raise error from None
+        raise
+
+
+def _parse(text: str, var_names: Sequence[str], line: int, col: int) -> MultiPoly:
+    nvars = len(var_names)
+    index: dict[str, int] = {}
+    for i, name in enumerate(var_names):
+        index.setdefault(name, i)
+    end = len(text) + col
+    tokens = _TOKEN.finditer(text)  # ends with an empty match at the end of the text
+    m = next(tokens)
+    if m.lastindex is None:
         raise PolyParseError("empty polynomial", line, col)
-    parser = _Parser(tokens, line, len(text) + col)
+    negative = m[_OP] in ("-", "−")
+    if negative or m[_OP] == "+":
+        m = next(tokens)
     terms: dict[Monomial, Scalar] = {}
-    sign = 1
-    tok = parser.peek()
-    if tok is not None and tok[1] in "+-":
-        parser.next()
-        sign = -1 if tok[1] == "-" else 1
     while True:
-        coeff, mono = _parse_term(parser, var_names)
-        coeff = -coeff if sign < 0 else coeff
-        other = coeff.d and next((c.d for c in terms.values() if c.d not in (0, coeff.d)), 0)
+        num = den = 1
+        radicand = 0  # 0 while the coefficient is rational; reset whenever num is 0
+        exponents = [0] * nvars
+        while True:
+            kind = m.lastindex
+            if kind is None:
+                raise PolyParseError("empty term", line, end)
+            if kind == _NUMBER:
+                whole, _, decimals = m[kind].partition(".")
+                if len(whole) + len(decimals) > MAX_LITERAL_DIGITS:
+                    raise _lexical_error(m, line, col)
+                num *= int(whole + decimals)
+                den *= 10 ** len(decimals)
+                m = next(tokens)
+                if m[_OP] == "/":
+                    m = next(tokens)
+                    divisor = _integer(m, "denominator", line, col, end)
+                    if not divisor:
+                        raise PolyParseError("denominator must be nonzero", line,
+                                             m.start(_NUMBER) + col)
+                    den *= divisor
+                    m = next(tokens)
+                if not num:
+                    radicand = 0
+            elif kind == _NAME and m[kind] == "sqrt":
+                m = next(tokens)
+                if m[_OP] != "(":
+                    raise _unexpected(m, "expected '(', got {}", line, col, end)
+                m = next(tokens)
+                d = _integer(m, "sqrt radicand", line, col, end)
+                at = m.start(_NUMBER) + col
+                m = next(tokens)
+                if m[_OP] != ")":
+                    raise _unexpected(m, "expected ')', got {}", line, col, end)
+                try:
+                    surd = Scalar(0, 1, d)
+                except ValueError as exc:
+                    raise PolyParseError(str(exc), line, at) from exc
+                if not surd.b:  # 0 or 1
+                    num *= surd.a.numerator
+                    radicand = radicand if num else 0
+                elif radicand == d:
+                    num, radicand = num * d, 0
+                elif radicand:
+                    raise FieldMismatchError(f"cannot mix sqrt({radicand}) and sqrt({d}) coefficients")
+                elif num:
+                    radicand = d
+                m = next(tokens)
+            elif kind == _NAME:
+                i = index.get(m[kind])
+                if i is None:
+                    raise PolyParseError(f"unknown variable {m[kind]!r}", line, m.start(kind) + col)
+                m = next(tokens)
+                if m[_OP] == "^":
+                    m = next(tokens)
+                    exponents[i] += _integer(m, "exponent", line, col, end)
+                    m = next(tokens)
+                else:
+                    exponents[i] += 1
+            else:
+                raise PolyParseError(f"unexpected token {_shown(m)!r} in term", line,
+                                     m.start(kind) + col)
+            if m[_OP] != "*":
+                break
+            m = next(tokens)
+        value = Fraction(-num if negative else num, den)
+        coeff = _surd(_FRACTION_ZERO, value, radicand) if radicand else _rational(value)
+        other = radicand and next((c.d for c in terms.values() if c.d not in (0, radicand)), 0)
         if other:
-            raise FieldMismatchError(f"cannot mix sqrt({other}) and sqrt({coeff.d}) polynomials")
+            raise FieldMismatchError(f"cannot mix sqrt({other}) and sqrt({radicand}) polynomials")
+        mono = tuple(exponents)
         terms[mono] = terms[mono] + coeff if mono in terms else coeff
-        tok = parser.peek()
-        if tok is None:
-            return _trusted_poly(len(var_names), terms)
-        if tok[1] not in "+-":
-            raise PolyParseError(f"expected '+' or '-', got {tok[1]!r}", line, tok[2])
-        parser.next()
-        sign = -1 if tok[1] == "-" else 1
+        if m.lastindex is None:
+            return _trusted_poly(nvars, terms)
+        if m[_OP] not in ("+", "-", "−"):
+            raise PolyParseError(f"expected '+' or '-', got {_shown(m)!r}", line,
+                                 m.start(m.lastindex) + col)
+        negative = m[_OP] != "+"
+        m = next(tokens)
 
 
 # [sign] digits [. digits] [/ digits] [*sqrt(digits)], nearly every theta_bar

@@ -88,8 +88,8 @@ class Covariance:
         if any(len(row) != p for row in grid):
             raise ValueError("covariance matrix must be square")
         for i in range(p):
-            for j in range(i):
-                if grid[i][j] != grid[j][i]:
+            for j in range(i):  # parse_spec reads equal entries into one object
+                if grid[i][j] is not grid[j][i] and grid[i][j] != grid[j][i]:
                     raise NonSpdError(f"entries ({i},{j}) and ({j},{i}) differ")
         definite = _assert_positive_semidefinite(grid)
         object.__setattr__(self, "entries", grid)

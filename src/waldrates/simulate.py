@@ -44,12 +44,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .rates import Covariance, RateReport, _ray_degrees, min_degree_generic
+from .rates import Covariance, NonSpdError, RateReport, _ray_degrees, min_degree_generic
 from .restriction import RestrictionSystem, jacobian, recenter, transform
 
 
-class CholeskyFailureError(ValueError):
-    """Covariance (or perturbed covariance) is not usable as SPD."""
+class CholeskyFailureError(NonSpdError):
+    """Covariance (or perturbed covariance) is not usable as SPD; a
+    NonSpdError, so that the command line exits 3 on it without importing
+    this module."""
 
 
 class SingularMetricError(ArithmeticError):

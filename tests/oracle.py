@@ -7,16 +7,22 @@ It takes the ray charpoly by Berkowitz on values packed at t = 2^K; the list
 ring below is the one it replaced, with the memoised Laplace expansion of the
 principal minors, one coefficient at a time.  It evaluates g and G by a plan
 of their nonzero terms; ``DenseSystem`` is the loop it replaced, every
-coefficient over every monomial.
+coefficient over every monomial.  It parses the polynomial grammar in one
+pass over the text; ``reference_parse_polynomial`` is the parser it replaced,
+which tokenizes the whole text first and then descends a token list.
 """
 
 import itertools
 import math
+import re
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from waldrates.polycore import INF_DEGREE, Scalar, _one_radicand, _scaled, _surd
+from waldrates.polycore import (INF_DEGREE, MAX_LITERAL_DIGITS, ONE, FieldMismatchError, Monomial,
+                                MultiPoly, PolyParseError, Scalar, _one_radicand, _rational, _scaled,
+                                _surd, _trusted_poly)
 from waldrates.rates import NonSpdError, _minor_sum, _ray_g_half
 from waldrates.restriction import jacobian
 
@@ -247,3 +253,157 @@ class DenseSystem:
     def jacobian_at(self, theta):
         values = self._evaluate(theta, slice(self.q, None))
         return values.reshape(values.shape[:-1] + (self.q, self.p))
+
+
+# -- the token-list polynomial grammar ------------------------------------------
+
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<number>\d+(?:\.\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op>[-+*/^()−])
+    """,
+    re.VERBOSE,
+)
+
+
+def _tokenize(text: str, line: int, col: int) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise PolyParseError(f"unexpected character {text[pos]!r}", line, pos + col)
+        if m.lastgroup != "ws":
+            value = m.group()
+            if m.lastgroup == "number" and len(value) - ("." in value) > MAX_LITERAL_DIGITS:
+                raise PolyParseError(
+                    f"numeric literal longer than {MAX_LITERAL_DIGITS} digits", line, pos + col)
+            if m.lastgroup == "op" and value == "−":
+                value = "-"
+            tokens.append((m.lastgroup, value, pos + col))
+        pos = m.end()
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, line: int, end: int):
+        self.tokens = tokens
+        self.line = line
+        self.end = end  # the column just past the text
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise PolyParseError("unexpected end of input", self.line, self.end)
+        self.i += 1
+        return tok
+
+    def expect(self, value: str):
+        tok = self.next()
+        if tok[1] != value:
+            raise PolyParseError(f"expected {value!r}, got {tok[1]!r}", self.line, tok[2])
+        return tok
+
+    def error(self, message: str):
+        tok = self.peek()
+        raise PolyParseError(message, self.line, tok[2] if tok else self.end)
+
+
+def _parse_number(parser: _Parser) -> Fraction:
+    kind, value, col = parser.next()
+    if kind != "number":
+        raise PolyParseError(f"expected a number, got {value!r}", parser.line, col)
+    num = Fraction(value)
+    tok = parser.peek()
+    if tok is not None and tok[1] == "/":
+        parser.next()
+        kind2, value2, col2 = parser.next()
+        if kind2 != "number" or "." in value2:
+            raise PolyParseError("denominator must be an integer", parser.line, col2)
+        den = Fraction(value2)
+        if not den:
+            raise PolyParseError("denominator must be nonzero", parser.line, col2)
+        num /= den
+    return num
+
+
+def _parse_term(parser: _Parser, var_names: Sequence[str]) -> tuple[Scalar, Monomial]:
+    coeff = ONE
+    exponents = [0] * len(var_names)
+    while True:
+        tok = parser.peek()
+        if tok is None:
+            parser.error("empty term")
+        kind, value, col = tok
+        if kind == "number":
+            coeff = coeff * _rational(_parse_number(parser))
+        elif kind == "ident" and value == "sqrt":
+            parser.next()
+            parser.expect("(")
+            kind2, value2, col2 = parser.next()
+            if kind2 != "number" or "." in value2:
+                raise PolyParseError("sqrt radicand must be an integer", parser.line, col2)
+            parser.expect(")")
+            try:
+                surd = Scalar(0, 1, int(value2))
+            except ValueError as exc:
+                raise PolyParseError(str(exc), parser.line, col2) from exc
+            coeff = coeff * surd
+        elif kind == "ident":
+            parser.next()
+            if value not in var_names:
+                raise PolyParseError(f"unknown variable {value!r}", parser.line, col)
+            power = 1
+            nxt = parser.peek()
+            if nxt is not None and nxt[1] == "^":
+                parser.next()
+                kind2, value2, col2 = parser.next()
+                if kind2 != "number" or "." in value2:
+                    raise PolyParseError("exponent must be an integer", parser.line, col2)
+                power = int(value2)
+            exponents[var_names.index(value)] += power
+        else:
+            parser.error(f"unexpected token {value!r} in term")
+        nxt = parser.peek()
+        if nxt is not None and nxt[1] == "*":
+            parser.next()
+            continue
+        break
+    return coeff, tuple(exponents)
+
+
+def reference_parse_polynomial(text: str, var_names: Sequence[str], line: int = 1,
+                               col: int = 1) -> MultiPoly:
+    """The grammar as a token list and a recursive-descent parser over it;
+    errors put text's first character at (line, col)."""
+    tokens = _tokenize(text, line, col)
+    if not tokens:
+        raise PolyParseError("empty polynomial", line, col)
+    parser = _Parser(tokens, line, len(text) + col)
+    terms: dict[Monomial, Scalar] = {}
+    sign = 1
+    tok = parser.peek()
+    if tok is not None and tok[1] in "+-":
+        parser.next()
+        sign = -1 if tok[1] == "-" else 1
+    while True:
+        coeff, mono = _parse_term(parser, var_names)
+        coeff = -coeff if sign < 0 else coeff
+        other = coeff.d and next((c.d for c in terms.values() if c.d not in (0, coeff.d)), 0)
+        if other:
+            raise FieldMismatchError(f"cannot mix sqrt({other}) and sqrt({coeff.d}) polynomials")
+        terms[mono] = terms[mono] + coeff if mono in terms else coeff
+        tok = parser.peek()
+        if tok is None:
+            return _trusted_poly(len(var_names), terms)
+        if tok[1] not in "+-":
+            raise PolyParseError(f"expected '+' or '-', got {tok[1]!r}", line, tok[2])
+        parser.next()
+        sign = -1 if tok[1] == "-" else 1
+

@@ -414,6 +414,26 @@ class TestCommands:
         path = write_spec(tmp_path, "vars x\ntheta_bar 0 0\ng x\nV identity\n")
         assert main(["analyze", path]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("text, name", [
+        ("vars x-1 x\ntheta_bar 0 1\ng x-1\nV identity\n", "x-1"),
+        ("vars sqrt y\ntheta_bar 0 0\ng y\nV identity\n", "sqrt"),
+    ])
+    def test_vars_rejects_names_the_grammar_cannot_read(self, tmp_path, capsys, text, name):
+        # x-1 would read as the difference x - 1, and sqrt only as the function
+        path = write_spec(tmp_path, text)
+        assert main(["analyze", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: line 1: invalid variable name {name!r}: a name is "
+            "[A-Za-z_][A-Za-z_0-9]* and not 'sqrt'\n")
+
+    def test_perturbed_vhat_never_spd_exits_3(self, capsys):
+        # CholeskyFailureError is a precondition failure, like a non-PSD V
+        code = main(["simulate", str(FIXTURES / "product_pairs.spec"), "--grid", "1,2,3,4",
+                     "--reps", "200", "--vhat", "perturbed:1000000", "--seed", "7"])
+        assert code == EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            "error: perturbed V_hat stayed non-SPD after 10 retries\n")
+
     @pytest.mark.parametrize("body, line, col", [
         ("theta_bar 1/0 0\ng x*y\nV identity\n", 2, 13),
         ("theta_bar 0 0\ng x*y + 1/0\nV identity\n", 3, 11),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from waldrates import polycore
 from waldrates.polycore import (
     INF_DEGREE,
+    MAX_LITERAL_DIGITS,
     FieldMismatchError,
     MultiPoly,
     PolyParseError,
@@ -20,7 +21,7 @@ from waldrates.polycore import (
 )
 from waldrates.restriction import PolyMatrix, poly_rank
 
-from oracle import scalar_mat_rank
+from oracle import reference_parse_polynomial, scalar_mat_rank
 
 V4 = ["x", "y", "z", "w"]
 
@@ -550,6 +551,72 @@ def test_parse_scalar_reads_literals_without_the_grammar():
         assert parse_scalar("\u22121/2*sqrt(2)") == Scalar(0, Fraction(-1, 2), 2)
         assert parse_scalar("+4*sqrt(1)") == Scalar(4)
     assert grammar.call_count == 0
+
+
+# -- the one-pass parser against the token-list grammar ----------------------------
+
+V3 = ["x", "y", "z"]
+
+
+def _parsed(parse, text):
+    """A parse's terms in order, or its error's type, text and location."""
+    try:
+        p = parse(text, V3, line=7, col=3)
+    except ValueError as exc:  # PolyParseError, FieldMismatchError
+        return type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return p.nvars, list(p.terms.items())
+
+
+@st.composite
+def rendered_polys(draw):
+    """to_text of up to six polynomials with rational and sqrt(2) or sqrt(3)
+    coefficients, summed in one text, with some '-' written '−' and runs of
+    spaces added around the operators.  Many summands are single terms on a
+    few monomials, so that monomials repeat, cancel and come back."""
+    d = draw(st.sampled_from((2, 3)))
+    coeffs = st.one_of(fractions_st, st.builds(lambda a, b: Scalar(a, b, d), fractions_st,
+                                                fractions_st))
+    single = st.builds(lambda mono, c: MultiPoly(3, {mono: c}),
+                       st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0)]),
+                       st.sampled_from([1, -1, 2, Fraction(-1, 2), Scalar(0, 1, d)]))
+    summands = draw(st.lists(st.one_of(polys(coeffs=coeffs, max_deg=2), single),
+                             min_size=1, max_size=6))
+    text = summands[0].to_text(V3)
+    for p in summands[1:]:
+        piece = p.to_text(V3)
+        text += " - " + piece[1:] if piece.startswith("-") else " + " + piece
+    out = []
+    for char in text:
+        if char in "+-*/^()":
+            out.append(draw(st.sampled_from(["", " ", "  ", "\t"])))
+            out.append("\u2212" if char == "-" and draw(st.booleans()) else char)
+            out.append(draw(st.sampled_from(["", " ", "  "])))
+        else:
+            out.append(char)
+    return "".join(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rendered_polys())
+def test_parser_matches_token_list_grammar_on_rendered_polys(text):
+    got = _parsed(parse_polynomial, text)
+    assert got == _parsed(reference_parse_polynomial, text)
+    assert got[0] == 3  # parsed, not an error
+
+
+# pieces of the grammar's alphabet, a stray '$' and an over-long literal
+_PIECES = ["x", "y", "z", "w", "_", "sqrt", "sqrt(2)", "sqrt(3)", "sqrt(4)", "sqrt(0)", "0",
+           "1", "2", "07", "1.5", "3.", ".", "/", "/0", "^", "^2", "*", "+", "-", "\u2212",
+           "(", ")", " ", "  ", "$", "1" * (MAX_LITERAL_DIGITS + 1)]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_PIECES),
+                          st.text("0123456789.xyz_+-*/^() $\u2212", max_size=3)), max_size=12))
+def test_parser_matches_token_list_grammar_on_any_text(pieces):
+    # the same error type, message, line and column, or equal terms in the same order
+    text = "".join(pieces)
+    assert _parsed(parse_polynomial, text) == _parsed(reference_parse_polynomial, text)
 
 
 q_sqrt2_st = st.one_of(fractions_st, st.builds(Scalar, fractions_st, fractions_st, st.just(2)))

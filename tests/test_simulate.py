@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -1078,6 +1079,31 @@ class TestSubstreams:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "True"
+
+    def test_symbolic_commands_load_no_numpy(self):
+        # analyze and rates import only the symbolic layers; simulate's names
+        # still resolve through the package, to the simulate module's objects
+        spec = Path(__file__).resolve().parents[1] / "fixtures" / "product_pairs.spec"
+        code = textwrap.dedent(f"""
+            import contextlib, io, sys
+            import waldrates
+            from waldrates import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(["analyze", {str(spec)!r}]),
+                         cli.main(["rates", "--samples", "2", {str(spec)!r}])]
+            print(codes, [m for m in ("numpy", "waldrates.simulate", "waldrates.verify")
+                          if m in sys.modules])
+            from waldrates import simulate
+            names = [n for n in waldrates.__all__
+                     if getattr(getattr(simulate, n, None), "__module__", "") == simulate.__name__]
+            print(len(names), all(getattr(waldrates, n) is getattr(simulate, n) for n in names),
+                  waldrates.simulate is simulate)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(simulate.__file__).parents[1])] + sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines() == ["[0, 0] []", "17 True True"]
 
     def test_negative_seed_rejected(self):
         model = EstimatorModel(PP_THETA, np.eye(4))
