@@ -15,7 +15,8 @@ one name the grammar reads as a function.  Scalar entries are single tokens:
 rationals (``-7/10``), decimals (``0.98``, parsed exactly), or surds
 (``7/10*sqrt(2)``).  Polynomial lines use the full grammar and may contain
 spaces; a restriction of total degree above MAX_G_DEGREE is rejected before
-anything expands it.  ``d`` takes an integer.
+anything expands it.  ``d`` takes an integer that ``sqrt(d)`` would accept
+(square-free, 0 to MAX_RADICAND) and appears at most once.
 
 Subcommands: analyze, rates, simulate, verify.  Text goes to stdout;
 ``--json PATH`` writes a machine-readable report that round-trips exact
@@ -28,8 +29,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
-import json
 import math
 import random
 import re
@@ -79,23 +78,6 @@ MAX_G_DEGREE = 16
 #: monomial x^e (a degree-16 monomial in 16 variables gives 2^16; rates ran 43 s).
 MAX_SHIFT_TERMS = 4096
 
-#: The one call each numeric command makes into its layer.  simulate and verify
-#: (and with them numpy) are imported only when cmd_simulate or cmd_verify
-#: runs, so analyze and rates never load them.  The name is bound in this
-#: module on first use, by the command or by a read of ``cli.<name>``, and a
-#: name rebound here is the one the command calls.
-_NUMERIC_CALLS = {"divergence_experiment": ".simulate", "run_all": ".verify"}
-
-
-def _numeric_call(name: str):
-    if name not in _NUMERIC_CALLS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    layer = importlib.import_module(_NUMERIC_CALLS[name], __package__)
-    return globals().setdefault(name, getattr(layer, name))
-
-
-__getattr__ = _numeric_call  # PEP 562
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
@@ -125,9 +107,6 @@ class SpecFile:
 
     def to_restriction_system(self) -> RestrictionSystem:
         return RestrictionSystem(self.var_names, self.theta_bar, self.g)
-
-    def to_covariance(self) -> Covariance:
-        return self.covariance
 
 
 _ENTRY = re.compile(r"\S+")
@@ -219,12 +198,18 @@ def parse_spec(path: str | Path) -> SpecFile:
                         )
                     v_rows.append(row)
             elif key == "d":
+                if d_value is not None:
+                    raise SpecFileError("duplicate 'd' line", lineno)
                 try:
                     d_value = int(rest)
                 except ValueError:
                     raise SpecFileError(
                         f"'d' must be an integer, got {rest!r}", lineno
                     ) from None
+                try:
+                    Scalar(0, 1, d_value)  # the radicands, and messages, of sqrt(d)
+                except ValueError as exc:
+                    raise SpecFileError(str(exc), lineno) from None
         except PolyParseError as exc:  # its column counts from the start of the line
             raise SpecFileError(f"column {exc.col}: {exc.message}", lineno) from exc
     if theta_bar is None:
@@ -268,22 +253,6 @@ def parse_spec(path: str | Path) -> SpecFile:
         # raises NonSpdError for an unusable covariance
         covariance=Covariance.identity(p) if v_identity else Covariance(v_rows),
     )
-
-
-def spec_to_text(spec: SpecFile) -> str:
-    """Canonical spec-file text; parse_spec(spec_to_text(s)) == s."""
-    lines = ["vars " + " ".join(spec.var_names)]
-    lines.append("theta_bar " + " ".join(t.to_text() for t in spec.theta_bar))
-    for poly in spec.g:
-        lines.append("g " + poly.to_text(spec.var_names))
-    if spec.d is not None:
-        lines.append(f"d {spec.d}")
-    if spec.v_identity:
-        lines.append("V identity")
-    else:
-        for row in spec.v_rows:
-            lines.append("V " + " ".join(v.to_text() for v in row))
-    return "\n".join(lines) + "\n"
 
 
 # -- JSON serialisation -------------------------------------------------------
@@ -363,11 +332,12 @@ def _sim_json(res: SimResult, prediction: Fraction, matches: bool,
     }
 
 
-def _write_report(report: dict, json_path: str | None) -> None:
-    if json_path:
-        Path(json_path).write_text(
-            json.dumps(report, indent=2, sort_keys=False) + "\n", encoding="utf-8"
-        )
+def _write_report(report: dict, json_path: str) -> None:
+    import json  # only a --json run needs it
+
+    Path(json_path).write_text(
+        json.dumps(report, indent=2, sort_keys=False) + "\n", encoding="utf-8"
+    )
 
 
 def _base_report(command: str, spec_path: str, spec: SpecFile, seed: int) -> dict:
@@ -408,16 +378,17 @@ def cmd_analyze(args) -> int:
     word = "HOLDS" if verdict.frald_t_holds else "FAILS"
     print(f"rank of the lowest-degree matrix: r = {verdict.rank_r} (q = {q})")
     print(f"FRALD-T: {word}, r = {verdict.rank_r}, blocks {_blocks_text(ech.blocks)}")
-    out = _base_report("analyze", args.spec, spec, args.seed)
-    out["frald"] = _frald_json(verdict, q, spec.var_names)
-    _write_report(out, args.json)
+    if args.json:
+        out = _base_report("analyze", args.spec, spec, args.seed)
+        out["frald"] = _frald_json(verdict, q, spec.var_names)
+        _write_report(out, args.json)
     return EXIT_OK
 
 
 def cmd_rates(args) -> int:
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
-    U = spec.to_covariance()
+    U = spec.covariance
     report = rate_report(system, U, trials=args.trials, rng=random.Random(args.seed))
     q = system.q
     m_text = ", ".join(f"m_{k + 1} = {_degree_json(m)}" for k, m in enumerate(report.char_m))
@@ -441,10 +412,11 @@ def cmd_rates(args) -> int:
         rank = ("full rank" if report.rank_r == q
                 else f"r = {report.rank_r} of q = {q}")
         print(f"no divergence predicted ({rank} at lowest degrees)")
-    out = _base_report("rates", args.spec, spec, args.seed)
-    out["frald"] = _frald_json(report, q, spec.var_names)
-    out["rates"] = _rates_json(report, generic_m, args.samples or None)
-    _write_report(out, args.json)
+    if args.json:
+        out = _base_report("rates", args.spec, spec, args.seed)
+        out["frald"] = _frald_json(report, q, spec.var_names)
+        out["rates"] = _rates_json(report, generic_m, args.samples or None)
+        _write_report(out, args.json)
     return EXIT_OK
 
 
@@ -465,11 +437,11 @@ def _parse_vhat(text: str) -> tuple[str, float]:
 def cmd_simulate(args) -> int:
     import numpy as np
 
-    from .simulate import EstimatorModel, _validate_grid, chi_square_median
+    from .simulate import EstimatorModel, _validate_grid, chi_square_median, divergence_experiment
 
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
-    U = spec.to_covariance()
+    U = spec.covariance
     try:
         grid = [int(t) for t in args.grid.split(",")]
     except ValueError:
@@ -479,8 +451,7 @@ def cmd_simulate(args) -> int:
     theta_bar = np.array([float(t) for t in spec.theta_bar])
     model = EstimatorModel(theta_bar, U.to_float(), vhat_mode, vhat_scale)
     report = rate_report(system, U, trials=args.trials, rng=random.Random(args.seed))
-    res = _numeric_call("divergence_experiment")(system, model, grid, args.reps,
-                                                 args.seed, report=report)
+    res = divergence_experiment(system, model, grid, args.reps, args.seed, report=report)
     print(f"grid {grid}, reps {args.reps}, seed {args.seed}, vhat {args.vhat}")
     for T, med in zip(res.t_grid, res.median_wald):
         print(f"  T = {T:>8d}: median W = {med:.6g}   W/T = {med / T:.6g}")
@@ -506,30 +477,34 @@ def cmd_simulate(args) -> int:
         print(f"singular inner-matrix draws: {res.singular_fraction:.2%}")
     if res.bound_violations:
         print(f"WARNING: lower-bound violations on {res.bound_violations} draws")
-    out = _base_report("simulate", args.spec, spec, args.seed)
-    out["frald"] = _frald_json(report, system.q, spec.var_names)
-    out["rates"] = _rates_json(report)
-    out["sim"] = _sim_json(res, report.beta_bar, matches, args.vhat, args.reps)
-    _write_report(out, args.json)
+    if args.json:
+        out = _base_report("simulate", args.spec, spec, args.seed)
+        out["frald"] = _frald_json(report, system.q, spec.var_names)
+        out["rates"] = _rates_json(report)
+        out["sim"] = _sim_json(res, report.beta_bar, matches, args.vhat, args.reps)
+        _write_report(out, args.json)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
+
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
-    results = _numeric_call("run_all")(system, seed=args.seed)
+    results = run_all(system, seed=args.seed)
     all_passed = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name}: {res.detail}")
         all_passed = all_passed and res.passed
-    out = _base_report("verify", args.spec, spec, args.seed)
-    out["checks"] = [
-        {"name": r.name, "passed": r.passed, "skipped": r.skipped, "detail": r.detail}
-        for r in results
-    ]
-    out["all_passed"] = all_passed
-    _write_report(out, args.json)
+    if args.json:
+        out = _base_report("verify", args.spec, spec, args.seed)
+        out["checks"] = [
+            {"name": r.name, "passed": r.passed, "skipped": r.skipped, "detail": r.detail}
+            for r in results
+        ]
+        out["all_passed"] = all_passed
+        _write_report(out, args.json)
     return EXIT_OK if all_passed else EXIT_NUMERICAL
 
 

@@ -109,7 +109,9 @@ class Covariance:
 
         Every entry of L is n/k and every D_k is m/k with k in 1..4, so 12 L
         and 12 D are drawn straight into ints and L D L' is their sum over
-        12^3; the draws are n then k, row by row, then m then k.
+        12^3; the draws are n then k, row by row, then m then k.  The draws
+        make L's diagonal 12 (unit after the scaling) and its upper triangle
+        zero, and every D_k at least 3, which is what ``_from_ints`` needs.
         """
         L = [[rng.randint(-4, 4) * (12 // rng.randint(1, 4)) if j < i else 12 * (i == j)
               for j in range(p)] for i in range(p)]
@@ -117,24 +119,12 @@ class Covariance:
         return cls._from_ints(L, D, 12**3)
 
     @classmethod
-    def _from_factor(cls, L: Sequence[Sequence], D: Sequence) -> "Covariance":
-        """L D L' for rational L and D, certified by the factor: for a unit
-        lower-triangular L and every D_k > 0, x' L D L' x = sum_k D_k (L'x)_k^2
-        > 0 for x != 0.  This checks exactly that (NonSpdError otherwise)."""
-        p = len(D)
-        if len(L) != p or any(dk <= 0 for dk in D) or any(
-                len(row) != p or row[i] != 1 or any(row[i + 1:]) for i, row in enumerate(L)):
-            raise NonSpdError("not a unit lower-triangular L with every D_k > 0")
-        c_l = math.lcm(*(x.denominator for row in L for x in row))
-        c_d = math.lcm(*(x.denominator for x in D))
-        return cls._from_ints([[_scaled(x, c_l) for x in row] for row in L],
-                              [_scaled(x, c_d) for x in D], c_l * c_l * c_d)
-
-    @classmethod
     def _from_ints(cls, L: Sequence[Sequence[int]], D: Sequence[int], den: int) -> "Covariance":
-        """L D L' / den for integer L and D that certify it (``_from_factor``),
-        one Fraction per lower-triangle entry; L[j][k] = 0 for k > j, so row j
-        of L stops at its diagonal."""
+        """L D L' / den, one Fraction per lower-triangle entry, certified SPD
+        without an LDL' pass by the caller's factor: for a lower-triangular L
+        with a nonzero diagonal and every D_k > 0, x' L D L' x = sum_k D_k
+        (L'x)_k^2 > 0 for x != 0.  L[j][k] = 0 for k > j, so row j of L stops
+        at its diagonal."""
         p = len(D)
         low = [[_rational(Fraction(sum(a * b * c for a, b, c in zip(L[i], D, L[j][:j + 1])), den))
                 for j in range(i + 1)] for i in range(p)]
@@ -471,25 +461,22 @@ def _ray_coeffs_at(sums: tuple[int, list], c: int, t0: Fraction) -> list[Scalar]
     return out
 
 
-def _ray_degrees(G: PolyMatrix, U: Covariance, rays: random.Random | None = None,
-                 count: int = RAYS, drops: Sequence[int] | None = None) -> tuple:
+def _ray_degrees(G: PolyMatrix, U: Covariance, drops: Sequence[int] | None = None) -> tuple:
     """Lowest t-degree of each charpoly coefficient of B = G U G' on rays.
 
     Row i of G is restricted to x = t*y and divided by t^{drops[i]} (zero by
     default); the exact univariate charpoly of the result gives one degree
     per coefficient, INF_DEGREE when it vanishes on the ray.  Returns the
-    minimum over ``count`` rays drawn from ``rays`` (a fresh stream seeded
-    with _RAY_SEED by default).  One-sided: never below the degree of the
-    multivariate coefficient, and above it only if every ray is a root of
-    that coefficient's lowest part.
+    minimum over RAYS rays drawn from a fresh stream seeded with _RAY_SEED.
+    One-sided: never below the degree of the multivariate coefficient, and
+    above it only if every ray is a root of that coefficient's lowest part.
 
     The charpoly is taken in Z[sqrt(d)][t] by ``_ray_charpoly``: the scale
     c^k it leaves on a_k is a nonzero constant, so the t-degrees are those
     of B's coefficients.
     """
     drops = (0,) * G.rows if drops is None else drops
-    rays = random.Random(_RAY_SEED) if rays is None else rays
-    return _lowest_on_rays(G, [_ray_ring(G, U, drops)] * count, rays)
+    return _lowest_on_rays(G, [_ray_ring(G, U, drops)] * RAYS, random.Random(_RAY_SEED))
 
 
 def _lowest_on_rays(G: PolyMatrix, rings, rays: random.Random) -> tuple:

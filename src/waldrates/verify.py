@@ -73,8 +73,7 @@ def _float_gug(G_x: tuple, U: Covariance) -> np.ndarray:
     return (A / den + B / den * math.sqrt(d)).astype(float)
 
 
-def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
-                               seed: int = 42) -> CheckResult:
+def symmetric_polynomial_check(system: RestrictionSystem, seed: int = 42) -> CheckResult:
     """P_k(eigenvalues of B) must equal (-1)^k a_k at random points/covariances.
 
     a_k comes from the integer ray kernel that writes every report: the
@@ -92,13 +91,13 @@ def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
     B(x), against a P_k of rounding noise, passes, and a deviation within
     rtol reads as before.
     """
-    rtol = 1e-8
+    n_points, rtol = 20, 1e-8
     rng = random.Random(seed)
     G = jacobian(recenter(system))
     g_half = _ray_g_half(G, (0,) * system.q)
     t0 = Fraction(1, 100)
     worst = 0.0
-    for _ in range(npoints):
+    for _ in range(n_points):
         U = Covariance.random_spd(system.p, rng)
         point = [_random_box_fraction(rng) for _ in range(system.p)]
         y = [int(x / t0) for x in point]
@@ -117,7 +116,7 @@ def symmetric_polynomial_check(system: RestrictionSystem, npoints: int = 20,
     return CheckResult(
         name="symmetric-polynomial identity",
         passed=passed,
-        detail=f"worst relative deviation {worst:.3e} over {npoints} points (tol {rtol:g})",
+        detail=f"worst relative deviation {worst:.3e} over {n_points} points (tol {rtol:g})",
     )
 
 

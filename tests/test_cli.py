@@ -26,10 +26,9 @@ from waldrates.cli import (
     main,
     parse_spec,
     scalar_to_json,
-    spec_to_text,
 )
-from waldrates.polycore import (MAX_LITERAL_DIGITS, MAX_RADICAND, MultiPoly, Scalar, _zsqrt,
-                                parse_polynomial)
+from waldrates.polycore import (MAX_LITERAL_DIGITS, MAX_RADICAND, MultiPoly, PolyParseError,
+                                Scalar, _zsqrt, parse_polynomial)
 from waldrates.rates import Covariance, NonSpdError, _parts, _ray_coeffs_at
 from waldrates.restriction import PolyMatrix, RestrictionSystem, jacobian, recenter
 from waldrates.simulate import vanishing_rate_experiment
@@ -68,7 +67,7 @@ class TestParseSpec:
     def test_surd_fixture(self):
         spec = parse_spec(FIXTURES / "product_pairs_cov98.spec")
         assert spec.d == 2
-        U = spec.to_covariance()
+        U = spec.covariance
         assert not U.is_definite
         assert float(U.entry(0, 1)) == pytest.approx(0.98**0.5)
 
@@ -105,13 +104,27 @@ class TestParseSpec:
             parse_spec(path)
         assert "sqrt" in str(err.value)
 
-    @pytest.mark.parametrize("value", ["2.5", "sqrt(2)", "two"])
-    def test_non_integer_d_reports_line(self, tmp_path, value):
+    @pytest.mark.parametrize("value, message", [pytest.param(*case, id=case[0]) for case in [
+        ("2.5", "must be an integer"), ("sqrt(2)", "must be an integer"),
+        ("two", "must be an integer"),
+        # the radicands sqrt(d) rejects, with its messages
+        ("-3", "radicand must be a nonnegative integer, got -3"),
+        ("4", "radicand must be square-free, got 4"),
+        ("99999999999999999999",
+         f"radicand 99999999999999999999 exceeds the limit of {MAX_RADICAND}"),
+    ]] + [pytest.param("2\nd 3", "duplicate 'd' line", id="duplicate")])
+    def test_non_integer_d_reports_line(self, tmp_path, capsys, value, message):
         path = write_spec(tmp_path, f"vars x\ntheta_bar 0\ng x\nd {value}\nV identity\n")
         with pytest.raises(SpecFileError) as err:
             parse_spec(path)
-        assert err.value.line == 4
+        line = 4 + value.count("\n")
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ") and message in str(err.value)
+        if value.isdigit():
+            with pytest.raises(PolyParseError, match=f": {message}$"):
+                parse_polynomial(f"sqrt({value})", [])
         assert main(["analyze", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_restriction_degree_limit(self, tmp_path, capsys):
         # one degree over the limit is rejected at parse time, before any
@@ -196,6 +209,22 @@ class TestParseSpec:
         path = write_spec(tmp_path, "vars x\ntheta_bar 0\ng x\ng x^2\nV identity\n")
         with pytest.raises(SpecFileError):
             parse_spec(path)
+
+
+def spec_to_text(spec) -> str:
+    """Canonical spec-file text; parse_spec(spec_to_text(s)) == s."""
+    lines = ["vars " + " ".join(spec.var_names)]
+    lines.append("theta_bar " + " ".join(t.to_text() for t in spec.theta_bar))
+    for poly in spec.g:
+        lines.append("g " + poly.to_text(spec.var_names))
+    if spec.d is not None:
+        lines.append(f"d {spec.d}")
+    if spec.v_identity:
+        lines.append("V identity")
+    else:
+        for row in spec.v_rows:
+            lines.append("V " + " ".join(v.to_text() for v in row))
+    return "\n".join(lines) + "\n"
 
 
 class TestRoundTrip:
@@ -487,13 +516,10 @@ class TestCommands:
         assert "vhat perturbed:0.3" in capsys.readouterr().out
 
     def test_excess_singular_draws_exit_code(self, monkeypatch, capsys):
-        from waldrates import cli
-        from waldrates.simulate import ExcessiveSingularDrawsError
-
         def boom(*args, **kwargs):
-            raise ExcessiveSingularDrawsError("singular inner matrix on 8.0% of draws")
+            raise simulate.ExcessiveSingularDrawsError("singular inner matrix on 8.0% of draws")
 
-        monkeypatch.setattr(cli, "divergence_experiment", boom)
+        monkeypatch.setattr(simulate, "divergence_experiment", boom)
         code = main(["simulate", str(FIXTURES / "linear_q1.spec"),
                      "--grid", "10,100,1000,10000", "--reps", "200"])
         assert code == EXIT_NUMERICAL

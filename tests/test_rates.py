@@ -36,6 +36,7 @@ from waldrates.rates import (
     Covariance,
     _digits,
     _low_degree,
+    _lowest_on_rays,
     _pack,
     _ray_charpoly,
     _ray_coeffs_at,
@@ -135,16 +136,6 @@ class TestCovariance:
             entries = got.entries
             assert all(entries[i][j] is entries[j][i] or entries[i][j] == entries[j][i]
                        for i in range(p) for j in range(i))
-
-    @pytest.mark.parametrize("L, D", [
-        ([[1, 0], [Fraction(1, 2), 1]], [1, 0]),                # D_k = 0
-        ([[1, 0], [3, 1]], [Fraction(-1, 3), 2]),               # D_k < 0
-        ([[1, 0], [3, 2]], [1, 1]),                             # L_kk != 1
-        ([[1, 1], [0, 1]], [1, 1]),                             # not lower-triangular
-    ])
-    def test_factor_that_certifies_nothing_rejected(self, L, D):
-        with pytest.raises(NonSpdError):
-            Covariance._from_factor(L, D)
 
 
 def _forbidden(*args, **kwargs):
@@ -454,7 +445,8 @@ class TestMinDegreeGeneric:
         best = [INF_DEGREE] * G.rows
         for _ in range(5):
             U = Covariance(_full_ldl_rows(G.cols, rng))
-            best = list(map(min, best, _ray_degrees(G, U, rays, count=1)))
+            best = list(map(min, best, _lowest_on_rays(G, [_ray_ring(G, U, (0,) * G.rows)],
+                                                       rays)))
         assert min_degree_generic(G, samples=5, rng_seed=seed) == tuple(best)
 
     def test_generic_degree_is_lower_bound(self):
@@ -602,7 +594,8 @@ def test_wrong_block_degree_raises_before_any_ray(centered_jacobian):
     rays = _CountingRays()
     with pytest.raises(NegativeTDegreeError,
                        match="^monomial of degree 0 under block scaling 1$"):
-        _ray_degrees(ech.full_matrix, Covariance.identity(4), rays, drops=(1, 1, 2))
+        _lowest_on_rays(ech.full_matrix, [_ray_ring(ech.full_matrix, Covariance.identity(4),
+                                                    (1, 1, 2))], rays)
     assert rays.draws == 0
 
 
@@ -658,7 +651,7 @@ def test_integer_ray_degrees_match_charpoly_on_the_same_ray(case):
     lifted = PolyMatrix([[_lift(e, drop, y) for e in row]
                          for row, drop in zip(G.entries, drops)])
     want = charpoly_coeffs(build_B(lifted, U)).m
-    assert _ray_degrees(G, U, _FixedRay(y), count=1, drops=drops) == want
+    assert _lowest_on_rays(G, [_ray_ring(G, U, drops)], _FixedRay(y)) == want
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -820,7 +813,7 @@ def test_packed_kernel_matches_the_list_kernel_on_the_same_ray(case):
     (K, packed), c = _ray_charpoly(_ray_ring(G, U, drops), y)
     sums, c_want = ray_charpoly(G, U, drops, y)
     assert c == c_want
-    assert _ray_degrees(G, U, _FixedRay(y), count=1, drops=drops) == \
+    assert _lowest_on_rays(G, [_ray_ring(G, U, drops)], _FixedRay(y)) == \
         tuple(s.lowest_degree() for s in sums)
     for t0 in (Fraction(1), Fraction(1, 100)):
         assert _ray_coeffs_at((K, packed), c, t0) == ray_coeffs_at(sums, c_want, t0)
@@ -872,7 +865,7 @@ def test_ray_coefficients_match_sympy_charpoly(name):
     spec = parse_spec(FIXTURES / name)
     G = jacobian(recenter(spec.to_restriction_system()))
     on_ray = PolyMatrix([[_lift(p, 0, y) for p in row] for row in G.entries])
-    got = charpoly_coeffs(build_B(on_ray, spec.to_covariance())).a
+    got = charpoly_coeffs(build_B(on_ray, spec.covariance)).a
     assert len(got) == len(want)
     for a_k, w_k in zip(got, want):
         mine = sum((_sympy_scalar(c) * t**m[0] for m, c in a_k.terms.items()),

@@ -1091,7 +1091,7 @@ class TestSubstreams:
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [cli.main(["analyze", {str(spec)!r}]),
                          cli.main(["rates", "--samples", "2", {str(spec)!r}])]
-            print(codes, [m for m in ("numpy", "waldrates.simulate", "waldrates.verify")
+            print(codes, [m for m in ("numpy", "waldrates.simulate", "waldrates.verify", "json")
                           if m in sys.modules])
             from waldrates import simulate
             names = [n for n in waldrates.__all__
