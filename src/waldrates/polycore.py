@@ -338,7 +338,6 @@ def _fraction_text(x: Fraction) -> str:
 
 ONE = Scalar(1)
 ZERO = Scalar(0)
-_MINUS_ONE = Scalar(-1)
 
 #: A monomial is the tuple of variable exponents (j_1, ..., j_p).
 Monomial = tuple  # tuple[int, ...]
@@ -513,41 +512,16 @@ class MultiPoly:
         out: dict[Monomial, Scalar] = {}
         for mono, c in self.terms.items():
             if e := mono[var]:
-                out[mono[:var] + (e - 1,) + mono[var + 1:]] = _surd(c.a * e, c.b and c.b * e, c.d)
+                a, b = c.a, c.b
+                out[mono[:var] + (e - 1,) + mono[var + 1:]] = _surd(
+                    Fraction(a.numerator * e, a.denominator),
+                    b and Fraction(b.numerator * e, b.denominator), c.d)
         return _trusted_poly(self.nvars, out)
 
     def shift_origin(self, theta_bar: Sequence) -> "MultiPoly":
-        """Return q(u) = p(theta_bar + u), expanded exactly.
-
-        Taylor shift per monomial: c*x^e contributes
-        c * prod_i C(e_i, k_i) * theta_i^(e_i - k_i) to the coefficient of u^k
-        for every k <= e, accumulated in one dict.  The arithmetic runs on
-        plain Fractions when theta_bar and every coefficient are rational.
-        """
-        if len(theta_bar) != self.nvars:
-            raise ValueError(
-                f"shift point has {len(theta_bar)} entries, expected {self.nvars}"
-            )
-        shift = [Scalar.coerce(t) for t in theta_bar]
-        rational = not any(x.b for x in [*shift, *self.terms.values()])
-        if rational:
-            shift = [t.a for t in shift]
-        rows: dict[tuple[int, int], list] = {}  # (i, e) -> [(k, C(e, k) theta_i^(e-k))]
-        out: dict = {}
-        for mono, coeff in self.terms.items():
-            partial = [((), coeff.a if rational else coeff)]
-            for i, e in enumerate(mono):
-                if not e or not shift[i]:  # the one term k = e, factor 1
-                    partial = [(ks + (e,), v) for ks, v in partial]
-                    continue
-                row = rows.get((i, e))
-                if row is None:
-                    row = rows[(i, e)] = [(k, math.comb(e, k) * shift[i] ** (e - k))
-                                          for k in range(e + 1)]
-                partial = [(ks + (k,), v * f) for ks, v in partial for k, f in row]
-            for ks, v in partial:
-                out[ks] = out[ks] + v if ks in out else v
-        return _trusted_poly(self.nvars, {m: Scalar.coerce(v) for m, v in out.items()})
+        """Return q(u) = p(theta_bar + u), expanded exactly (``_shift_origin``
+        on this polynomial alone)."""
+        return _shift_origin([self], theta_bar)[0]
 
     def homogeneous_component(self, degree: int) -> "MultiPoly":
         """Sum of all terms of exactly the given total degree."""
@@ -575,12 +549,14 @@ class MultiPoly:
             return "0"
         pieces: list[str] = []
         for mono, coeff in self.sorted_terms():
+            vars_part = "*".join(name if e == 1 else f"{name}^{e}"
+                                 for name, e in zip(var_names, mono) if e)
             # a + b*sqrt(d) splits into a rational term and a surd term
-            parts = [_rational(coeff.a)] if coeff.a else []
+            if coeff.a:
+                pieces.append(_term_text(_fraction_text(coeff.a), vars_part))
             if coeff.b:
-                parts.append(_surd(_FRACTION_ZERO, coeff.b, coeff.d))
-            for part in parts:
-                pieces.append(_term_text(part, mono, var_names))
+                pieces.append(_term_text(_surd(_FRACTION_ZERO, coeff.b, coeff.d).to_text(),
+                                         vars_part))
         text = pieces[0]
         for piece in pieces[1:]:
             if piece.startswith("-"):
@@ -644,6 +620,66 @@ def _over(num_a: int, num_b: int, d: int, den: int) -> Scalar:
     return _rational(Fraction(num_a, den))
 
 
+def _shift_origin(polys: Sequence[MultiPoly], theta_bar: Sequence) -> list[MultiPoly]:
+    """Each p(theta_bar + u) of a system, expanded exactly in integers.
+
+    Each polynomial is held as numerators over one denominator: ints, or
+    elements of Z[sqrt(d)] for the one radicand d of the system and the
+    shift.  The shift moves one variable at a time.  With theta_i = n/D and E
+    the top exponent of x_i in the polynomial, c*x_i^e becomes
+    sum_k c*C(e, k)*n^(e-k)*D^(E-e+k) * u_i^k over a denominator D^E times
+    larger, and terms that cancel drop before the next variable.  The weight
+    rows are built once per (i, E) for the whole system, and each output
+    coefficient becomes a Fraction once, at the end.
+    """
+    for poly in polys:
+        if len(theta_bar) != poly.nvars:
+            raise ValueError(f"shift point has {len(theta_bar)} entries, expected {poly.nvars}")
+    shift = [Scalar.coerce(t) for t in theta_bar]
+    d = _one_radicand({x.d for x in shift if x.d}
+                      | {c.d for poly in polys for c in poly.terms.values() if c.d})
+    moving = []  # (i, n, D) with theta_i = n/D
+    for i, t in enumerate(shift):
+        if t:
+            D = math.lcm(t.a.denominator, t.b.denominator)
+            moving.append((i, _zsqrt(_scaled(t.a, D), _scaled(t.b, D), d), D))
+    weights: dict[tuple[int, int], list] = {}  # (i, E) -> rows[e][k]
+    out = []
+    for poly in polys:
+        den = math.lcm(*(f.denominator for c in poly.terms.values() for f in (c.a, c.b)))
+        terms = {m: _zsqrt(_scaled(c.a, den), _scaled(c.b, den), d)
+                 for m, c in poly.terms.items()}
+        for i, n, D in moving:
+            top = max((m[i] for m in terms), default=0)
+            if not top:
+                continue
+            rows = weights.get((i, top))
+            if rows is None:
+                powers = [_zsqrt(1, 0, d)]  # n^j
+                for _ in range(top):
+                    powers.append(powers[-1] * n)
+                rows = weights[(i, top)] = [
+                    [_zsqrt(math.comb(e, k) * D ** (top - e + k), 0, d) * powers[e - k]
+                     for k in range(e + 1)] for e in range(top + 1)]
+            lead = rows[0][0]  # D^E, the weight of a term free of x_i
+            shifted: dict = {}
+            for m, c in terms.items():
+                if e := m[i]:
+                    head, tail = m[:i], m[i + 1:]
+                    for k, w in enumerate(rows[e]):
+                        key = head + (k,) + tail
+                        v = c * w
+                        shifted[key] = shifted[key] + v if key in shifted else v
+                else:
+                    v = c * lead
+                    shifted[m] = shifted[m] + v if m in shifted else v
+            terms = {m: c for m, c in shifted.items() if c}
+            den *= D ** top
+        out.append(_trusted_poly(poly.nvars, {
+            m: _over(c.a, c.b, d, den) if d else _over(c, 0, 0, den) for m, c in terms.items()}))
+    return out
+
+
 def _trusted_poly(nvars: int, terms: dict) -> MultiPoly:
     """A MultiPoly from terms that internal arithmetic built: monomials are
     already tuples of nvars ints and coefficients already Scalars, so only the
@@ -654,19 +690,14 @@ def _trusted_poly(nvars: int, terms: dict) -> MultiPoly:
     return out
 
 
-def _term_text(coeff: Scalar, mono: Monomial, var_names: Sequence[str]) -> str:
-    vars_part = "*".join(
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(var_names, mono)
-        if e > 0
-    )
+def _term_text(coeff: str, vars_part: str) -> str:
+    """One term from its coefficient's text; a coefficient 1 or -1 before
+    variables is written as its sign alone."""
     if not vars_part:
-        return coeff.to_text()
-    if coeff == ONE:
-        return vars_part
-    if coeff == _MINUS_ONE:
-        return "-" + vars_part
-    return f"{coeff.to_text()}*{vars_part}"
+        return coeff
+    if coeff in ("1", "-1"):
+        return coeff[:-1] + vars_part
+    return f"{coeff}*{vars_part}"
 
 
 # ---------------------------------------------------------------------------

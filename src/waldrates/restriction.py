@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .polycore import (INF_DEGREE, ONE, ZERO, MultiPoly, Scalar, _evaluate_ints, _grlex_key,
-                       _one_radicand, _over, _scaled, _zsqrt)
+                       _one_radicand, _over, _scaled, _shift_origin, _zsqrt)
 
 
 class NullViolatedError(ValueError):
@@ -168,7 +168,7 @@ def recenter(sys: RestrictionSystem) -> RestrictionSystem:
     """Rewrite the system in deviation coordinates u = theta - theta_bar; the
     null residual g_i(theta_bar) is read off as the shifted g_i's constant term."""
     at_origin = all(t.is_zero() for t in sys.theta_bar)
-    shifted = sys.g if at_origin else tuple(poly.shift_origin(sys.theta_bar) for poly in sys.g)
+    shifted = sys.g if at_origin else tuple(_shift_origin(sys.g, sys.theta_bar))
     residuals = [poly.terms.get((0,) * sys.p, ZERO) for poly in shifted]
     bad = [i for i, r in enumerate(residuals) if not r.is_zero()]
     if bad:

@@ -9,7 +9,9 @@ principal minors, one coefficient at a time.  It evaluates g and G by a plan
 of their nonzero terms; ``DenseSystem`` is the loop it replaced, every
 coefficient over every monomial.  It parses the polynomial grammar in one
 pass over the text; ``reference_parse_polynomial`` is the parser it replaced,
-which tokenizes the whole text first and then descends a token list.
+which tokenizes the whole text first and then descends a token list.  It
+renders a polynomial's rational parts straight from their Fractions;
+``reference_to_text`` is the renderer it replaced, a Scalar per part.
 """
 
 import itertools
@@ -407,3 +409,41 @@ def reference_parse_polynomial(text: str, var_names: Sequence[str], line: int = 
         parser.next()
         sign = -1 if tok[1] == "-" else 1
 
+
+def reference_to_text(p: MultiPoly, var_names: Sequence[str]) -> str:
+    """The polynomial grammar's text of p, each part of a coefficient built as
+    a Scalar, compared with 1 and -1 and rendered by ``Scalar.to_text``."""
+    if len(var_names) != p.nvars:
+        raise ValueError("var_names length must equal nvars")
+    if not p.terms:
+        return "0"
+    pieces: list[str] = []
+    for mono, coeff in p.sorted_terms():
+        # a + b*sqrt(d) splits into a rational term and a surd term
+        parts = [_rational(coeff.a)] if coeff.a else []
+        if coeff.b:
+            parts.append(_surd(Fraction(0), coeff.b, coeff.d))
+        for part in parts:
+            pieces.append(_reference_term_text(part, mono, var_names))
+    text = pieces[0]
+    for piece in pieces[1:]:
+        if piece.startswith("-"):
+            text += " - " + piece[1:]
+        else:
+            text += " + " + piece
+    return text
+
+
+def _reference_term_text(coeff: Scalar, mono: Monomial, var_names: Sequence[str]) -> str:
+    vars_part = "*".join(
+        name if e == 1 else f"{name}^{e}"
+        for name, e in zip(var_names, mono)
+        if e > 0
+    )
+    if not vars_part:
+        return coeff.to_text()
+    if coeff == ONE:
+        return vars_part
+    if coeff == Scalar(-1):
+        return "-" + vars_part
+    return f"{coeff.to_text()}*{vars_part}"

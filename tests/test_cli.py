@@ -163,6 +163,9 @@ class TestParseSpec:
                                         f"g {monomial}\nV identity\n", name="limit.spec")
         assert 2 ** 12 == MAX_SHIFT_TERMS
         assert parse_spec(at_limit).g[0].total_degree() == 13
+        # the largest shift a spec may ask for runs through both symbolic commands
+        assert main(["analyze", at_limit]) == EXIT_OK
+        assert main(["rates", at_limit]) == EXIT_OK
 
     @pytest.mark.parametrize("line, text", [
         (2, "vars x y\ntheta_bar {big} 0\ng x*y\nV identity\n"),

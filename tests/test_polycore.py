@@ -21,7 +21,7 @@ from waldrates.polycore import (
 )
 from waldrates.restriction import PolyMatrix, poly_rank
 
-from oracle import reference_parse_polynomial, scalar_mat_rank
+from oracle import reference_parse_polynomial, reference_to_text, scalar_mat_rank
 
 V4 = ["x", "y", "z", "w"]
 
@@ -184,6 +184,23 @@ class TestShiftOrigin:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             poly("x").shift_origin([1, 2])
+
+    def test_one_radicand_per_system(self):
+        sqrt3 = Scalar(0, 1, 3)
+        with pytest.raises(FieldMismatchError):
+            poly("sqrt(2)*x").shift_origin([sqrt3, 0, 0, 0])
+        # the radicand is the system's, even where no product would mix them
+        with pytest.raises(FieldMismatchError):
+            polycore._shift_origin([poly("sqrt(2)*y"), poly("x")], [sqrt3, 0, 0, 0])
+
+    def test_system_with_different_top_exponents(self):
+        # x's top exponent is 3, 1 and 2 in turn, and theta_x = 1/2 scales each
+        # weight row by its own power of 2
+        ps = [poly("x^3 - 2*x*y^2 + 1/3"), poly("5*x"), poly("2/3*x^2*y - y + 1"), poly("0")]
+        theta = [Fraction(1, 2), Fraction(-2, 3), 0, 0]
+        shifted = [q.terms for q in polycore._shift_origin(ps, theta)]
+        assert shifted == [_shift_by_powers(p, theta).terms for p in ps]
+        assert shifted[1] == poly("5/2 + 5*x").terms
 
 
 def _lowest_part(p):
@@ -645,9 +662,15 @@ def _shift_by_powers(p, theta):
 
 
 @settings(max_examples=200, deadline=None)
-@given(polys(coeffs=q_sqrt2_st, max_deg=5), st.lists(q_sqrt2_st, min_size=3, max_size=3))
-def test_shift_origin_matches_product_of_powers(p, theta):
-    assert p.shift_origin(theta).terms == _shift_by_powers(p, theta).terms
+@given(st.sampled_from((fractions_st, q_sqrt2_st)).flatmap(
+    lambda coeffs: st.tuples(st.lists(polys(coeffs=coeffs, max_deg=5), min_size=1, max_size=3),
+                             st.lists(st.one_of(st.just(0), coeffs), min_size=3, max_size=3))))
+def test_shift_origin_matches_product_of_powers(system):
+    # one shift of the whole system, each polynomial's top exponents its own
+    ps, theta = system
+    shifted = [q.terms for q in polycore._shift_origin(ps, theta)]
+    assert shifted == [p.shift_origin(theta).terms for p in ps]
+    assert shifted == [_shift_by_powers(p, theta).terms for p in ps]
 
 
 def _fraction_reference(p, point):
@@ -684,6 +707,22 @@ def test_to_text_round_trips_with_surds(p):
     # a + b*sqrt(2) renders as two terms; unit and minus-unit parts drop the 1
     names = ["x", "y", "z"]
     assert parse_polynomial(p.to_text(names), names) == p
+
+
+_text_parts_st = st.one_of(st.sampled_from((0, 1, -1)), fractions_st,
+                          st.integers(2, 12).map(lambda k: Fraction(1, k)),
+                          st.integers(2, 12).map(lambda k: Fraction(-1, k)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda d: st.one_of(*(
+    polys(nvars=nvars, max_deg=3, coeffs=st.builds(Scalar, _text_parts_st, _text_parts_st,
+                                                   st.just(d)))
+    for nvars in (0, 1, 3)))))
+def test_to_text_matches_reference(p):
+    # coefficients +-1, +-sqrt(d), a = 0, 1/k and constants
+    names = ["x", "y", "z"][:p.nvars]
+    assert p.to_text(names) == reference_to_text(p, names)
 
 
 def test_rational_to_text_builds_no_scalar():
