@@ -43,7 +43,6 @@ from .polycore import (
     MultiPoly,
     PolyParseError,
     Scalar,
-    _fraction_text,
     _is_variable_name,
     parse_polynomial,
     parse_scalar,
@@ -56,6 +55,7 @@ from .rates import (
     rate_report,
 )
 from .restriction import (
+    RANK_POINTS,
     FraldVerdict,
     NullViolatedError,
     RankDeficientError,
@@ -260,8 +260,8 @@ def parse_spec(path: str | Path) -> SpecFile:
 
 def scalar_to_json(value: Scalar):
     if value.is_rational():
-        return _fraction_text(value.a)
-    return {"a": _fraction_text(value.a), "b": _fraction_text(value.b), "d": value.d}
+        return str(value.a)
+    return {"a": str(value.a), "b": str(value.b), "d": value.d}
 
 
 def _degree_json(m):
@@ -361,11 +361,11 @@ def _blocks_text(blocks) -> str:
 def cmd_analyze(args) -> int:
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
-    verdict = frald_check(system, trials=args.trials, rng=random.Random(args.seed))
+    verdict = frald_check(system, rng=random.Random(args.seed))
     ech = verdict.echelon
     q = system.q
     print(f"system: {q} restrictions in {system.p} parameters "
-          f"(seed {args.seed}, rank trials {args.trials})")
+          f"(seed {args.seed}, rank trials {RANK_POINTS})")
     print("echelon transformation S (rows):")
     for row in ech.S:
         print("  [" + ", ".join(v.to_text() for v in row) + "]")
@@ -389,7 +389,7 @@ def cmd_rates(args) -> int:
     spec = parse_spec(args.spec)
     system = spec.to_restriction_system()
     U = spec.covariance
-    report = rate_report(system, U, trials=args.trials, rng=random.Random(args.seed))
+    report = rate_report(system, U, rng=random.Random(args.seed))
     q = system.q
     m_text = ", ".join(f"m_{k + 1} = {_degree_json(m)}" for k, m in enumerate(report.char_m))
     print(f"minimal degrees at V: {m_text}")
@@ -450,7 +450,7 @@ def cmd_simulate(args) -> int:
     vhat_mode, vhat_scale = _parse_vhat(args.vhat)
     theta_bar = np.array([float(t) for t in spec.theta_bar])
     model = EstimatorModel(theta_bar, U.to_float(), vhat_mode, vhat_scale)
-    report = rate_report(system, U, trials=args.trials, rng=random.Random(args.seed))
+    report = rate_report(system, U, rng=random.Random(args.seed))
     res = divergence_experiment(system, model, grid, args.reps, args.seed, report=report)
     print(f"grid {grid}, reps {args.reps}, seed {args.seed}, vhat {args.vhat}")
     for T, med in zip(res.t_grid, res.median_wald):
@@ -508,23 +508,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_NUMERICAL
 
 
-def _int_at_least(minimum: int, word: str):
-    """argparse type of an integer option that is checked before any work."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-            if value >= minimum:
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {word} integer, got {text!r}")
-
-    return parse
-
-
-_non_negative_int = _int_at_least(0, "a non-negative")  # --seed, --samples
-_positive_int = _int_at_least(1, "a positive")          # --trials
+def _non_negative_int(text: str) -> int:
+    """argparse type of --seed and --samples, checked before any work."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,10 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-module consistency checks")
     common(p_verify)
-
-    for p in (p_analyze, p_rates, p_sim):  # verify tests no polynomial rank
-        p.add_argument("--trials", type=_positive_int, default=3,
-                       help="at most this many random points for polynomial rank testing")
 
     return parser
 

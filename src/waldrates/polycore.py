@@ -226,13 +226,13 @@ class Scalar:
         """Render in the scalar grammar, e.g. ``7/10*sqrt(2)``, ``1-sqrt(2)``
         or ``-1/3``; a unit surd coefficient is written without ``1*``."""
         if self.b == 0:
-            return _fraction_text(self.a)
-        coeff = {1: "", -1: "-"}.get(self.b, f"{_fraction_text(self.b)}*")
+            return str(self.a)
+        coeff = {1: "", -1: "-"}.get(self.b, f"{self.b}*")
         surd = f"{coeff}sqrt({self.d})"
         if self.a == 0:
             return surd
         sep = "+" if self.b > 0 else ""
-        return f"{_fraction_text(self.a)}{sep}{surd}"
+        return f"{self.a}{sep}{surd}"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -330,10 +330,6 @@ class _ZSqrt:
 def _zsqrt(a: int, b: int, d: int):
     """a + b*sqrt(d) as an int when d = 0, else as a _ZSqrt."""
     return _ZSqrt(a, b, d) if d else a
-
-
-def _fraction_text(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 ONE = Scalar(1)
@@ -553,7 +549,7 @@ class MultiPoly:
                                  for name, e in zip(var_names, mono) if e)
             # a + b*sqrt(d) splits into a rational term and a surd term
             if coeff.a:
-                pieces.append(_term_text(_fraction_text(coeff.a), vars_part))
+                pieces.append(_term_text(str(coeff.a), vars_part))
             if coeff.b:
                 pieces.append(_term_text(_surd(_FRACTION_ZERO, coeff.b, coeff.d).to_text(),
                                          vars_part))
@@ -572,16 +568,30 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {dict(self.sorted_terms())!r})"
 
 
+def _integer_terms(grid: Sequence[Sequence[MultiPoly]]) -> tuple[int, int, list]:
+    """A grid of polynomials' coefficients read into ints once: (d, c, terms)
+    with d the grid's one radicand (0 for none), c the lcm of its
+    denominators, and each entry's terms a + b*sqrt(d) at x^e as
+    (e, c*a, c*b), row by row."""
+    coeffs = [[p.terms.items() for p in row] for row in grid]
+    d = _one_radicand({v.d for row in coeffs for terms in row for _, v in terms if v.d})
+    c = math.lcm(*(x.denominator for row in coeffs for terms in row
+                   for _, v in terms for x in (v.a, v.b)))
+    return d, c, [[[(mono, _scaled(v.a, c), _scaled(v.b, c)) for mono, v in terms]
+                   for terms in row] for row in coeffs]
+
+
 def _evaluate_ints(polys: Sequence[MultiPoly], point: Sequence) -> tuple[list, int]:
     """Exact values of polys at one rational point of ints, Fractions or
     rational Scalars, as integer numerators over one denominator: a list of
-    (A, B, d), one per polynomial, whose value is (A + B*sqrt(d)) / den.
+    (A, B, d), one per polynomial, whose value is (A + B*sqrt(d)) / den for
+    the polys' one radicand d.
 
     At x_i = n_i/d_i the sums run in ints: with E_i the largest exponent of
     variable i in any of the polys, each monomial is prod n_i^e_i *
-    d_i^(E_i - e_i) over D = prod d_i^E_i, and the coefficients are taken over
-    the lcm L of all their denominators, so den = L*D.  One set of power
-    tables and one lcm serve every polynomial.
+    d_i^(E_i - e_i) over D = prod d_i^E_i, and the coefficients are read over
+    the lcm L of all their denominators (``_integer_terms``), so den = L*D.
+    One set of power tables and one lcm serve every polynomial.
     """
     for poly in polys:
         if len(point) != poly.nvars:
@@ -589,27 +599,21 @@ def _evaluate_ints(polys: Sequence[MultiPoly], point: Sequence) -> tuple[list, i
     pt = [Scalar.coerce(x) for x in point]
     if any(x.b for x in pt):
         raise ValueError("evaluation points must be rational")
+    d, lcm, (int_terms,) = _integer_terms([polys])
     top = [max(exps) for exps in zip(*(m for poly in polys for m in poly.terms))]  # E_i
     tables = [[x.a.numerator**e * x.a.denominator ** (top_e - e) for e in range(top_e + 1)]
               for x, top_e in zip(pt, top)]  # tables[i][e] = n_i^e d_i^(E_i - e)
     den = math.prod(row[0] for row in tables)
-    lcm = math.lcm(*(f.denominator for poly in polys for c in poly.terms.values()
-                     for f in (c.a, c.b)))
     values = []
-    for poly in polys:
-        num_a = num_b = radicand = 0
-        for mono, coeff in poly.terms.items():
+    for terms in int_terms:
+        num_a = num_b = 0
+        for mono, ca, cb in terms:
             m = 1
             for row, e in zip(tables, mono):
                 m *= row[e]
-            num_a += coeff.a.numerator * (lcm // coeff.a.denominator) * m
-            if coeff.b:
-                if radicand not in (0, coeff.d):
-                    raise FieldMismatchError(
-                        f"cannot mix sqrt({radicand}) and sqrt({coeff.d}) coefficients")
-                radicand = coeff.d
-                num_b += coeff.b.numerator * (lcm // coeff.b.denominator) * m
-        values.append((num_a, num_b, radicand))
+            num_a += ca * m
+            num_b += cb * m
+        values.append((num_a, num_b, d))
     return values, lcm * den
 
 

@@ -38,9 +38,9 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .polycore import (INF_DEGREE, MultiPoly, Scalar, _one_radicand, _rational, _scaled,
-                       _surd, _ZSqrt, _zsqrt)
-from .restriction import EchelonForm, PolyMatrix, RestrictionSystem, _integer_terms, frald_check
+from .polycore import (INF_DEGREE, MultiPoly, Scalar, _integer_terms, _one_radicand, _rational,
+                       _scaled, _surd, _ZSqrt, _zsqrt)
+from .restriction import EchelonForm, PolyMatrix, RestrictionSystem, frald_check
 
 #: The specification limit on the number of restrictions.  ``_ray_g_half``
 #: enforces it on every report path; ``charpoly_coeffs``, the tests'
@@ -364,11 +364,11 @@ def _berkowitz(B: Sequence[Sequence], zero, one) -> list:
 
 
 def _ray_g_half(G: PolyMatrix, drops: Sequence[int]) -> tuple:
-    """What every ray of G shares whatever U: (G's columns and radicands, c_G,
-    each term a + b*sqrt(d) at x^e of row i of G as (|e| - drops[i], e, c_G*a,
-    c_G*b)), with c_G the lcm of G's denominators."""
+    """What every ray of G shares whatever U: (G's columns, d_G, c_G, each term
+    a + b*sqrt(d) at x^e of row i of G as (|e| - drops[i], e, c_G*a, c_G*b)),
+    with d_G and c_G G's radicand (0 for none) and lcm of denominators."""
     _check_q(G.rows)
-    radicands, c_g, int_terms = _integer_terms(G)
+    d_g, c_g, int_terms = _integer_terms(G.entries)
     g_terms = []
     for row, drop in zip(int_terms, drops):
         low = next((sum(m) for terms in row for m, _, _ in terms if sum(m) < drop), None)
@@ -376,7 +376,7 @@ def _ray_g_half(G: PolyMatrix, drops: Sequence[int]) -> tuple:
             raise NegativeTDegreeError(f"monomial of degree {low} under block scaling {drop}")
         g_terms.append([[(sum(mono) - drop, mono, a, b) for mono, a, b in terms]
                         for terms in row])
-    return G.cols, radicands, c_g, g_terms
+    return G.cols, d_g, c_g, g_terms
 
 
 def _ray_u_half(g_half: tuple, U: Covariance) -> tuple:
@@ -384,10 +384,10 @@ def _ray_u_half(g_half: tuple, U: Covariance) -> tuple:
     terms, the columns of c_U * U as ints or _ZSqrt, mu, c = c_G^2 c_U), with
     d the one radicand, c_U the lcm of U's denominators, s = isqrt(d) + 1 and
     mu the largest N(a + b sqrt(d)) = |a| + s|b| over the entries of c_U * U."""
-    cols, radicands, c_g, g_terms = g_half
+    cols, d_g, c_g, g_terms = g_half
     if cols != U.p:
         raise ValueError(f"G has {cols} columns but U is {U.p} x {U.p}")
-    d = _one_radicand(radicands | {v.d for row in U.entries for v in row if v.d})
+    d = _one_radicand({d_g} - {0} | {v.d for row in U.entries for v in row if v.d})
     s = math.isqrt(d) + 1
     u_a, u_b, c_u = U.int_parts()
     # U is symmetric, so its rows are its columns
@@ -530,10 +530,10 @@ class RateReport:
         return self.beta_bar > 0
 
 
-def rate_report(sys: RestrictionSystem, U: Covariance, trials: int = 3,
+def rate_report(sys: RestrictionSystem, U: Covariance,
                 rng: random.Random | None = None) -> RateReport:
     """Full pipeline: FRALD check, grading exponents, beta recursion."""
-    verdict = frald_check(sys, trials=trials, rng=rng)
+    verdict = frald_check(sys, rng=rng)
     ech = verdict.echelon
     r, q = verdict.rank_r, sys.q
 

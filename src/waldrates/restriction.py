@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .polycore import (INF_DEGREE, ONE, ZERO, MultiPoly, Scalar, _evaluate_ints, _grlex_key,
-                       _one_radicand, _over, _scaled, _shift_origin, _zsqrt)
+                       _integer_terms, _over, _shift_origin, _zsqrt)
 
 
 class NullViolatedError(ValueError):
@@ -29,6 +29,9 @@ ScalarMatrix = tuple  # tuple[tuple[Scalar, ...], ...]
 #: poly_rank's point coordinates are integers y_i with |y_i| <= RANK_POINT_RANGE;
 #: a point misses the rank with probability at most deg / (2 * RANK_POINT_RANGE + 1).
 RANK_POINT_RANGE = 10**6
+
+#: Random points per rank test; the maximum rank over them is reported.
+RANK_POINTS = 3
 
 
 def _bareiss_rank(grid: list, one) -> int:
@@ -293,18 +296,6 @@ def echelonize(G: PolyMatrix) -> EchelonForm:
     )
 
 
-def _integer_terms(M: PolyMatrix) -> tuple[set, int, list]:
-    """M's coefficients read into ints once: (M's radicands, c the lcm of its
-    denominators, each entry's terms a + b*sqrt(d) at x^e as (e, c*a, c*b),
-    row by row)."""
-    coeffs = [[p.terms.items() for p in row] for row in M.entries]
-    radicands = {v.d for row in coeffs for terms in row for _, v in terms if v.d}
-    c = math.lcm(*(x.denominator for row in coeffs for terms in row
-                   for _, v in terms for x in (v.a, v.b)))
-    return radicands, c, [[[(mono, _scaled(v.a, c), _scaled(v.b, c)) for mono, v in terms]
-                           for terms in row] for row in coeffs]
-
-
 def _at_point(terms: list, y: Sequence[int], d: int):
     """The entry sum (A + sqrt(d) B) y^e over its integer terms (e, A, B)."""
     a = b = 0
@@ -315,7 +306,7 @@ def _at_point(terms: list, y: Sequence[int], d: int):
     return _zsqrt(a, b, d)
 
 
-def poly_rank(M: PolyMatrix, trials: int = 3, rng: random.Random | None = None) -> int:
+def poly_rank(M: PolyMatrix, trials: int = RANK_POINTS, rng: random.Random | None = None) -> int:
     """Probabilistic rank of a polynomial matrix.
 
     Evaluates at up to ``trials`` random integer points (coordinates uniform
@@ -331,8 +322,7 @@ def poly_rank(M: PolyMatrix, trials: int = 3, rng: random.Random | None = None) 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(0) if rng is None else rng
-    radicands, _, terms = _integer_terms(M)
-    d = _one_radicand(radicands)
+    d, _, terms = _integer_terms(M.entries)
     best = 0
     for _ in range(trials):
         y = [rng.randint(-RANK_POINT_RANGE, RANK_POINT_RANGE) for _ in range(M.nvars)]
@@ -353,13 +343,13 @@ class FraldVerdict:
     jacobian: PolyMatrix  # G of the recentered system, before echelonization
 
 
-def frald_check(sys: RestrictionSystem, trials: int = 3,
-                rng: random.Random | None = None) -> FraldVerdict:
-    """Recenter, differentiate, echelonize, and rank the lowest-degree matrix."""
+def frald_check(sys: RestrictionSystem, rng: random.Random | None = None) -> FraldVerdict:
+    """Recenter, differentiate, echelonize, and rank the lowest-degree matrix
+    at up to RANK_POINTS random points."""
     centered = recenter(sys)
     G = jacobian(centered)
     ech = echelonize(G)
-    r = poly_rank(ech.low_matrix, trials=trials, rng=rng)
+    r = poly_rank(ech.low_matrix, rng=rng)
     return FraldVerdict(rank_r=r, frald_t_holds=(r == sys.q), echelon=ech,
                         jacobian=G)
 

@@ -189,8 +189,8 @@ def ray_charpoly(G, U, drops, y) -> tuple[list, int]:
     """Principal-minor sums e_1..e_q of c * B(t) on the ray x = t*y, row i of
     G divided by t^{drops[i]}, as RayPoly entries, and the scale c = c_G^2 c_U,
     so that a_k(B(t)) = (-1)^k e_k(t) / c^k."""
-    _, radicands, c_g, g_terms = _ray_g_half(G, drops)
-    d = _one_radicand(radicands | {v.d for row in U.entries for v in row if v.d})
+    _, d_g, c_g, g_terms = _ray_g_half(G, drops)
+    d = _one_radicand({d_g} - {0} | {v.d for row in U.entries for v in row if v.d})
     c_u = math.lcm(*(x.denominator for row in U.entries for v in row for x in (v.a, v.b)))
     u_cols = [[RayPoly(_trim([_scaled(v.a, c_u)]), _trim([_scaled(v.b, c_u)]), d)
                for v in col] for col in zip(*U.entries)]

@@ -299,3 +299,14 @@ def test_criterion_8_vanishing_rates(pp_system):
                 + " > ".join(f"{v:.3e}" for v in scaled)
                 + f"; generic ratio {g3[-1] / g3[-2]:.3f} in [0.5, 2]")
     assert ok
+
+
+def test_readme_example_prints_what_it_says(capsys):
+    # the Python example in README.md, run as written; each print line ends
+    # in a comment that gives its output
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    code = text.split("### Example\n\n```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.split("# ")[-1] for line in code.splitlines() if line.startswith("print(")]
+    assert comments == ["False 2", "1", "1.0"]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == comments

@@ -1,6 +1,7 @@
 """Spec-file parsing, report serialisation, exit codes, and CLI pipelines."""
 
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -29,8 +30,9 @@ from waldrates.cli import (
 )
 from waldrates.polycore import (MAX_LITERAL_DIGITS, MAX_RADICAND, MultiPoly, PolyParseError,
                                 Scalar, _zsqrt, parse_polynomial)
-from waldrates.rates import Covariance, NonSpdError, _parts, _ray_coeffs_at
-from waldrates.restriction import PolyMatrix, RestrictionSystem, jacobian, recenter
+from waldrates.rates import Covariance, NonSpdError, _parts, _ray_coeffs_at, rate_report
+from waldrates.restriction import (RANK_POINTS, PolyMatrix, RestrictionSystem, frald_check,
+                                   jacobian, recenter)
 from waldrates.simulate import vanishing_rate_experiment
 from waldrates.systems import product_pairs_system, surd_covariance
 
@@ -590,6 +592,9 @@ class TestCommands:
         ("rates", ["--trials", "-3"]),
         ("simulate", ["--grid", "0,1,2,3"]),
         ("verify", ["--trials", "3"]),
+        ("analyze", ["--trials", "3"]),
+        ("rates", ["--trials", "3"]),
+        ("simulate", ["--trials", "3"]),
     ])
     def test_bad_option_rejected_before_any_work(self, command, options,
                                                  monkeypatch, capsys):
@@ -606,6 +611,20 @@ class TestCommands:
             code = exc.code
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().out == ""
+
+    def test_rank_point_count_is_a_constant(self, capsys):
+        # the rank test draws at most RANK_POINTS points, and no option or
+        # parameter of the pipeline sets it (--trials exits 2 above)
+        assert RANK_POINTS == 3
+        assert main(["analyze", str(FIXTURES / "product_pairs.spec")]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(
+            "system: 3 restrictions in 4 parameters (seed 42, rank trials 3)\n")
+        assert list(inspect.signature(frald_check).parameters) == ["sys", "rng"]
+        assert list(inspect.signature(rate_report).parameters) == ["sys", "U", "rng"]
+        with pytest.raises(TypeError):
+            frald_check(product_pairs_system(), trials=3)
+        with pytest.raises(TypeError):
+            rate_report(product_pairs_system(), Covariance.identity(4), trials=3)
 
 
 class TestSurdRank:

@@ -251,6 +251,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="rational"):
             poly("x*y").evaluate([Scalar(0, 1, 2), 1, 0, 0])
 
+    def test_two_radicands_in_one_grid_rejected(self):
+        # the grid is read over one radicand, so sqrt(2) and sqrt(3) entries
+        # do not each keep their own
+        M = PolyMatrix([[poly("sqrt(2)*x + y"), poly("sqrt(3)*y")]])
+        for evaluate in (M.evaluate, M.evaluate_ints):
+            with pytest.raises(FieldMismatchError, match=r"sqrt\(2\) and sqrt\(3\)"):
+                evaluate([1, 2, 0, 0])
+
 
 class TestHomogeneousComponent:
     def test_degree_one(self):
@@ -699,6 +707,40 @@ def test_exact_evaluate_matches_fraction_reference(p, point):
     out, ref = p.evaluate(point), _fraction_reference(p, point)
     assert (out.a, out.b, out.d) == (ref.a, ref.b, ref.d)
     assert type(out.a) is Fraction and type(out.b) is Fraction
+
+
+@st.composite
+def poly_grids(draw):
+    """A 1-3 x 1-3 grid of polynomials in 3 variables over Q or Q(sqrt(2))."""
+    coeffs = draw(st.sampled_from((fractions_st, q_sqrt2_st)))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return [[draw(polys(coeffs=coeffs)) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_grids(), st.lists(rational_coords_st, min_size=3, max_size=3))
+def test_integer_terms_read_the_grid_over_one_denominator(grid, point):
+    d, c, terms = polycore._integer_terms(grid)
+    coeffs = [v for row in grid for p in row for v in p.terms.values()]
+    assert d == (2 if any(v.b for v in coeffs) else 0)
+
+    def read(v):  # c * (a + b*sqrt(d)) as a pair of ints, via Fractions
+        a, b = c * v.a, c * v.b
+        assert a.denominator == b.denominator == 1
+        return a.numerator, b.numerator
+
+    assert terms == [[[(mono, *read(v)) for mono, v in p.terms.items()] for p in row]
+                     for row in grid]
+    # c is the least such multiplier: c/k is not one for any prime k | c (the
+    # denominators are at most 9)
+    assert all(any((c // k * x).denominator != 1 for v in coeffs for x in (v.a, v.b))
+               for k in (2, 3, 5, 7) if c % k == 0)
+    # the whole grid over one denominator, entry by entry as each alone
+    flat = [p for row in grid for p in row]
+    values, den = polycore._evaluate_ints(flat, point)
+    assert all(vd == d for _, _, vd in values)
+    got = [polycore._over(a, b, vd, den) for a, b, vd in values]
+    assert got == [p.evaluate(point) for p in flat] == [_fraction_reference(p, point) for p in flat]
 
 
 @settings(max_examples=200, deadline=None)
