@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .polycore import (
+    FieldMismatchError,
     MultiPoly,
     PolyParseError,
     Scalar,
@@ -212,6 +213,8 @@ def parse_spec(path: str | Path) -> SpecFile:
                     raise SpecFileError(str(exc), lineno) from None
         except PolyParseError as exc:  # its column counts from the start of the line
             raise SpecFileError(f"column {exc.col}: {exc.message}", lineno) from exc
+        except FieldMismatchError as exc:
+            raise SpecFileError(str(exc), lineno) from exc
     if theta_bar is None:
         raise SpecFileError("missing 'theta_bar' line", vars_line)
     if not g_list:
@@ -423,8 +426,6 @@ def cmd_rates(args) -> int:
 def _parse_vhat(text: str) -> tuple[str, float]:
     if text == "exact":
         return "exact", 0.0
-    if text == "perturbed":
-        return "perturbed", 0.5
     mode, _, scale = text.partition(":")
     if mode == "perturbed":
         try:

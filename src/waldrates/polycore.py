@@ -165,18 +165,6 @@ class Scalar:
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("scalar powers must be nonnegative integers")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:

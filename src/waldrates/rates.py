@@ -280,10 +280,6 @@ class CharPolyCoeffs:
     a: tuple[MultiPoly, ...]
     m: tuple  # int or INF_DEGREE per coefficient
 
-    @property
-    def q(self) -> int:
-        return len(self.a)
-
 
 def charpoly_coeffs(B: PolyMatrix) -> CharPolyCoeffs:
     """Exact characteristic-polynomial coefficients via principal minors."""
@@ -519,7 +515,6 @@ class RateReport:
     gamma: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
     beta_bar: Fraction
-    block_degrees: tuple[tuple[int, int], ...]
     indeterminate: tuple[int, ...]  # 1-based k where a_k vanished on every ray
     char_m: tuple                   # minimal degrees m_k(U) of the unscaled a_k
     echelon: EchelonForm
@@ -551,8 +546,12 @@ def rate_report(sys: RestrictionSystem, U: Covariance,
         prev = value
     for k in range(r):
         if gamma[k] != 0:
-            raise ValueError(
-                f"grading exponent gamma_{k + 1} = {gamma[k]} nonzero at or below rank {r}"
+            # a definite V keeps e_k of the rank-r low matrix nonzero
+            cause = ("every ray met a root of its lowest-degree part" if U.is_definite
+                     else "V is singular along the lowest-degree rows")
+            raise NonSpdError(
+                f"grading exponent gamma_{k + 1} = {gamma[k]} nonzero at or below "
+                f"rank r = {r}: {cause}"
             )
 
     beta = [Fraction(0)] * q
@@ -565,7 +564,6 @@ def rate_report(sys: RestrictionSystem, U: Covariance,
         gamma=tuple(gamma),
         beta=tuple(beta),
         beta_bar=beta_bar,
-        block_degrees=ech.blocks,
         indeterminate=tuple(indeterminate),
         char_m=char_m,
         echelon=ech,

@@ -438,12 +438,11 @@ class CompiledSystem:
                 _by_position([[(local[mono], coeff) for mono, coeff in terms]
                               for terms in entries]))
 
-    def power_tables(self, stack: np.ndarray, powered=None) -> dict[int, np.ndarray]:
-        """The power table of each variable g or G raises to a power >= 2
-        (or of each in ``powered``), for an (N, p) stack: pass it to
-        ``g_at`` and ``jacobian_at`` of the same stack to build it once."""
-        return {j: stack[:, j:j + 1] ** self._exps[:, j]
-                for j in (self._powered if powered is None else powered)}
+    def power_tables(self, stack: np.ndarray) -> dict[int, np.ndarray]:
+        """The power table of each variable g or G raises to a power >= 2,
+        for an (N, p) stack: pass it to ``g_at`` and ``jacobian_at`` of the
+        same stack to build it once."""
+        return {j: stack[:, j:j + 1] ** self._exps[:, j] for j in self._powered}
 
     def _evaluate(self, theta, plan: tuple, tables: dict | None) -> np.ndarray:
         powered, first, factors, const, terms = plan
@@ -451,8 +450,7 @@ class CompiledSystem:
         stack = points.reshape(-1, self.p)
         sources = stack
         if powered:
-            if tables is None:
-                tables = self.power_tables(stack, powered)
+            tables = self.power_tables(stack) if tables is None else tables
             sources = np.concatenate([stack] + [tables[j] for j in powered], axis=1)
         monos = sources[:, first]
         for k, column in factors:
@@ -677,7 +675,7 @@ def wald_statistic(theta_hat: Sequence[float], V_hat: np.ndarray,
     """
     comp = sys if isinstance(sys, CompiledSystem) else CompiledSystem(sys)
     theta = np.asarray(theta_hat, dtype=float)
-    inner, g = _inner(comp, theta.reshape(-1, comp.p), np.asarray(V_hat, dtype=float), True)
+    inner, g = _inner(comp, theta.reshape(-1, comp.p), np.asarray(V_hat, dtype=float))
     W, singular, _ = _spectra(inner, (np.ones(comp.q),), T, g)
     if singular.any():
         raise SingularMetricError(_singular_text(singular))
@@ -766,9 +764,6 @@ class SimResult:
     mu_samples: tuple[float, ...]             # per-T median of the bound ratio
     singular_fraction: float
     bound_violations: int
-    rank_r: int
-    beta_bar: float
-    seed: int
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimResult):
@@ -885,26 +880,24 @@ def _draw_stack(model: EstimatorModel, T: int, reps: int, seed: int,
     return thetas, covs, tails
 
 
-def _inner(comp: CompiledSystem, thetas: np.ndarray, covs: np.ndarray,
-           wald: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _inner(comp: CompiledSystem, thetas: np.ndarray,
+           covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The front half of the Monte Carlo kernel: one T over all reps at once.
 
     For the (reps, p) draws and their V_hat, one (p, p) matrix or a stack,
-    evaluate G, and g when ``wald``, from one power table, and form the
-    inner matrices A = G V_hat G' once.  The divergence experiment compiles
-    the echelonized system S g, so there g and G are already S g and S G,
-    with S applied exactly.  Returns A (reps, q, q) and g (reps, q), g None
-    without ``wald``.  Every caller hands both to ``_spectra``: one batched
-    Jacobi takes, for each vector d in its scalings, the descending
-    eigenvalues of diag(d) A diag(d); with g it rotates D g of the first
-    scaling alongside, which gives W (S cancels out of it), and counts a
-    draw whose smallest eigenvalue there is not > 0 as singular, with NaN
-    for its W and eigenvalues.
+    evaluate g and G from one power table and form the inner matrices A = G
+    V_hat G' once.  The divergence experiment compiles the echelonized
+    system S g, so there g and G are already S g and S G, with S applied
+    exactly.  Returns A (reps, q, q) and g (reps, q).  Every caller hands A
+    to ``_spectra``: one batched Jacobi takes, for each vector d in its
+    scalings, the descending eigenvalues of diag(d) A diag(d); given g it
+    rotates D g of the first scaling alongside, which gives W (S cancels out
+    of it), and counts a draw whose smallest eigenvalue there is not > 0 as
+    singular, with NaN for its W and eigenvalues.
     """
-    tables = comp.power_tables(thetas) if wald else None
+    tables = comp.power_tables(thetas)
     G = comp.jacobian_at(thetas, tables)
-    inner = G @ covs @ np.swapaxes(G, -1, -2)
-    return inner, (comp.g_at(thetas, tables) if wald else None)
+    return G @ covs @ np.swapaxes(G, -1, -2), comp.g_at(thetas, tables)
 
 
 def _median(x: np.ndarray, axis: int | None = None):
@@ -953,7 +946,7 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
         # sigma_bar = D S G V G' S' D; sigma_hat rescales it by T^{beta/2}
         scalings = (delta, delta * T ** (beta / 2.0)) if degenerate else (delta,)
         thetas, covs, _ = _draw_stack(model, T, reps, seed)
-        inner, g = _inner(comp, thetas, covs, True)
+        inner, g = _inner(comp, thetas, covs)
         W, skipped, eigs = _spectra(inner, scalings, T, g)
         singular += int(skipped.sum())
         wald_all.append(W)
@@ -982,9 +975,6 @@ def divergence_experiment(sys: RestrictionSystem, model: EstimatorModel,
         mu_samples=tuple(mu_medians),
         singular_fraction=fraction,
         bound_violations=violations,
-        rank_r=report.rank_r,
-        beta_bar=beta_bar,
-        seed=seed,
     )
 
 
@@ -1056,7 +1046,7 @@ def vanishing_rate_experiment(sys: RestrictionSystem, U: Covariance,
         # perturbation would leave the admissible set
         U_T = U_float if u_t_mode == "exact" else (
             U_float + VANISHING_PERTURB_SCALE / math.sqrt(T) * (A @ np.swapaxes(A, -1, -2)) / p)
-        _, _, eigs = _spectra(_inner(comp, thetas, U_T, False)[0], (np.ones(q),), T)
+        _, _, eigs = _spectra(_inner(comp, thetas, U_T)[0], (np.ones(q),), T)
         raw[ti] = _median(eigs[0], axis=0)
     beta_f = np.array([float(b) for b in betas])
     scaled = raw * np.array(grid, dtype=float)[:, None] ** beta_f[None, :]

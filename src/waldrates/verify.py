@@ -176,7 +176,7 @@ def s_invariance_check(system: RestrictionSystem, seed: int = 42) -> CheckResult
     labels = ["plain system"] + [f"transform {k} of {n_transforms}"
                                  for k in range(1, n_transforms + 1)]
     draws = [(thetas.reshape(-1, p), covs.reshape(-1, p, p)), *zip(thetas, covs)]
-    inner, g = zip(*(_inner(comp, th, cv, True) for comp, (th, cv)
+    inner, g = zip(*(_inner(comp, th, cv) for comp, (th, cv)
                      in zip([CompiledSystem(system), *transforms], draws)))
     W, singular, _ = _spectra(np.concatenate(inner), (np.ones(q),), 100, np.concatenate(g))
     bounds = np.cumsum([0, *map(len, g)])

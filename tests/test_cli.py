@@ -428,6 +428,16 @@ class TestCommands:
         assert not report["all_passed"]
         assert "[FAIL] transformation invariance: " + report["checks"][2]["detail"] == lines[2]
 
+    def test_symmetric_check_takes_rounding_noise_to_the_floor(self):
+        # B(x) = [[1, 2x], [2x, 4x^2]] u_11 is singular, so a_2 = 0 exactly and
+        # P_2 is rounding noise, relative deviation 1 at 8 of the 20 points:
+        # within the rounding floor it reads at most the tolerance
+        system = RestrictionSystem(["x", "y"], [0, 0],
+                                   [parse_polynomial(t, ["x", "y"]) for t in ("x", "x^2")])
+        res = verify.symmetric_polynomial_check(system, seed=7)
+        assert res.passed
+        assert res.detail == "worst relative deviation 5.797e-10 over 20 points (tol 1e-08)"
+
     def test_verify_singular_b_passes_symmetric_check(self, tmp_path, capsys):
         # B(x) is singular at every point, so a_2 = 0 exactly and P_2 is
         # rounding noise: within the rounding floor, not a relative deviation of 1
@@ -438,11 +448,48 @@ class TestCommands:
         assert lines[2] == ("[FAIL] transformation invariance: plain system: "
                             "inner Wald matrix singular on 200 of 200 draws")
 
-    @pytest.mark.parametrize("vhat", ["perturbed:", "perturbed:x", "perturbed:0.5:1", "wobbly"])
+    @pytest.mark.parametrize("vhat", ["perturbed", "perturbed:", "perturbed:x",
+                                      "perturbed:0.5:1", "wobbly"])
     def test_bad_vhat_value_names_the_value(self, vhat, capsys):
         assert main(["simulate", str(FIXTURES / "product_pairs.spec"),
                      "--vhat", vhat]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: invalid --vhat value {vhat!r}\n"
+
+    @pytest.mark.parametrize("text, message", [pytest.param(*case, id=case[1]) for case in [
+        ("vars x\nvars y\n", "line 2: duplicate 'vars' line"),
+        ("vars\n", "line 1: 'vars' needs at least one name"),
+        ("vars x x\n", "line 1: duplicate variable names"),
+        ("vars x\ng\n", "line 2: 'g' line has no value"),
+        ("theta_bar 0\ng x\nV identity\n", "missing 'vars' line"),
+        ("vars x\ntheta_bar 0\ntheta_bar 0\n", "line 3: duplicate 'theta_bar' line"),
+        ("vars x y\ntheta_bar 0 0\ng x\nV 1 0 0\n",
+         "line 4: V row has 3 entries for 2 variables"),
+        ("vars x\ng x\nV identity\n", "line 1: missing 'theta_bar' line"),
+        ("vars x\ntheta_bar 0\nV identity\n", "line 1: no 'g' restriction lines"),
+        ("vars x\ntheta_bar 0\ng x\nV identity\nV 1\n",
+         "'V identity' cannot be mixed with V rows"),
+        ("vars x\ntheta_bar 0\ng x\n", "missing covariance: 'V identity' or V rows"),
+        ("vars x y\ntheta_bar 0 0\ng x\nV 1 0\n", "V has 1 rows for 2 variables"),
+        ("vars x\ntheta_bar 0\ng sqrt(3)*x\nV sqrt(2)\n", "mixed surd radicands [2, 3]"),
+        # a g line that mixes radicands names its line like any other error in it
+        ("vars x y\ntheta_bar 0 0\ng x\ng sqrt(2)*x + sqrt(3)*y\nV identity\n",
+         "line 4: cannot mix sqrt(2) and sqrt(3) polynomials"),
+        ("vars x y\ntheta_bar 0 0\ng x\ng sqrt(2)*sqrt(3)*x\nV identity\n",
+         "line 4: cannot mix sqrt(2) and sqrt(3) coefficients"),
+    ]])
+    def test_spec_errors_exit_2_with_their_message(self, tmp_path, capsys, text, message):
+        assert main(["analyze", write_spec(tmp_path, text)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_v_singular_along_the_low_rows_exits_3(self, tmp_path, capsys):
+        # analyze holds (r = 1 = q); rates needs gamma_1 = 0, which V = diag(0, 1) denies
+        path = write_spec(tmp_path, "vars x y\ntheta_bar 0 0\ng x + y^2\nV 0 0\nV 0 1\n")
+        report = tmp_path / "report.json"
+        assert main(["rates", path, "--json", str(report)]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            "error: grading exponent gamma_1 = 1 nonzero at or below rank r = 1: "
+            "V is singular along the lowest-degree rows\n")
+        assert not report.exists()
 
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         path = write_spec(tmp_path, "vars x\ntheta_bar 0 0\ng x\nV identity\n")
@@ -520,14 +567,13 @@ class TestCommands:
         assert code == EXIT_OK
         assert "vhat perturbed:0.3" in capsys.readouterr().out
 
-    def test_excess_singular_draws_exit_code(self, monkeypatch, capsys):
-        def boom(*args, **kwargs):
-            raise simulate.ExcessiveSingularDrawsError("singular inner matrix on 8.0% of draws")
-
-        monkeypatch.setattr(simulate, "divergence_experiment", boom)
-        code = main(["simulate", str(FIXTURES / "linear_q1.spec"),
-                     "--grid", "10,100,1000,10000", "--reps", "200"])
-        assert code == EXIT_NUMERICAL
+    def test_excess_singular_draws_exit_code(self, tmp_path, capsys):
+        # g = (x, x^2): G = [[1, 0], [2x, 0]] is singular at every draw, and
+        # rounding leaves only some inner matrices with a positive eigenvalue
+        path = write_spec(tmp_path, "vars x y\ntheta_bar 0 0\ng x\ng x^2\nV identity\n")
+        assert main(["simulate", path, "--reps", "200", "--seed", "7"]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == (
+            "", "error: singular inner matrix on 72.2% of draws (threshold 5%)\n")
 
     def test_schema_ships_with_package(self):
         from importlib import resources

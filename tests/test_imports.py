@@ -1,10 +1,13 @@
-"""Import hygiene: every name a module of waldrates imports is read in it.
+"""Import and name hygiene: every name a module of waldrates imports is read
+in it, and every private module-level name is read somewhere in src.
 
-No linter runs on this tree, so an import that a refactor leaves unused
-would otherwise stay.  ``__init__`` is exempt: its imports are re-exports.
+No linter runs on this tree, so an import that a refactor leaves unused, or
+a helper whose last caller goes, would otherwise stay.  ``__init__`` is
+exempt from the import check: its imports are re-exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,37 @@ def test_every_import_is_read(path):
     read = _read(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in read}
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each module-level ``_name`` (not a dunder) a def, class or assignment
+    binds, with its statement."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                out.update((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name: node for name, node in out.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is loaded, taken as an attribute or imported
+    under ``tree``."""
+    return Counter(node.id if isinstance(node, ast.Name) else
+                   node.attr if isinstance(node, ast.Attribute) else node.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                   or isinstance(node, (ast.Attribute, ast.alias)))
+
+
+def test_every_private_name_is_read():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    reads = sum(map(_reads, trees.values()), Counter())
+    # a name read only inside its own definition (a recursive helper) is unread
+    dead = [f"{module}:{node.lineno} {name}" for module, tree in trees.items()
+            for name, node in _private_definitions(tree).items()
+            if reads[name] == _reads(node)[name]]
+    assert not dead, f"private module-level names that nothing in src reads: {dead}"

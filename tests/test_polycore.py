@@ -419,6 +419,15 @@ class TestGrammar:
         # the sqrt(2) terms cancel before the sqrt(3) term arrives
         assert poly("sqrt(2)*x - sqrt(2)*x + sqrt(3)*z") == poly("sqrt(3)*z")
 
+    def test_equal_surds_multiply_to_their_radicand(self):
+        assert poly("sqrt(2)*sqrt(2)*x") == poly("2*x")
+
+    def test_long_exponent_is_refused(self):
+        with pytest.raises(PolyParseError,
+                           match=f"numeric literal longer than {MAX_LITERAL_DIGITS} digits") as err:
+            poly("x^" + "1" * (MAX_LITERAL_DIGITS + 1))
+        assert err.value.col == 3
+
     def test_round_trip_rendering(self):
         texts = [
             "x*y - 2*w^3 + 1/3",

@@ -385,7 +385,7 @@ class TestRateReport:
         assert rep.beta == (Fraction(0), Fraction(0), Fraction(1))
         assert rep.beta_bar == 1
         assert rep.divergence_predicted
-        assert rep.block_degrees == ((2, 0), (1, 1))
+        assert rep.echelon.blocks == ((2, 0), (1, 1))
         assert rep.char_m == (0, 0, 4)
 
     def test_surd_covariance(self):
@@ -406,6 +406,25 @@ class TestRateReport:
             rep = rate_report(product_pairs_system(), U, rng=random.Random(6))
             assert all(g2 >= g1 for g1, g2 in zip(rep.gamma, rep.gamma[1:]))
             assert all(rep.gamma[k] == 0 for k in range(rep.rank_r))
+
+    def test_v_singular_along_the_low_rows_is_a_precondition(self):
+        # G = [1, 2y] has low row [1, 0], rank 1, but V = diag(0, 1) leaves
+        # only B = 4y^2, so gamma_1 = 1 at rank 1
+        sys = RestrictionSystem(["x", "y"], [0, 0], [parse_polynomial("x + y^2", ["x", "y"])])
+        with pytest.raises(NonSpdError) as err:
+            rate_report(sys, Covariance([[0, 0], [0, 1]]))
+        assert str(err.value) == ("grading exponent gamma_1 = 1 nonzero at or below rank "
+                                  "r = 1: V is singular along the lowest-degree rows")
+
+    def test_definite_v_is_not_blamed_when_every_ray_misses(self, monkeypatch):
+        # only rays that all meet a root of a_1's lowest part give a definite V
+        # a nonzero gamma_1 at rank 2
+        monkeypatch.setattr(rates, "t_graded_coeffs",
+                            lambda G, U, ech: [Fraction(1), Fraction(1), Fraction(2)])
+        with pytest.raises(NonSpdError) as err:
+            rate_report(product_pairs_system(), Covariance.identity(4))
+        assert str(err.value) == ("grading exponent gamma_1 = 1 nonzero at or below rank "
+                                  "r = 2: every ray met a root of its lowest-degree part")
 
 
 class TestMinDegreeGeneric:
